@@ -64,9 +64,11 @@ from .operators import (
     kernel_H_sum,
     kernel_I,
     kernel_J,
+    lateral_sum,
     limit_forcing,
     ntn_forcing,
     resolvent_shifted,
+    wave_maker_forcing,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ Commands
 
 Configuration is a flat key=value file (one pair per line, `#` comments);
 command-line flags override file values.  Exit codes: 0 success, 1 usage or
-configuration error, 2 precision or audit failure.
+configuration error, 2 audit failure (a proven bound fails in verify).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .lab import (
     sweep_summary,
     write_sweep_csv,
 )
-from .operators import PrecisionError
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dispatch", "main"]
 
@@ -47,7 +46,7 @@ CONFIG_KEYS = {
     "mu": ("0.01", "shallowness parameter, in (0, 1]"),
     "mu_list": ("1e-1,1e-2,1e-3,1e-4", "comma-separated decreasing shallowness values in (0, 1]"),
     "k_modes": ("256", "number of nonzero surface modes, >= 1"),
-    "l_modes": ("10000", "lateral-mode truncation, >= 1"),
+    "l_modes": ("10000", "lateral-series truncation: verify/sweep oracle, Neumann field profile; >= 1"),
     "dt": ("", "time step; empty selects 1e-3*tau"),
     "tau": ("10.0", "time horizon, > 0"),
     "grid": ("50,50", "field grid resolution NX,NY (>= 2 each)"),
@@ -279,11 +278,23 @@ def _write_trajectory_csv(path: Path, traj) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _n_steps(cfg: RunConfig) -> int:
+    """Number of steps of length dt that end exactly at tau; ConfigError otherwise."""
+    dt = cfg.effective_dt
+    n = round(cfg.tau / dt)
+    if n == 0 or abs(n * dt - cfg.tau) > 1e-9 * cfg.tau:
+        raise ConfigError(
+            f"tau={cfg.tau:g} is not a whole number of steps of dt={dt:g}; "
+            f"choose dt = tau/n for a positive integer n"
+        )
+    return n
+
+
 def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
     dt = cfg.effective_dt
-    n = int(round(cfg.tau / dt))
+    n = _n_steps(cfg)
     if cfg.system == "water":
-        system = water_system(SpectralParams(mu=cfg.mu, K=cfg.k_modes, L_modes=cfg.l_modes))
+        system = water_system(SpectralParams(mu=cfg.mu, K=cfg.k_modes))
     else:
         system = limit_system(cfg.k_modes)
     zeta0 = parse_initial_spec(cfg.init, cfg.k_modes)
@@ -295,7 +306,7 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
 
 def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
     dt = cfg.effective_dt
-    n = int(round(cfg.tau / dt))
+    n = _n_steps(cfg)
     sweep_cfg = SweepConfig(
         mu_list=cfg.mu_list,
         tau=cfg.tau,
@@ -430,9 +441,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return dispatch(cfg)
-    except PrecisionError as exc:
-        print(f"wavetank: precision error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"wavetank: {cfg.command}: {exc}", file=sys.stderr)
         return 1

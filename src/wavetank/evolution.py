@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ModalVector, SpectralParams
-from .operators import _h, limit_forcing, ntn_forcing
+from .operators import _h, limit_forcing, wave_maker_forcing
 
 __all__ = [
     "InputSignal",
@@ -108,11 +108,11 @@ class ModeSystem:
         return self.omega.size - 1
 
 
-def water_system(params: SpectralParams, tail_tol: float = 1e-3) -> ModeSystem:
-    """Tank dynamics at shallowness mu: omega_k = k sqrt(h(sqrt(mu) k))."""
+def water_system(params: SpectralParams) -> ModeSystem:
+    """Tank dynamics at shallowness mu: omega_k = k sqrt(h(sqrt(mu) k)), f_k = -phi_k(0) h(sqrt(mu) k)."""
     k = np.arange(params.K + 1, dtype=float)
     omega = k * np.sqrt(_h(np.sqrt(params.mu) * k))
-    forcing = ntn_forcing(params, tail_tol=tail_tol).forcing
+    forcing = wave_maker_forcing(params)
     return ModeSystem(omega=omega, forcing=forcing, label=f"water(mu={params.mu:g})")
 
 

@@ -11,9 +11,19 @@ and the wave-maker enters through a forcing coefficient per mode,
     H(k, l) = 1 / ( ((2l-1) pi / (2 sqrt(mu)))^2 + k^2 ),
 
 whose zero-depth limit is the boundary point mass -delta_0 with coefficients
--phi_k(0).  The comparison kernels F, G, I, J quantify, mode by mode, how far
-the tank's resolvents, square roots and forcing sit from their limits; the
-convergence lab audits their proven envelopes.
+-phi_k(0).  The partial-fraction expansion of tanh (DLMF §4.36) sums the
+lateral series exactly,
+
+    sum_l H(k, l) = (mu/2) h(sqrt(mu) k),    f_k = -phi_k(0) h(sqrt(mu) k),
+    h(x) = tanh(x)/x,
+
+so production code uses the closed forms (`lateral_sum`,
+`wave_maker_forcing`).  The truncated series (`ntn_forcing`, `kernel_H_sum`)
+is kept as an independent oracle with a certified tail; the kernel audit
+checks the closed form against it.  The comparison kernels F, G, I, J
+quantify, mode by mode, how far the tank's resolvents, square roots and
+forcing sit from their limits; the convergence lab audits their proven
+envelopes.
 """
 
 from __future__ import annotations
@@ -43,11 +53,13 @@ __all__ = [
     "kernel_I",
     "kernel_J",
     "kernel_H_sum",
+    "lateral_sum",
+    "wave_maker_forcing",
     "bmu_dual_norm_gap",
 ]
 
-# sup_k error committed in f_k by dropping lateral modes l > L equals
-# (2 sqrt(2)/(mu sqrt(pi))) * 4 mu / (pi^2 (2L-1)) = _FORCING_TAIL_CONST/(2L-1)
+# f_k = -_FORCING_TAIL_CONST * _odd_sums(mu, k, inf) for k >= 1; dropping the
+# lateral modes l > L changes f_k by at most _FORCING_TAIL_CONST/(2L-1)
 _FORCING_TAIL_CONST = 8.0 * math.sqrt(2.0) / (SQRT_PI * math.pi**2)
 
 _CHUNK = 2048
@@ -123,14 +135,18 @@ class NtNProjection:
         object.__setattr__(self, "forcing", f)
 
 
-def _h_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
-    """sum_{l=1..L} H(k, l) for an array of mode indices k."""
-    gamma2 = ((2.0 * np.arange(1, L + 1) - 1.0) * math.pi / (2.0 * math.sqrt(mu))) ** 2
-    k2 = np.asarray(k, dtype=float) ** 2
-    out = np.empty(k2.shape)
-    for i in range(0, k2.size, _CHUNK):
-        blk = k2[i : i + _CHUNK, None]
-        out[i : i + _CHUNK] = (1.0 / (gamma2[None, :] + blk)).sum(axis=1)
+def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
+    """sum_{l=1..L} 1 / ((2l-1)^2 + y^2) with y = 2 sqrt(mu) k / pi, for an array of k.
+
+    Times 4 mu / pi^2 this is sum_{l<=L} H(k, l).  Factoring 4 mu / pi^2 out of
+    every term keeps the squared lateral frequencies finite for every mu in (0, 1].
+    """
+    odd2 = (2.0 * np.arange(1, L + 1) - 1.0) ** 2
+    y2 = (2.0 * math.sqrt(mu) / math.pi * np.asarray(k, dtype=float)) ** 2
+    out = np.empty(y2.shape)
+    for i in range(0, y2.size, _CHUNK):
+        blk = y2[i : i + _CHUNK, None]
+        out[i : i + _CHUNK] = (1.0 / (odd2[None, :] + blk)).sum(axis=1)
     return out
 
 
@@ -139,13 +155,13 @@ def _required_l_modes(tail_tol: float) -> int:
 
 
 def ntn_forcing(params: SpectralParams, tail_tol: float = 1e-3) -> NtNProjection:
-    """Forcing coefficients f_k = <(1/mu) B 1, phi_k> for modes 0..K.
+    """Forcing coefficients f_k = <(1/mu) B 1, phi_k> for modes 0..K by the lateral series.
 
-    Mode 0 uses the exact closed form -1/sqrt(pi) (termwise integration of the
-    lateral series, sum 1/(2l-1)^2 = pi^2/8); modes k >= 1 sum the first
-    L_modes lateral terms, certified by the comparison tail bound
-    4 mu / (pi^2 (2 L_modes - 1)).  Raises PrecisionError when the certified
-    forcing error exceeds tail_tol.
+    This is the oracle for `wave_maker_forcing`.  Mode 0 uses the exact closed
+    form -1/sqrt(pi) (termwise integration of the lateral series,
+    sum 1/(2l-1)^2 = pi^2/8); modes k >= 1 sum the first L_modes lateral terms,
+    certified by the comparison tail bound 4 mu / (pi^2 (2 L_modes - 1)).
+    Raises PrecisionError when the certified forcing error exceeds tail_tol.
     """
     L = params.L_modes
     forcing_tail = _FORCING_TAIL_CONST / (2.0 * L - 1.0)
@@ -157,7 +173,7 @@ def ntn_forcing(params: SpectralParams, tail_tol: float = 1e-3) -> NtNProjection
             required_l_modes=need,
         )
     k = np.arange(params.K + 1)
-    f = -(2.0 * math.sqrt(2.0) / (params.mu * SQRT_PI)) * _h_sums(params.mu, k, L)
+    f = -_FORCING_TAIL_CONST * _odd_sums(params.mu, k, L)
     f[0] = -1.0 / SQRT_PI
     h_tail = 4.0 * params.mu / (math.pi**2 * (2.0 * L - 1.0))
     return NtNProjection(params, f, h_tail_bound=h_tail, forcing_tail_bound=forcing_tail)
@@ -247,23 +263,44 @@ class HSumResult(NamedTuple):
 def kernel_H_sum(params: SpectralParams, k) -> HSumResult:
     """Truncated lateral sum sum_{l<=L_modes} H(k, l) with its certified tail bound.
 
-    The full sum obeys both envelopes mu/2 and 2 sqrt(mu)/k; the returned tail
-    bound 4 mu / (pi^2 (2 L_modes - 1)) certifies the truncation.
+    This is the oracle for `lateral_sum`: the full sum lies in
+    [value, value + tail_bound], with tail_bound = 4 mu / (pi^2 (2 L_modes - 1)).
     """
     ka = _check_kernel_args(params, k)
-    val = _h_sums(params.mu, np.atleast_1d(ka), params.L_modes)
-    tail = 4.0 * params.mu / (math.pi**2 * (2.0 * params.L_modes - 1.0))
+    scale = 4.0 * params.mu / math.pi**2
+    val = scale * _odd_sums(params.mu, np.atleast_1d(ka), params.L_modes)
+    tail = scale / (2.0 * params.L_modes - 1.0)
     return HSumResult(float(val[0]) if np.isscalar(k) else val, tail)
 
 
-def bmu_dual_norm_gap(params: SpectralParams, tail_tol: float = 1e-3) -> float:
+def lateral_sum(params: SpectralParams, k):
+    """Full lateral sum sum_{l>=1} H(k, l) = (mu/2) h(sqrt(mu) k), in closed form.
+
+    It obeys the envelopes mu/2 and sqrt(mu)/(2k), so the audited 2 sqrt(mu)/k
+    holds with a factor 4 to spare.
+    """
+    ka = _check_kernel_args(params, k)
+    out = 0.5 * params.mu * _h(math.sqrt(params.mu) * ka)
+    return float(out) if np.isscalar(k) else out
+
+
+def wave_maker_forcing(params: SpectralParams) -> np.ndarray:
+    """Forcing coefficients f_k = -phi_k(0) h(sqrt(mu) k) for modes 0..K, in closed form.
+
+    h(0) = 1 gives the exact mode-0 value -1/sqrt(pi).
+    """
+    k = np.arange(params.K + 1, dtype=float)
+    return limit_forcing(params.K).b0 * _h(math.sqrt(params.mu) * k)
+
+
+def bmu_dual_norm_gap(params: SpectralParams) -> float:
     """Distance of the unit-input forcing from its zero-depth limit.
 
     Measured in the dual of the first-order scale space, realized with mode
     weights (1+k)^(-2) (exponent -1 in this package's weight family), the
     Fourier realization of the dual norm in which the forcing convergence is
-    proved.  Mode 0 cancels exactly by the closed form.
+    proved.  Mode 0 cancels exactly.
     """
-    f = ntn_forcing(params, tail_tol=tail_tol).forcing
+    f = wave_maker_forcing(params)
     b0 = limit_forcing(params.K).b0
     return norm(ModalVector(f - b0), -1.0)

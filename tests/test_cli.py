@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from wavetank import cli
 from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_initial_spec
+from wavetank.lab import KernelAudit, KernelAuditRow
 
 
 def test_defaults_for_verify():
@@ -110,11 +112,40 @@ def test_simulate_limit_system(tmp_path):
     assert last[2] == pytest.approx(math.cos(1.0), abs=1e-12)
 
 
-def test_simulate_precision_failure_exits_2(tmp_path, capsys):
-    rc = main(["simulate", "--out", str(tmp_path), "--l-modes", "1", "--tau", "0.1", "--dt", "0.05"])
+def test_simulate_ignores_l_modes(tmp_path):
+    # the forcing is the closed form; l_modes only truncates the series oracle
+    outputs = []
+    for l_modes in ("1", "10000"):
+        out = tmp_path / l_modes
+        args = ["simulate", "--out", str(out), "--k-modes", "8", "--tau", "0.1", "--dt", "0.05"]
+        assert main(args + ["--l-modes", l_modes]) == 0
+        outputs.append((out / "trajectory.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_audit_failure_exits_2(tmp_path, capsys, monkeypatch):
+    failing = KernelAudit(rows=(KernelAuditRow("F", "forced violation", 2.0, 1.0),), mu_grid=(1.0,), k_max=1)
+    monkeypatch.setattr(cli, "audit_kernels", lambda **kw: failing)
+    rc = main(["verify", "--out", str(tmp_path), "--k-modes", "16", "--seed", "5"])
     assert rc == 2
-    assert "precision error" in capsys.readouterr().err
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert "BOUND VIOLATION" in capsys.readouterr().out
+    assert (tmp_path / "audit.txt").read_text().endswith("verify: BOUND VIOLATION\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("dt", ["0.3", "0.35", "5"])
+def test_horizon_not_whole_number_of_steps_exits_1(tmp_path, capsys, command, dt):
+    # 0.3 would stop at t = 0.9, 0.35 overshoot to t = 1.05, 5 take no step
+    rc = main([command, "--out", str(tmp_path), "--k-modes", "4", "--tau", "1", "--dt", dt, "--k-max", "10"])
+    assert rc == 1
+    assert "tau=1 is not a whole number of steps" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_default_dt_reaches_horizon():
+    for tau in ("0.1", "1", "7.3", "10", "20", "12345.678"):
+        cfg = parse_config("simulate", overrides={"tau": tau})
+        assert cli._n_steps(cfg) == 1000
 
 
 def test_sweep_outputs_and_determinism(tmp_path):

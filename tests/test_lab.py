@@ -147,7 +147,7 @@ def test_random_probe_audit_deterministic():
 
 
 def test_bmu_rate_table_scaling():
-    rows = bmu_rate_table(mu_grid=(1e-2, 1e-4), K=4096, l_modes=512)
+    rows = bmu_rate_table(mu_grid=(1e-2, 1e-4), K=4096)
     assert rows[0][1] > rows[1][1]  # gap decreases with mu
     scaled = [r[2] for r in rows]
     assert max(scaled) / min(scaled) < 2.0

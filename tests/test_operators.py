@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavetank.basis import ModalVector, SpectralParams
+from wavetank.evolution import water_system
+from wavetank.lab import PROVEN_TOL
 from wavetank.operators import (
     PrecisionError,
     apply_dtn,
@@ -15,9 +19,11 @@ from wavetank.operators import (
     kernel_H_sum,
     kernel_I,
     kernel_J,
+    lateral_sum,
     limit_forcing,
     ntn_forcing,
     resolvent_shifted,
+    wave_maker_forcing,
 )
 
 SQ2PI = math.sqrt(2.0 / math.pi)
@@ -108,6 +114,16 @@ class TestForcing:
         params = SpectralParams(mu=1e-2, K=8, L_modes=100)
         proj = ntn_forcing(params, tail_tol=1e-2)
         assert all(proj.forcing[k] >= closed_form_forcing(1e-2, k) for k in range(1, 9))
+
+    def test_series_oracle_certified_at_every_shallowness(self):
+        # the lateral frequencies (2l-1) pi / (2 sqrt(mu)) overflow when squared
+        # at mu = 1e-300; the series must stay within its certificate anyway
+        for mu in (1.0, 1e-6, 1e-200, 1e-300):
+            params = SpectralParams(mu=mu, K=64)
+            proj = ntn_forcing(params)
+            assert np.abs(proj.forcing - wave_maker_forcing(params)).max() <= proj.forcing_tail_bound
+        water = water_system(SpectralParams(mu=1e-300, K=64))
+        np.testing.assert_allclose(water.forcing[1:], -SQ2PI, rtol=0.0, atol=1e-15)
 
     def test_linearity_scaling(self):
         proj = ntn_forcing(SpectralParams(mu=0.5, K=4))
@@ -222,8 +238,8 @@ class TestForcingGap:
         assert bmu_dual_norm_gap(SpectralParams(mu=0.5, K=32)) >= 0.0
 
     def test_monotone_decreasing_and_frozen(self):
-        # frozen from the closed-form oracle run at the default resolution
-        expected = {1e-2: 0.14322907587592685, 1e-3: 0.07346848127941989, 1e-4: 0.028235291534664493}
+        # frozen from the closed-form forcing
+        expected = {1e-2: 0.14322321193994964, 1e-3: 0.07346478958006918, 1e-4: 0.028232961988608023}
         gaps = []
         for mu in (1e-2, 1e-3, 1e-4):
             g = bmu_dual_norm_gap(SpectralParams(mu=mu, K=256, L_modes=10_000))
@@ -240,4 +256,19 @@ class TestForcingGap:
             f_oracle = np.array([closed_form_forcing(mu, kk) if kk else -1 / math.sqrt(math.pi) for kk in k])
             b0 = limit_forcing(256).b0
             oracle = norm(ModalVector(f_oracle - b0), -1.0)
-            assert bmu_dual_norm_gap(params) == pytest.approx(oracle, abs=1e-4)
+            assert bmu_dual_norm_gap(params) == pytest.approx(oracle, rel=1e-12)
+
+
+@settings(deadline=None)
+@given(
+    log_mu=st.floats(-300.0, 0.0),
+    log_k=st.floats(0.0, 6.0),
+    log_l=st.floats(0.0, math.log10(5000.0)),
+)
+def test_closed_lateral_sum_within_series_certificate(log_mu, log_k, log_l):
+    params = SpectralParams(mu=10.0**log_mu, K=1, L_modes=min(5000, round(10.0**log_l)))
+    k = 10.0**log_k
+    closed = lateral_sum(params, k)
+    series = kernel_H_sum(params, k)
+    diff = closed - series.value
+    assert -1e-14 * closed <= diff <= series.tail_bound * (1.0 + PROVEN_TOL)
