@@ -8,6 +8,10 @@ Neumann cosine family
 which is orthonormal in L^2[0, pi].  This module provides basis evaluation,
 projection by composite Simpson quadrature, and the mode-weighted norms in
 which convergence is measured.
+
+The package's one cosine evaluator is `_phi` (the points-by-modes matrix
+phi_k(x_i)), its one Simpson rule `_simpson`, and `_readonly` freezes the
+arrays of every frozen dataclass; `fields` uses all three.
 """
 
 from __future__ import annotations
@@ -33,6 +37,27 @@ __all__ = [
     "sobolev_weights",
     "quadrature_nodes",
 ]
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Mark a read-only in place (no copy) and return it."""
+    a.flags.writeable = False
+    return a
+
+
+def _phi(k, x) -> np.ndarray:
+    """phi_k(x) for a mode index k or an integer array of them; points x lead, modes k trail."""
+    return np.where(k == 0, 1.0 / SQRT_PI, SQRT_2_OVER_PI * np.cos(np.multiply.outer(x, k)))
+
+
+def _simpson(a: float, b: float, n_panels: int):
+    """Composite Simpson rule on [a, b] with an even number of uniform panels: (nodes, weights)."""
+    x = np.linspace(a, b, n_panels + 1)
+    w = np.ones(n_panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= ((b - a) / n_panels) / 3.0
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -80,9 +105,7 @@ class ModalVector:
             raise ValueError("coeffs must be a one-dimensional, nonempty sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _readonly(c.copy()))
 
     @property
     def K(self) -> int:
@@ -131,10 +154,7 @@ def eval_basis(k: int, x):
         raise ValueError(f"mode index must be nonnegative, got {k}")
     xa = np.asarray(x, dtype=float)
     _check_domain(xa)
-    if k == 0:
-        out = np.full_like(xa, 1.0 / SQRT_PI)
-    else:
-        out = SQRT_2_OVER_PI * np.cos(k * xa)
+    out = _phi(k, xa)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
@@ -142,10 +162,7 @@ def eval_function(v: ModalVector, x):
     """Evaluate sum_k v_k phi_k(x) for x in [0, pi]."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     _check_domain(xa)
-    k = np.arange(1, v.K + 1)
-    out = np.full(xa.shape, v.coeffs[0] / SQRT_PI)
-    if v.K >= 1:
-        out += SQRT_2_OVER_PI * (np.cos(np.outer(xa, k)) @ v.coeffs[1:])
+    out = _phi(np.arange(v.K + 1), xa) @ v.coeffs
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
@@ -156,13 +173,7 @@ def quadrature_nodes(K: int):
     of any two retained modes (frequency at most 2K) are integrated exactly up
     to roundoff.  Returns (nodes, weights).
     """
-    n = 4 * K + 1
-    x = np.linspace(0.0, math.pi, n)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (math.pi / (n - 1)) / 3.0
-    return x, w
+    return _simpson(0.0, math.pi, 4 * K)
 
 
 def project(f, params: SpectralParams) -> ModalVector:
@@ -179,9 +190,7 @@ def project(f, params: SpectralParams) -> ModalVector:
         fx = np.array([float(f(xi)) for xi in x])
     if not np.all(np.isfinite(fx)):
         raise ValueError("function samples must be finite")
-    k = np.arange(params.K + 1)
-    basis = np.where(k[:, None] == 0, 1.0 / SQRT_PI, SQRT_2_OVER_PI * np.cos(k[:, None] * x[None, :]))
-    return ModalVector(basis @ (w * fx))
+    return ModalVector((w * fx) @ _phi(np.arange(params.K + 1), x))
 
 
 def sobolev_weights(K: int, alpha: float) -> np.ndarray:

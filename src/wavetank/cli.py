@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._writer import row_blocks, write_csv, write_text
 from .basis import ModalVector, SpectralParams
 from .evolution import InputSignal, evolve, limit_system, make_initial, water_system
 from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
@@ -257,25 +258,10 @@ class _OutputSet:
                 pass
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_bytes(text.encode("ascii"))
-
-
 def _write_trajectory_csv(path: Path, traj) -> None:
-    K = traj.K
-    header = (
-        "t,"
-        + ",".join(f"zeta_{k}" for k in range(K + 1))
-        + ","
-        + ",".join(f"dzeta_{k}" for k in range(K + 1))
-    )
-    lines = [header]
-    for i in range(traj.times.size):
-        row = [f"{traj.times[i]:.17g}"]
-        row += [f"{v:.17g}" for v in traj.zeta[i]]
-        row += [f"{v:.17g}" for v in traj.zeta_t[i]]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    modes = range(traj.K + 1)
+    header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
+    write_csv(path, header, row_blocks(traj.times, traj.zeta, traj.zeta_t))
 
 
 def _n_steps(cfg: RunConfig) -> int:
@@ -311,7 +297,6 @@ def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
         mu_list=cfg.mu_list,
         tau=cfg.tau,
         K=cfg.k_modes,
-        L_modes=cfg.l_modes,
         dt=dt,
         zeta0=parse_initial_spec(cfg.init, cfg.k_modes),
         zeta1=parse_initial_spec(cfg.init1, cfg.k_modes),
@@ -320,7 +305,7 @@ def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
     report = run_sweep(sweep_cfg)
     report = replace(report, audit=audit_kernels(k_max=cfg.k_max, l_modes=cfg.l_modes))
     write_sweep_csv(report, out.path("sweep.csv"))
-    _write_text(out.path("summary.txt"), sweep_summary(report) + "\n")
+    write_text(out.path("summary.txt"), sweep_summary(report) + "\n")
     return 0
 
 
@@ -349,7 +334,7 @@ def _cmd_verify(cfg: RunConfig, out: _OutputSet) -> int:
     lines.append("")
     lines.append("verify: " + ("all proven bounds hold" if ok else "BOUND VIOLATION"))
     text = "\n".join(lines) + "\n"
-    _write_text(out.path("audit.txt"), text)
+    write_text(out.path("audit.txt"), text)
     sys.stdout.write(text)
     return 0 if ok else 2
 

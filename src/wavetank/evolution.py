@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModalVector, SpectralParams
+from .basis import ModalVector, SpectralParams, _readonly
 from .operators import _h, limit_forcing, wave_maker_forcing
 
 __all__ = [
@@ -53,9 +53,7 @@ class InputSignal:
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         if not np.all(np.isfinite(v)):
             raise ValueError("signal values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _readonly(v.copy()))
 
     @property
     def n_steps(self) -> int:
@@ -97,9 +95,7 @@ class ModeSystem:
 
     def __post_init__(self):
         for name in ("omega", "forcing"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
         if self.omega.shape != self.forcing.shape:
             raise ValueError("omega and forcing must have equal length")
 
@@ -191,9 +187,7 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("times", "zeta", "zeta_t"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
         n = self.times.size
         if self.zeta.shape[0] != n or self.zeta_t.shape != self.zeta.shape:
             raise ValueError("times, zeta and zeta_t lengths disagree")

@@ -14,6 +14,10 @@ Both hyperbolic ratios are evaluated in exponent-shifted form; the naive
 cosh/sinh quotients overflow once sqrt(mu) k exceeds a few hundred, while the
 shifted forms use only nonpositive exponents and stay finite for any mu and
 mode index.
+
+Each field is one matrix product over the modes: the x factors (`basis._phi`,
+or the lateral ratios) times the coefficient-scaled y factors (the depth
+ratios, or `_psi`, the one evaluator of the lateral family psi_k).
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, SpectralParams
+from ._writer import row_blocks, write_csv
+from .basis import ModalVector, SpectralParams, _phi, _readonly, _simpson
 
 __all__ = [
     "FieldGrid",
@@ -55,18 +60,15 @@ class FieldGrid:
             raise ValueError("grid x must lie in [0, pi]")
         if np.any(y < -1) or np.any(y > 0):
             raise ValueError("grid y must lie in [-1, 0]")
-        for arr in (x, y):
-            arr.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", _readonly(x))
+        object.__setattr__(self, "y", _readonly(y))
         if self.values is not None:
             v = np.asarray(self.values, dtype=float)
             if v.shape != (x.size, y.size):
                 raise ValueError(f"values shape {v.shape} does not match grid ({x.size}, {y.size})")
             if not np.all(np.isfinite(v)):
                 raise ValueError("field values must be finite")
-            v.flags.writeable = False
-            object.__setattr__(self, "values", v)
+            object.__setattr__(self, "values", _readonly(v))
 
     @property
     def nx(self) -> int:
@@ -99,9 +101,7 @@ class LateralProfile:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size < 1 or not np.all(np.isfinite(c)):
             raise ValueError("profile coefficients must be a finite 1-d sequence")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _readonly(c.copy()))
 
     @property
     def n_modes(self) -> int:
@@ -125,30 +125,20 @@ class LateralProfile:
     @classmethod
     def from_function(cls, fn, n_modes: int, n_panels: int = 2048) -> "LateralProfile":
         """Project a function on [-1, 0] by composite Simpson quadrature."""
-        n = 2 * n_panels + 1
-        y = np.linspace(-1.0, 0.0, n)
-        w = np.ones(n)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (1.0 / (n - 1)) / 3.0
+        y, w = _simpson(-1.0, 0.0, 2 * n_panels)
         vy = np.array([float(fn(yi)) for yi in y])
         if not np.all(np.isfinite(vy)):
             raise ValueError("profile samples must be finite")
-        k = np.arange(1, n_modes + 1)
-        psi = math.sqrt(2.0) * np.cos((2 * k[:, None] - 1) * (math.pi / 2.0) * (y[None, :] + 1.0))
-        return cls(psi @ (w * vy))
+        return cls((w * vy) @ _psi(n_modes, y))
 
     def evaluate(self, y) -> np.ndarray:
-        ya = np.atleast_1d(np.asarray(y, dtype=float))
-        k = np.arange(1, self.n_modes + 1)
-        psi = math.sqrt(2.0) * np.cos((2 * k[None, :] - 1) * (math.pi / 2.0) * (ya[:, None] + 1.0))
-        return psi @ self.coeffs
+        return _psi(self.n_modes, np.atleast_1d(np.asarray(y, dtype=float))) @ self.coeffs
 
 
-def _basis_x(k: int, x: np.ndarray) -> np.ndarray:
-    if k == 0:
-        return np.full_like(x, 1.0 / SQRT_PI)
-    return SQRT_2_OVER_PI * np.cos(k * x)
+def _psi(n: int, y: np.ndarray) -> np.ndarray:
+    """psi_k(y_j) for k = 1..n, points along axis 0 and modes along axis 1."""
+    k = np.arange(1, n + 1)
+    return math.sqrt(2.0) * np.cos((2 * k - 1) * (math.pi / 2.0) * (y[:, None] + 1.0))
 
 
 def dirichlet_values(eta: ModalVector, params: SpectralParams, x, y) -> np.ndarray:
@@ -159,16 +149,10 @@ def dirichlet_values(eta: ModalVector, params: SpectralParams, x, y) -> np.ndarr
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    rmu = math.sqrt(params.mu)
-    out = np.zeros((xa.size, ya.size))
-    for k in range(eta.K + 1):
-        ck = eta.coeffs[k]
-        if ck == 0.0:
-            continue
-        a = rmu * k
-        depth = np.exp(a * ya) * (1.0 + np.exp(-2.0 * a * (ya + 1.0))) / (1.0 + math.exp(-2.0 * a))
-        out += ck * np.outer(_basis_x(k, xa), depth)
-    return out
+    k = np.arange(eta.K + 1)
+    a = math.sqrt(params.mu) * k[:, None]
+    depth = np.exp(a * ya) * (1.0 + np.exp(-2.0 * a * (ya + 1.0))) / (1.0 + np.exp(-2.0 * a))
+    return _phi(k, xa) @ (eta.coeffs[:, None] * depth)
 
 
 def dirichlet_extension(eta: ModalVector, params: SpectralParams, grid: FieldGrid) -> FieldGrid:
@@ -182,21 +166,14 @@ def neumann_values(profile: LateralProfile, params: SpectralParams, x, y) -> np.
     exp(-c x) (1 + exp(-2c(pi-x))) / (1 - exp(-2 c pi)); the field decays like
     exp(-c_1 x) away from the wave maker (boundary layer of width ~sqrt(mu)).
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    rmu = math.sqrt(params.mu)
-    out = np.zeros((xa.size, ya.size))
-    for i in range(profile.n_modes):
-        vk = profile.coeffs[i]
-        if vk == 0.0:
-            continue
-        k = i + 1
-        c = (2 * k - 1) * math.pi / (2.0 * rmu)
-        ratio = np.exp(-c * xa) * (1.0 + np.exp(-2.0 * c * (math.pi - xa))) / (-math.expm1(-2.0 * c * math.pi))
-        amp = 2.0 * math.sqrt(2.0 * params.mu) * vk / ((2 * k - 1) * math.pi)
-        lateral = np.cos((2 * k - 1) * (math.pi / 2.0) * (ya + 1.0))
-        out += amp * np.outer(ratio, lateral)
-    return out
+    odd = 2 * np.arange(1, profile.n_modes + 1) - 1
+    c = odd * math.pi / (2.0 * math.sqrt(params.mu))
+    ratio = np.exp(-c * xa) * (1.0 + np.exp(-2.0 * c * (math.pi - xa))) / (-np.expm1(-2.0 * c * math.pi))
+    # a_k psi_k / sqrt(2), a_k = 2 sqrt(2 mu) v_k / ((2k-1) pi)
+    amp = 2.0 * math.sqrt(params.mu) * profile.coeffs / (odd * math.pi)
+    return (ratio * amp) @ _psi(profile.n_modes, ya).T
 
 
 def neumann_extension(profile: LateralProfile, params: SpectralParams, grid: FieldGrid) -> FieldGrid:
@@ -232,9 +209,5 @@ def write_field_csv(grid: FieldGrid, path) -> None:
     """Serialize a filled grid as x,y,value rows (x outer, y inner), 17 significant digits."""
     if grid.values is None:
         raise ValueError("grid has no values to serialize")
-    lines = ["x,y,value"]
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            lines.append(f"{grid.x[i]:.17g},{grid.y[j]:.17g},{grid.values[i, j]:.17g}")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+    columns = (np.repeat(grid.x, grid.ny), np.tile(grid.y, grid.nx), grid.values.ravel())
+    write_csv(path, "x,y,value", row_blocks(*columns))

@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._writer import row_blocks, write_csv
 from .basis import ModalVector, SpectralParams, sobolev_weights
 from .evolution import InputSignal, Trajectory, evolve, limit_system, make_initial, water_system
 from .operators import (
@@ -76,7 +77,6 @@ class SweepConfig:
     mu_list: Tuple[float, ...]
     tau: float
     K: int
-    L_modes: int
     dt: float
     zeta0: ModalVector
     zeta1: ModalVector
@@ -156,7 +156,7 @@ def run_sweep(cfg: SweepConfig, skip_largest: int = 1) -> SweepReport:
     traj_limit = evolve(make_initial(cfg.zeta0, cfg.zeta1, limit), cfg.signal, limit)
     eh, ed, sh, sd = [], [], [], []
     for mu in cfg.mu_list:
-        params = SpectralParams(mu=mu, K=cfg.K, L_modes=cfg.L_modes)
+        params = SpectralParams(mu=mu, K=cfg.K)
         water = water_system(params)
         traj = evolve(make_initial(cfg.zeta0, cfg.zeta1, water), cfg.signal, water)
         e1, e2, s1, s2 = trajectory_errors(traj, traj_limit)
@@ -338,11 +338,7 @@ def bmu_rate_table(mu_grid: Sequence[float] = GAP_MU_GRID, K: int = GAP_K):
 
 def write_sweep_csv(report: SweepReport, path) -> None:
     """One row per shallowness value: mu, err_half, err_deriv."""
-    lines = ["mu,err_half,err_deriv"]
-    for mu, eh, ed in zip(report.mu_list, report.err_half, report.err_deriv):
-        lines.append(f"{mu:.17g},{eh:.17g},{ed:.17g}")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+    write_csv(path, "mu,err_half,err_deriv", row_blocks(report.mu_list, report.err_half, report.err_deriv))
 
 
 def sweep_summary(report: SweepReport) -> str:

@@ -34,7 +34,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, SpectralParams, norm
+from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, SpectralParams, _readonly, norm
 
 __all__ = [
     "PrecisionError",
@@ -100,9 +100,7 @@ class DtNSpectrum:
     lam: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        lam.flags.writeable = False
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _readonly(np.asarray(self.lam, dtype=float)))
 
 
 def dtn_spectrum(params: SpectralParams) -> DtNSpectrum:
@@ -130,9 +128,7 @@ class NtNProjection:
     forcing_tail_bound: float
 
     def __post_init__(self):
-        f = np.asarray(self.forcing, dtype=float)
-        f.flags.writeable = False
-        object.__setattr__(self, "forcing", f)
+        object.__setattr__(self, "forcing", _readonly(np.asarray(self.forcing, dtype=float)))
 
 
 def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
@@ -189,9 +185,7 @@ class LimitOperators:
 
     def __post_init__(self):
         for name in ("a0", "b0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
 
 
 def limit_forcing(K: int) -> LimitOperators:

@@ -105,7 +105,6 @@ def test_criterion_4_shallow_limit_convergence():
         mu_list=(1e-1, 1e-2, 1e-3, 1e-4),
         tau=10.0,
         K=K,
-        L_modes=10_000,
         dt=dt,
         zeta0=ModalVector(c),
         zeta1=ModalVector.zeros(K),
@@ -137,7 +136,6 @@ def test_criterion_5_single_mode_analytic_check():
         mu_list=(mu,),
         tau=10.0,
         K=K,
-        L_modes=10_000,
         dt=dt,
         zeta0=ModalVector.unit(1, K),
         zeta1=ModalVector.zeros(K),

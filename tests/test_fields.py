@@ -212,3 +212,43 @@ def test_field_csv_format(tmp_path):
     assert lines[4] == "1,0,4.5"
     with pytest.raises(ValueError):
         write_field_csv(FieldGrid.regular(3, 3), tmp_path / "g.csv")
+
+
+def _dirichlet_loop(eta, params, x, y):
+    """Per-mode reference for dirichlet_values (the loop it replaced)."""
+    rmu = math.sqrt(params.mu)
+    out = np.zeros((x.size, y.size))
+    for k in range(eta.K + 1):
+        a = rmu * k
+        depth = np.exp(a * y) * (1.0 + np.exp(-2.0 * a * (y + 1.0))) / (1.0 + math.exp(-2.0 * a))
+        phi = np.full_like(x, 1.0 / math.sqrt(math.pi)) if k == 0 else math.sqrt(2.0 / math.pi) * np.cos(k * x)
+        out += eta.coeffs[k] * np.outer(phi, depth)
+    return out
+
+
+def _neumann_loop(profile, params, x, y):
+    """Per-mode reference for neumann_values (the loop it replaced)."""
+    rmu = math.sqrt(params.mu)
+    out = np.zeros((x.size, y.size))
+    for i in range(profile.n_modes):
+        k = i + 1
+        c = (2 * k - 1) * math.pi / (2.0 * rmu)
+        ratio = np.exp(-c * x) * (1.0 + np.exp(-2.0 * c * (math.pi - x))) / (-math.expm1(-2.0 * c * math.pi))
+        amp = 2.0 * math.sqrt(2.0 * params.mu) * profile.coeffs[i] / ((2 * k - 1) * math.pi)
+        out += amp * np.outer(ratio, np.cos((2 * k - 1) * (math.pi / 2.0) * (y + 1.0)))
+    return out
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e-2, 1e-6])
+@pytest.mark.parametrize("K", [8, 1024])
+def test_matrix_products_match_per_mode_loops(mu, K):
+    rng = np.random.default_rng(K + round(-math.log10(mu)))
+    params = SpectralParams(mu=mu, K=K)
+    x = np.linspace(0.0, math.pi, 41)
+    y = np.linspace(-1.0, 0.0, 23)
+    eta = ModalVector(rng.standard_normal(K + 1))
+    got = dirichlet_values(eta, params, x, y)
+    assert np.abs(got - _dirichlet_loop(eta, params, x, y)).max() <= 1e-13 * (1.0 + np.abs(eta.coeffs).sum())
+    prof = LateralProfile(rng.standard_normal(K))
+    got = neumann_values(prof, params, x, y)
+    assert np.abs(got - _neumann_loop(prof, params, x, y)).max() <= 1e-13 * (1.0 + np.abs(prof.coeffs).sum())

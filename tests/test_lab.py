@@ -47,7 +47,7 @@ def test_fit_rate_recovers_power_law():
 def test_sweep_config_validation():
     K = 8
     sig = InputSignal.zero(0.1, 50)
-    kw = dict(tau=5.0, K=K, L_modes=100, dt=0.1, zeta0=smooth8(K), zeta1=ModalVector.zeros(K), signal=sig)
+    kw = dict(tau=5.0, K=K, dt=0.1, zeta0=smooth8(K), zeta1=ModalVector.zeros(K), signal=sig)
     SweepConfig(mu_list=(1e-1, 1e-2), **kw)
     with pytest.raises(ValueError, match="decreasing"):
         SweepConfig(mu_list=(1e-2, 1e-1), **kw)
@@ -65,7 +65,6 @@ def test_sweep_errors_decrease_and_rate():
         mu_list=(1e-1, 1e-2, 1e-3, 1e-4),
         tau=5.0,
         K=K,
-        L_modes=2000,
         dt=dt,
         zeta0=smooth8(K),
         zeta1=ModalVector.zeros(K),
@@ -91,7 +90,6 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
         mu_list=(mu,),
         tau=10.0,
         K=K,
-        L_modes=2000,
         dt=dt,
         zeta0=ModalVector.unit(1, K),
         zeta1=ModalVector.zeros(K),
@@ -160,7 +158,6 @@ def test_sweep_csv_roundtrip(tmp_path):
         mu_list=(1e-1, 1e-2),
         tau=1.0,
         K=K,
-        L_modes=500,
         dt=dt,
         zeta0=ModalVector.unit(1, K),
         zeta1=ModalVector.zeros(K),
