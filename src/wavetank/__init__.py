@@ -3,7 +3,6 @@ with a convergence laboratory for the shallow-water limit."""
 
 from .basis import (
     ModalVector,
-    SobolevScale,
     SpectralParams,
     eval_basis,
     eval_function,
@@ -50,15 +49,9 @@ from .lab import (
     write_sweep_csv,
 )
 from .operators import (
-    DtNSpectrum,
-    HSumResult,
-    LimitOperators,
-    NtNProjection,
-    PrecisionError,
-    apply_dtn,
+    SeriesSum,
     bmu_dual_norm_gap,
     dtn_eigenvalue,
-    dtn_spectrum,
     kernel_F,
     kernel_G,
     kernel_H_sum,
@@ -67,7 +60,6 @@ from .operators import (
     lateral_sum,
     limit_forcing,
     ntn_forcing,
-    resolvent_shifted,
     wave_maker_forcing,
 )
 

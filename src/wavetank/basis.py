@@ -7,7 +7,8 @@ Neumann cosine family
 
 which is orthonormal in L^2[0, pi].  This module provides basis evaluation,
 projection by composite Simpson quadrature, and the mode-weighted norms in
-which convergence is measured.
+which convergence is measured; a scale space is named by its exponent alpha,
+a plain float.
 
 The package's one cosine evaluator is `_phi` (the points-by-modes matrix
 phi_k(x_i)), its one Simpson rule `_simpson`, and `_readonly` freezes the
@@ -28,7 +29,6 @@ __all__ = [
     "SQRT_PI",
     "SQRT_2_OVER_PI",
     "SpectralParams",
-    "SobolevScale",
     "ModalVector",
     "eval_basis",
     "eval_function",
@@ -64,33 +64,18 @@ def _simpson(a: float, b: float, n_panels: int):
 class SpectralParams:
     """Resolution parameters shared by every series in the model.
 
-    mu       -- shallowness parameter (squared depth-to-length ratio), in (0, 1]
-    K        -- number of nonzero-frequency surface modes kept
-    L_modes  -- truncation of the lateral-mode sums feeding the wave-maker term
+    mu  -- shallowness parameter (squared depth-to-length ratio), in (0, 1]
+    K   -- number of nonzero-frequency surface modes kept
     """
 
     mu: float
     K: int = 256
-    L_modes: int = 10_000
 
     def __post_init__(self):
         if not (isinstance(self.K, (int, np.integer)) and self.K >= 1):
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
-        if not (isinstance(self.L_modes, (int, np.integer)) and self.L_modes >= 1):
-            raise ValueError(f"L_modes must be a positive integer, got {self.L_modes!r}")
         if not (np.isfinite(self.mu) and 0.0 < self.mu <= 1.0):
             raise ValueError(f"mu must be in (0, 1], got {self.mu!r}")
-
-
-@dataclass(frozen=True)
-class SobolevScale:
-    """Order of a mode-weighted scale space; the weight of mode k >= 1 is (1+k)^(2 alpha)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,13 +187,14 @@ def sobolev_weights(K: int, alpha: float) -> np.ndarray:
     return w
 
 
-def norm(v: ModalVector, scale) -> float:
+def norm(v: ModalVector, alpha: float) -> float:
     """Mode-weighted norm sqrt(|v_0|^2 + sum_k (1+k)^(2 alpha) |v_k|^2).
 
     alpha = 0 is the plain L^2 norm; alpha = 1/2 the half-order Sobolev
-    representative used for the surface elevation.  `scale` may be a
-    SobolevScale or a bare exponent.
+    representative used for the surface elevation.  alpha must be finite.
     """
-    alpha = scale.alpha if isinstance(scale, SobolevScale) else float(scale)
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     w = sobolev_weights(v.K, alpha)
     return float(np.sqrt(np.sum(w * v.coeffs**2)))

@@ -8,8 +8,8 @@ Commands
     field      write both boundary-data extensions on a grid as CSV
 
 Configuration is a flat key=value file (one pair per line, `#` comments);
-command-line flags override file values.  Exit codes: 0 success, 1 usage or
-configuration error, 2 audit failure (a proven bound fails in verify).
+command-line flags override file values.  Exit codes: 0 success, 1 usage,
+configuration or output error, 2 audit failure (a proven bound fails in verify).
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from .lab import (
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dispatch", "main"]
 
 COMMANDS = ("simulate", "sweep", "verify", "field")
+# lateral modes of the field command's Neumann profile, at most; keeps `field`
+# fast at the default l_modes
+_FIELD_L_MODES_CAP = 512
 
 # key: (default, help). Order fixes the serialized layout.
 CONFIG_KEYS = {
@@ -47,7 +50,11 @@ CONFIG_KEYS = {
     "mu": ("0.01", "shallowness parameter, in (0, 1]"),
     "mu_list": ("1e-1,1e-2,1e-3,1e-4", "comma-separated decreasing shallowness values in (0, 1]"),
     "k_modes": ("256", "number of nonzero surface modes, >= 1"),
-    "l_modes": ("10000", "lateral-series truncation: verify/sweep oracle, Neumann field profile; >= 1"),
+    "l_modes": (
+        "10000",
+        "lateral-series truncation, >= 1: verify/sweep oracle; "
+        f"field Neumann profile, capped at {_FIELD_L_MODES_CAP}",
+    ),
     "dt": ("", "time step; empty selects 1e-3*tau"),
     "tau": ("10.0", "time horizon, > 0"),
     "grid": ("50,50", "field grid resolution NX,NY (>= 2 each)"),
@@ -217,7 +224,10 @@ def parse_initial_spec(spec: str, K: int) -> ModalVector:
             raise ConfigError(f"bad initial-data term {term!r}") from None
         if not 0 <= k <= K:
             raise ConfigError(f"initial-data mode {k} outside 0..{K}")
-        c[k] += amp
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            c[k] += amp
+    if not np.all(np.isfinite(c)):
+        raise ConfigError(f"initial-data amplitudes must sum to finite values, got {spec!r}")
     return ModalVector(c)
 
 
@@ -267,7 +277,10 @@ def _write_trajectory_csv(path: Path, traj) -> None:
 def _n_steps(cfg: RunConfig) -> int:
     """Number of steps of length dt that end exactly at tau; ConfigError otherwise."""
     dt = cfg.effective_dt
-    n = round(cfg.tau / dt)
+    steps = cfg.tau / dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"tau={cfg.tau:g} holds too many steps of dt={dt:g} to count")
+    n = round(steps)
     if n == 0 or abs(n * dt - cfg.tau) > 1e-9 * cfg.tau:
         raise ConfigError(
             f"tau={cfg.tau:g} is not a whole number of steps of dt={dt:g}; "
@@ -340,11 +353,11 @@ def _cmd_verify(cfg: RunConfig, out: _OutputSet) -> int:
 
 
 def _cmd_field(cfg: RunConfig, out: _OutputSet) -> int:
-    params = SpectralParams(mu=cfg.mu, K=cfg.k_modes, L_modes=cfg.l_modes)
+    params = SpectralParams(mu=cfg.mu, K=cfg.k_modes)
     grid = FieldGrid.regular(*cfg.grid)
     eta = parse_initial_spec(cfg.init, cfg.k_modes)
     write_field_csv(dirichlet_extension(eta, params, grid), out.path("field_dirichlet.csv"))
-    profile = LateralProfile.constant(1.0, min(cfg.l_modes, 512))
+    profile = LateralProfile.constant(1.0, min(cfg.l_modes, _FIELD_L_MODES_CAP))
     write_field_csv(neumann_extension(profile, params, grid), out.path("field_neumann.csv"))
     return 0
 
@@ -426,7 +439,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return dispatch(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"wavetank: {cfg.command}: {exc}", file=sys.stderr)
         return 1
 

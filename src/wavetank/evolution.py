@@ -114,8 +114,7 @@ def water_system(params: SpectralParams) -> ModeSystem:
 
 def limit_system(K: int) -> ModeSystem:
     """Zero-depth limit: the string with omega_k = k and point-mass forcing."""
-    ops = limit_forcing(K)
-    return ModeSystem(omega=np.arange(K + 1, dtype=float), forcing=ops.b0, label="limit")
+    return ModeSystem(omega=np.arange(K + 1, dtype=float), forcing=limit_forcing(K), label="limit")
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,13 @@ from .basis import ModalVector, SpectralParams, sobolev_weights
 from .evolution import InputSignal, Trajectory, evolve, limit_system, make_initial, water_system
 from .operators import (
     bmu_dual_norm_gap,
-    dtn_spectrum,
+    dtn_eigenvalue,
     kernel_F,
     kernel_G,
     kernel_H_sum,
     kernel_I,
     kernel_J,
     lateral_sum,
-    limit_forcing,
-    resolvent_shifted,
 )
 
 __all__ = [
@@ -231,14 +229,14 @@ def audit_kernels(
     ratio_f, ratio_i, ratio_h1, ratio_h2, ratio_oracle = [], [], [], [], []
     fit_g, fit_j = [], []
     for mu in mu_grid:
-        params = SpectralParams(mu=mu, K=1, L_modes=l_modes)
+        params = SpectralParams(mu=mu, K=1)
         rmu = math.sqrt(mu)
         ratio_f.append(np.max(np.abs(kernel_F(params, k)) * k / rmu))
         ratio_i.append(np.max(np.abs(kernel_I(params, k)) / (rmu * k)))
         hsum = lateral_sum(params, k)
         ratio_h1.append(np.max(hsum / (mu / 2.0)))
         ratio_h2.append(np.max(hsum * k / (2.0 * rmu)))
-        series = kernel_H_sum(params, k_oracle)
+        series = kernel_H_sum(params, k_oracle, l_modes)
         closed = lateral_sum(params, k_oracle)
         ratio_oracle.append(np.max(np.abs(closed - series.value)) / series.tail_bound)
         g_env = np.minimum(rmu, mu**0.25 / np.sqrt(k))
@@ -281,20 +279,21 @@ class ResolventAudit:
 def audit_resolvents(mu: float, K: int, probe: ModalVector) -> ResolventAudit:
     """Gap between shifted resolvents of the tank map and its limit on one probe.
 
-    The plain resolvent gap is proven <= sqrt(mu) ||probe||; the square-root
-    channel carries the fitted-constant envelope, reported as gap/(sqrt(mu)||probe||).
+    The shifted resolvents (I + A)^(-1) act coefficient-wise, with A the
+    depth-scaled map lambda_k/mu for the tank and k^2 for the limit.  The plain
+    resolvent gap is proven <= sqrt(mu) ||probe||; the square-root channel
+    carries the fitted-constant envelope, reported as gap/(sqrt(mu)||probe||).
     """
     if probe.K != K:
         raise ValueError(f"probe K={probe.K} does not match K={K}")
-    params = SpectralParams(mu=mu, K=K, L_modes=1)
-    spec = dtn_spectrum(params)
-    lim = limit_forcing(K)
-    gap_vec = resolvent_shifted(spec, probe) - resolvent_shifted(lim, probe)
-    f_gap = float(np.sqrt(np.sum(gap_vec.coeffs**2)))
-    kk = np.arange(1, K + 1, dtype=float)
-    g_kernel = kernel_G(params, kk)
-    g_gap = float(np.sqrt(np.sum((g_kernel * probe.coeffs[1:]) ** 2)))
-    pn = float(np.sqrt(np.sum(probe.coeffs**2)))
+    params = SpectralParams(mu=mu, K=K)
+    k = np.arange(K + 1, dtype=float)
+    p = probe.coeffs
+    gap = p / (1.0 + dtn_eigenvalue(params, k) / mu) - p / (1.0 + k**2)
+    f_gap = float(np.sqrt(np.sum(gap**2)))
+    g_kernel = kernel_G(params, k[1:])
+    g_gap = float(np.sqrt(np.sum((g_kernel * p[1:]) ** 2)))
+    pn = float(np.sqrt(np.sum(p**2)))
     rmu = math.sqrt(mu)
     ratio = g_gap / (rmu * pn) if pn > 0 else 0.0
     return ResolventAudit(mu=mu, probe_norm=pn, f_gap=f_gap, f_bound=rmu * pn, g_gap=g_gap, g_ratio=ratio)

@@ -1,6 +1,7 @@
 """Diagonal surface operators of the shallow tank and their zero-depth limits.
 
-In the cosine basis the surface-to-flux map of the tank is diagonal with
+In the cosine basis every operator here is diagonal, so each is a plain
+coefficient array over modes 0..K.  The surface-to-flux map of the tank has
 eigenvalues
 
     lambda_k = sqrt(mu) k tanh(sqrt(mu) k),
@@ -19,8 +20,9 @@ lateral series exactly,
 
 so production code uses the closed forms (`lateral_sum`,
 `wave_maker_forcing`).  The truncated series (`ntn_forcing`, `kernel_H_sum`)
-is kept as an independent oracle with a certified tail; the kernel audit
-checks the closed form against it.  The comparison kernels F, G, I, J
+is kept as an independent oracle: it takes the lateral truncation l_modes and
+returns the sum with its certified tail (`SeriesSum`); the kernel audit checks
+the closed form against it.  The comparison kernels F, G, I, J
 quantify, mode by mode, how far the tank's resolvents, square roots and
 forcing sit from their limits; the convergence lab audits their proven
 envelopes.
@@ -29,25 +31,17 @@ envelopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, SpectralParams, _readonly, norm
+from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, SpectralParams, norm
 
 __all__ = [
-    "PrecisionError",
-    "DtNSpectrum",
-    "NtNProjection",
-    "LimitOperators",
-    "HSumResult",
+    "SeriesSum",
     "dtn_eigenvalue",
-    "dtn_spectrum",
-    "apply_dtn",
     "ntn_forcing",
     "limit_forcing",
-    "resolvent_shifted",
     "kernel_F",
     "kernel_G",
     "kernel_I",
@@ -63,14 +57,6 @@ __all__ = [
 _FORCING_TAIL_CONST = 8.0 * math.sqrt(2.0) / (SQRT_PI * math.pi**2)
 
 _CHUNK = 2048
-
-
-class PrecisionError(ValueError):
-    """Requested tolerance cannot be certified at the configured truncation."""
-
-    def __init__(self, message: str, required_l_modes: int):
-        super().__init__(message)
-        self.required_l_modes = required_l_modes
 
 
 def _h(x):
@@ -92,43 +78,11 @@ def dtn_eigenvalue(params: SpectralParams, k):
     return float(out) if np.isscalar(k) else out
 
 
-@dataclass(frozen=True)
-class DtNSpectrum:
-    """Eigenvalues lambda_k of the surface Dirichlet-to-flux map, modes 0..K."""
+class SeriesSum(NamedTuple):
+    """A truncated lateral series: the full sum lies within tail_bound of value."""
 
-    params: SpectralParams
-    lam: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _readonly(np.asarray(self.lam, dtype=float)))
-
-
-def dtn_spectrum(params: SpectralParams) -> DtNSpectrum:
-    return DtNSpectrum(params, dtn_eigenvalue(params, np.arange(params.K + 1)))
-
-
-def apply_dtn(spec: DtNSpectrum, v: ModalVector) -> ModalVector:
-    """Coefficient-wise lambda_k v_k."""
-    if v.K != spec.params.K:
-        raise ValueError(f"mode count mismatch: vector K={v.K}, spectrum K={spec.params.K}")
-    return ModalVector(spec.lam * v.coeffs)
-
-
-@dataclass(frozen=True)
-class NtNProjection:
-    """Forcing coefficients f_k for unit wave-maker input, with certified tails.
-
-    h_tail_bound bounds the dropped part of each lateral sum sum_l H(k, l);
-    forcing_tail_bound the resulting sup-over-k error in f_k.
-    """
-
-    params: SpectralParams
-    forcing: np.ndarray
-    h_tail_bound: float
-    forcing_tail_bound: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "forcing", _readonly(np.asarray(self.forcing, dtype=float)))
+    value: Union[float, np.ndarray]
+    tail_bound: float
 
 
 def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
@@ -137,6 +91,8 @@ def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
     Times 4 mu / pi^2 this is sum_{l<=L} H(k, l).  Factoring 4 mu / pi^2 out of
     every term keeps the squared lateral frequencies finite for every mu in (0, 1].
     """
+    if not (isinstance(L, (int, np.integer)) and L >= 1):
+        raise ValueError(f"l_modes must be a positive integer, got {L!r}")
     odd2 = (2.0 * np.arange(1, L + 1) - 1.0) ** 2
     y2 = (2.0 * math.sqrt(mu) / math.pi * np.asarray(k, dtype=float)) ** 2
     out = np.empty(y2.shape)
@@ -146,70 +102,26 @@ def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-def _required_l_modes(tail_tol: float) -> int:
-    return max(1, math.ceil((_FORCING_TAIL_CONST / tail_tol + 1.0) / 2.0))
-
-
-def ntn_forcing(params: SpectralParams, tail_tol: float = 1e-3) -> NtNProjection:
+def ntn_forcing(params: SpectralParams, l_modes: int) -> SeriesSum:
     """Forcing coefficients f_k = <(1/mu) B 1, phi_k> for modes 0..K by the lateral series.
 
     This is the oracle for `wave_maker_forcing`.  Mode 0 uses the exact closed
     form -1/sqrt(pi) (termwise integration of the lateral series,
-    sum 1/(2l-1)^2 = pi^2/8); modes k >= 1 sum the first L_modes lateral terms,
-    certified by the comparison tail bound 4 mu / (pi^2 (2 L_modes - 1)).
-    Raises PrecisionError when the certified forcing error exceeds tail_tol.
+    sum 1/(2l-1)^2 = pi^2/8); modes k >= 1 sum the first l_modes lateral terms.
+    tail_bound bounds the sup-over-k error of the truncation.
     """
-    L = params.L_modes
-    forcing_tail = _FORCING_TAIL_CONST / (2.0 * L - 1.0)
-    if forcing_tail > tail_tol:
-        need = _required_l_modes(tail_tol)
-        raise PrecisionError(
-            f"L_modes={L} certifies forcing error {forcing_tail:.3e} > tail_tol={tail_tol:.3e}; "
-            f"need L_modes >= {need}",
-            required_l_modes=need,
-        )
-    k = np.arange(params.K + 1)
-    f = -_FORCING_TAIL_CONST * _odd_sums(params.mu, k, L)
+    f = -_FORCING_TAIL_CONST * _odd_sums(params.mu, np.arange(params.K + 1), l_modes)
     f[0] = -1.0 / SQRT_PI
-    h_tail = 4.0 * params.mu / (math.pi**2 * (2.0 * L - 1.0))
-    return NtNProjection(params, f, h_tail_bound=h_tail, forcing_tail_bound=forcing_tail)
+    return SeriesSum(f, _FORCING_TAIL_CONST / (2.0 * l_modes - 1.0))
 
 
-@dataclass(frozen=True)
-class LimitOperators:
-    """Zero-depth limits: eigenvalues k^2 and point-mass forcing -phi_k(0)."""
-
-    K: int
-    a0: np.ndarray
-    b0: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a0", "b0"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-
-
-def limit_forcing(K: int) -> LimitOperators:
+def limit_forcing(K: int) -> np.ndarray:
+    """Zero-depth forcing b0_k = -phi_k(0), the boundary point mass, for modes 0..K."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    k = np.arange(K + 1, dtype=float)
     b0 = np.full(K + 1, -SQRT_2_OVER_PI)
     b0[0] = -1.0 / SQRT_PI
-    return LimitOperators(K=K, a0=k**2, b0=b0)
-
-
-def resolvent_shifted(op: Union[DtNSpectrum, LimitOperators], v: ModalVector) -> ModalVector:
-    """(I + A)^(-1) v coefficient-wise, A the depth-scaled map lam_k/mu or its limit k^2."""
-    if isinstance(op, DtNSpectrum):
-        K = op.params.K
-        sigma = op.lam / op.params.mu
-    elif isinstance(op, LimitOperators):
-        K = op.K
-        sigma = op.a0
-    else:
-        raise TypeError(f"unsupported operator {type(op).__name__}")
-    if v.K != K:
-        raise ValueError(f"mode count mismatch: vector K={v.K}, operator K={K}")
-    return ModalVector(v.coeffs / (1.0 + sigma))
+    return b0
 
 
 def _check_kernel_args(params: SpectralParams, k):
@@ -249,22 +161,17 @@ def kernel_J(params: SpectralParams, k):
     return float(out) if np.isscalar(k) else out
 
 
-class HSumResult(NamedTuple):
-    value: Union[float, np.ndarray]
-    tail_bound: float
-
-
-def kernel_H_sum(params: SpectralParams, k) -> HSumResult:
-    """Truncated lateral sum sum_{l<=L_modes} H(k, l) with its certified tail bound.
+def kernel_H_sum(params: SpectralParams, k, l_modes: int) -> SeriesSum:
+    """Truncated lateral sum sum_{l<=l_modes} H(k, l) with its certified tail bound.
 
     This is the oracle for `lateral_sum`: the full sum lies in
-    [value, value + tail_bound], with tail_bound = 4 mu / (pi^2 (2 L_modes - 1)).
+    [value, value + tail_bound], with tail_bound = 4 mu / (pi^2 (2 l_modes - 1)).
     """
     ka = _check_kernel_args(params, k)
     scale = 4.0 * params.mu / math.pi**2
-    val = scale * _odd_sums(params.mu, np.atleast_1d(ka), params.L_modes)
-    tail = scale / (2.0 * params.L_modes - 1.0)
-    return HSumResult(float(val[0]) if np.isscalar(k) else val, tail)
+    val = scale * _odd_sums(params.mu, np.atleast_1d(ka), l_modes)
+    tail = scale / (2.0 * l_modes - 1.0)
+    return SeriesSum(float(val[0]) if np.isscalar(k) else val, tail)
 
 
 def lateral_sum(params: SpectralParams, k):
@@ -284,7 +191,7 @@ def wave_maker_forcing(params: SpectralParams) -> np.ndarray:
     h(0) = 1 gives the exact mode-0 value -1/sqrt(pi).
     """
     k = np.arange(params.K + 1, dtype=float)
-    return limit_forcing(params.K).b0 * _h(math.sqrt(params.mu) * k)
+    return limit_forcing(params.K) * _h(math.sqrt(params.mu) * k)
 
 
 def bmu_dual_norm_gap(params: SpectralParams) -> float:
@@ -296,5 +203,5 @@ def bmu_dual_norm_gap(params: SpectralParams) -> float:
     proved.  Mode 0 cancels exactly.
     """
     f = wave_maker_forcing(params)
-    b0 = limit_forcing(params.K).b0
+    b0 = limit_forcing(params.K)
     return norm(ModalVector(f - b0), -1.0)

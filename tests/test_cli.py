@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavetank import cli
 from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_initial_spec
@@ -67,6 +69,9 @@ def test_initial_spec_language():
         parse_initial_spec("mode:9:1", 4)
     with pytest.raises(ConfigError, match="initial-data"):
         parse_initial_spec("garbage", 4)
+    for bad in ("mode:1:nan", "mode:1:-inf", "mode:1:1e308+mode:1:1e308"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_initial_spec(bad, 4)
 
 
 def test_signal_spec_language():
@@ -80,11 +85,36 @@ def test_signal_spec_language():
         make_signal("sine:1", 0.1, 5)
 
 
+def _num(x: float) -> str:
+    # '+' joins initial-data terms, so write 1e+308 as 1e308
+    return repr(x).replace("e+", "e")
+
+
+_drawn = st.one_of(st.floats(), st.sampled_from([1e308, -1e308]))
+
+
+@settings(deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(-1, 5), _drawn), min_size=1, max_size=4),
+       t0=_drawn, t1=_drawn, amp=_drawn)
+def test_mini_languages_raise_only_config_error(terms, t0, t1, amp):
+    specs = [
+        (parse_initial_spec, "+".join(f"mode:{k}:{_num(a)}" for k, a in terms), 4),
+        (make_signal, f"const:{_num(amp)}", 0.1, 8),
+        (make_signal, f"pulse:{_num(t0)}:{_num(t1)}:{_num(amp)}", 0.1, 8),
+    ]
+    for fn, *args in specs:
+        try:
+            fn(*args)
+        except ConfigError:
+            pass
+
+
 def test_main_usage_errors_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["simulate", "--mu", "0"]) == 1
     assert "mu must be in" in capsys.readouterr().err
     assert main(["simulate", "--config", "/nonexistent/path.cfg"]) == 1
+    assert main(["simulate", "--init", "mode:1:nan"]) == 1
 
 
 def test_simulate_zero_run(tmp_path):
@@ -142,6 +172,24 @@ def test_horizon_not_whole_number_of_steps_exits_1(tmp_path, capsys, command, dt
     assert not any(tmp_path.iterdir())
 
 
+def test_horizon_too_large_to_count_exits_1(tmp_path, capsys):
+    rc = main(["simulate", "--out", str(tmp_path), "--k-modes", "4", "--tau", "1e308", "--dt", "1e-300"])
+    assert rc == 1
+    assert "too many steps" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_output_error_exits_1_with_one_line(tmp_path, capsys):
+    # summary.txt cannot replace a directory; the sweep.csv written before it is removed
+    (tmp_path / "summary.txt").mkdir()
+    args = ["sweep", "--out", str(tmp_path), "--mu-list", "1e-1,1e-2", "--k-modes", "4",
+            "--tau", "0.1", "--dt", "0.05", "--k-max", "10", "--l-modes", "10"]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wavetank: sweep: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.txt"]
+
+
 def test_default_dt_reaches_horizon():
     for tau in ("0.1", "1", "7.3", "10", "20", "12345.678"):
         cfg = parse_config("simulate", overrides={"tau": tau})
@@ -178,6 +226,15 @@ def test_field_outputs(tmp_path):
     surf = {float(x): float(v) for x, y, v in rows if float(y) == 0.0}
     for x, v in surf.items():
         assert v == pytest.approx(math.sqrt(2 / math.pi) * math.cos(x), abs=1e-12)
+
+
+def test_field_neumann_profile_capped_at_512_lateral_modes(tmp_path):
+    outputs = []
+    for l_modes in ("512", "10000"):
+        out = tmp_path / l_modes
+        assert main(["field", "--out", str(out), "--k-modes", "4", "--grid", "6,5", "--l-modes", l_modes]) == 0
+        outputs.append((out / "field_neumann.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_quick_grid(tmp_path):

@@ -142,18 +142,18 @@ class TestNeumannExtension:
         wq[2:-1:2] = 2.0
         wq *= (math.pi / (n - 1)) / 3.0
         dy = one_sided_dy(lambda xx, yy: neumann_values(prof, PARAMS, xx, yy), xq, 0.0, 1e-4, -1)
-        matched = ntn_forcing(SpectralParams(mu=MU, K=8, L_modes=L), tail_tol=1.0)
-        full = ntn_forcing(SpectralParams(mu=MU, K=8, L_modes=10_000))
+        matched = ntn_forcing(SpectralParams(mu=MU, K=8), L)
+        full = ntn_forcing(SpectralParams(mu=MU, K=8), 10_000)
         # matched mode-0 reference: the truncated lateral sum (ntn_forcing pins
         # mode 0 to the closed form, which carries the full series)
         l = np.arange(1, L + 1, dtype=float)
         gamma2 = ((2 * l - 1) * math.pi / (2 * math.sqrt(MU))) ** 2
         f0_matched = -(2.0 / (MU * math.sqrt(math.pi))) * (1.0 / gamma2).sum()
-        for j, ref in ((0, f0_matched), (1, matched.forcing[1]), (5, matched.forcing[5])):
+        for j, ref in ((0, f0_matched), (1, matched.value[1]), (5, matched.value[5])):
             proj = float((dy * np.asarray(eval_basis(j, xq)) * wq).sum())
             assert proj == pytest.approx(MU * ref, abs=2e-5)
             # against the default truncation the gap is covered by the certificate
-            assert abs(proj - MU * full.forcing[j]) <= MU * matched.forcing_tail_bound + 2e-5
+            assert abs(proj - MU * full.value[j]) <= MU * matched.tail_bound + 2e-5
 
     def test_boundary_layer_decay(self):
         # for small mu the field is confined near the wave maker

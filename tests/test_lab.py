@@ -130,6 +130,14 @@ def test_resolvent_audit_single_probe():
         audit_resolvents(1e-2, K, ModalVector.zeros(K + 3))
 
 
+def test_resolvent_audit_unit_probes_match_closed_form():
+    # shifted resolvents at mu = 1/4: mode 2 has lambda_2/mu = 2 tanh(1)/0.5 against 2^2
+    K = 4
+    e2 = audit_resolvents(0.25, K, ModalVector.unit(2, K))
+    assert e2.f_gap == pytest.approx(abs(1.0 / (1.0 + 2.0 * math.tanh(1.0) / 0.5) - 1.0 / 5.0), rel=1e-15)
+    assert audit_resolvents(0.25, K, ModalVector.unit(0, K)).f_gap == 0.0
+
+
 def test_random_probe_audit_bounds_hold():
     rows = random_probe_audit(mu_grid=(1e-1, 1e-3, 1e-5), K=64, n_probes=25, seed=7)
     for mu, worst, bound, fitted, ok in rows:

@@ -9,11 +9,8 @@ from wavetank.basis import ModalVector, SpectralParams
 from wavetank.evolution import water_system
 from wavetank.lab import PROVEN_TOL
 from wavetank.operators import (
-    PrecisionError,
-    apply_dtn,
     bmu_dual_norm_gap,
     dtn_eigenvalue,
-    dtn_spectrum,
     kernel_F,
     kernel_G,
     kernel_H_sum,
@@ -22,7 +19,6 @@ from wavetank.operators import (
     lateral_sum,
     limit_forcing,
     ntn_forcing,
-    resolvent_shifted,
     wave_maker_forcing,
 )
 
@@ -58,38 +54,12 @@ class TestDtN:
         assert np.all(lam / params.mu <= k**2)
         assert np.all(np.diff(lam) > 0)
 
-    def test_apply(self):
-        params = SpectralParams(mu=0.25, K=4)
-        spec = dtn_spectrum(params)
-        z = apply_dtn(spec, ModalVector.zeros(4))
-        assert np.all(z.coeffs == 0.0)
-        const = ModalVector(np.array([math.sqrt(math.pi), 0, 0, 0, 0.0]))
-        assert np.all(apply_dtn(spec, const).coeffs == 0.0)
-        e2 = ModalVector.unit(2, 4)
-        out = apply_dtn(spec, e2)
-        assert out.coeffs[2] == pytest.approx(math.tanh(1.0), rel=1e-15)
-
-    def test_apply_linearity(self):
-        params = SpectralParams(mu=0.1, K=16)
-        spec = dtn_spectrum(params)
-        rng = np.random.default_rng(5)
-        v = ModalVector(rng.standard_normal(17))
-        w = ModalVector(rng.standard_normal(17))
-        lhs = apply_dtn(spec, 2.0 * v + (-3.0) * w)
-        rhs = 2.0 * apply_dtn(spec, v) + (-3.0) * apply_dtn(spec, w)
-        np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=1e-14, atol=1e-15)
-
-    def test_shape_error(self):
-        spec = dtn_spectrum(SpectralParams(mu=0.5, K=4))
-        with pytest.raises(ValueError, match="mismatch"):
-            apply_dtn(spec, ModalVector.zeros(5))
-
 
 class TestForcing:
     def test_mode0_closed_form(self):
         for mu in (1.0, 1e-2, 1e-6):
-            proj = ntn_forcing(SpectralParams(mu=mu, K=4))
-            assert proj.forcing[0] == -1.0 / math.sqrt(math.pi)
+            proj = ntn_forcing(SpectralParams(mu=mu, K=4), 10_000)
+            assert proj.value[0] == -1.0 / math.sqrt(math.pi)
 
     def test_mode0_against_big_lateral_sum(self):
         # brute-force oracle: projecting the forcing series on the constant
@@ -100,85 +70,56 @@ class TestForcing:
         assert brute == pytest.approx(-1.0 / math.sqrt(math.pi), abs=1e-6)
 
     def test_shallow_limit_mode1(self):
-        proj = ntn_forcing(SpectralParams(mu=1e-6, K=2))
-        assert proj.forcing[1] == pytest.approx(-SQ2PI, abs=1e-3)
+        proj = ntn_forcing(SpectralParams(mu=1e-6, K=2), 10_000)
+        assert proj.value[1] == pytest.approx(-SQ2PI, abs=1e-3)
 
     def test_against_closed_form_oracle_within_certified_tail(self):
         for mu in (1.0, 1e-1, 1e-3, 1e-5):
-            params = SpectralParams(mu=mu, K=64, L_modes=5000)
-            proj = ntn_forcing(params)
+            proj = ntn_forcing(SpectralParams(mu=mu, K=64), 5000)
             for k in (1, 2, 7, 64):
-                diff = abs(proj.forcing[k] - closed_form_forcing(mu, k))
-                assert diff <= proj.forcing_tail_bound
+                diff = abs(proj.value[k] - closed_form_forcing(mu, k))
+                assert diff <= proj.tail_bound
         # the truncated sum undershoots in magnitude, never overshoots
-        params = SpectralParams(mu=1e-2, K=8, L_modes=100)
-        proj = ntn_forcing(params, tail_tol=1e-2)
-        assert all(proj.forcing[k] >= closed_form_forcing(1e-2, k) for k in range(1, 9))
+        proj = ntn_forcing(SpectralParams(mu=1e-2, K=8), 100)
+        assert all(proj.value[k] >= closed_form_forcing(1e-2, k) for k in range(1, 9))
 
     def test_series_oracle_certified_at_every_shallowness(self):
         # the lateral frequencies (2l-1) pi / (2 sqrt(mu)) overflow when squared
         # at mu = 1e-300; the series must stay within its certificate anyway
         for mu in (1.0, 1e-6, 1e-200, 1e-300):
             params = SpectralParams(mu=mu, K=64)
-            proj = ntn_forcing(params)
-            assert np.abs(proj.forcing - wave_maker_forcing(params)).max() <= proj.forcing_tail_bound
+            proj = ntn_forcing(params, 10_000)
+            assert np.abs(proj.value - wave_maker_forcing(params)).max() <= proj.tail_bound
         water = water_system(SpectralParams(mu=1e-300, K=64))
         np.testing.assert_allclose(water.forcing[1:], -SQ2PI, rtol=0.0, atol=1e-15)
 
     def test_linearity_scaling(self):
-        proj = ntn_forcing(SpectralParams(mu=0.5, K=4))
-        assert np.all(proj.forcing * 0.0 == 0.0)
+        proj = ntn_forcing(SpectralParams(mu=0.5, K=4), 10_000)
+        assert np.all(proj.value * 0.0 == 0.0)
 
-    def test_precision_error_names_required_l(self):
-        with pytest.raises(PrecisionError) as exc:
-            ntn_forcing(SpectralParams(mu=0.5, K=4, L_modes=2), tail_tol=1e-6)
-        assert exc.value.required_l_modes > 2
-        assert str(exc.value.required_l_modes) in str(exc.value)
-        # the advertised truncation is sufficient
-        ntn_forcing(SpectralParams(mu=0.5, K=4, L_modes=exc.value.required_l_modes), tail_tol=1e-6)
+    def test_oracles_reject_l_modes_below_one(self):
+        params = SpectralParams(mu=0.5, K=4)
+        with pytest.raises(ValueError, match="l_modes"):
+            ntn_forcing(params, 0)
+        with pytest.raises(ValueError, match="l_modes"):
+            kernel_H_sum(params, 1, 0)
 
 
 class TestLimitOperators:
     def test_values(self):
-        ops = limit_forcing(8)
-        assert ops.b0[0] == -1.0 / math.sqrt(math.pi)
-        assert ops.b0[5] == -SQ2PI
-        assert ops.a0[4] == 16.0
+        b0 = limit_forcing(8)
+        assert b0[0] == -1.0 / math.sqrt(math.pi)
+        assert b0[5] == -SQ2PI
 
     def test_forcing_converges_to_limit(self):
-        ops = limit_forcing(8)
+        b0 = limit_forcing(8)
         prev = None
         for mu in (1e-2, 1e-4, 1e-6):
-            gap = np.abs(ntn_forcing(SpectralParams(mu=mu, K=8)).forcing - ops.b0).max()
+            gap = np.abs(ntn_forcing(SpectralParams(mu=mu, K=8), 10_000).value - b0).max()
             if prev is not None:
                 assert gap < prev
             prev = gap
         assert prev < 1e-3
-
-
-class TestResolvent:
-    def test_trivial(self):
-        lim = limit_forcing(4)
-        z = resolvent_shifted(lim, ModalVector.zeros(4))
-        assert np.all(z.coeffs == 0.0)
-        e0 = ModalVector.unit(0, 4)
-        np.testing.assert_allclose(resolvent_shifted(lim, e0).coeffs, e0.coeffs)
-
-    def test_limit_mode2(self):
-        lim = limit_forcing(4)
-        out = resolvent_shifted(lim, ModalVector.unit(2, 4))
-        assert out.coeffs[2] == pytest.approx(0.2, rel=1e-15)
-
-    def test_water(self):
-        params = SpectralParams(mu=0.25, K=4)
-        spec = dtn_spectrum(params)
-        out = resolvent_shifted(spec, ModalVector.unit(2, 4))
-        sigma = 2.0 * math.tanh(1.0) / 0.5
-        assert out.coeffs[2] == pytest.approx(1.0 / (1.0 + sigma), rel=1e-15)
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            resolvent_shifted(limit_forcing(4), ModalVector.zeros(6))
 
 
 class TestKernels:
@@ -195,7 +136,7 @@ class TestKernels:
 
     def test_H_sum_bounds_and_certificate(self):
         params = SpectralParams(mu=1e-4, K=1)
-        s, tail = kernel_H_sum(params, 1)
+        s, tail = kernel_H_sum(params, 1, 10_000)
         assert s <= params.mu / 2.0
         assert s <= 2.0 * math.sqrt(params.mu)
         # independent identity oracle: the full sum equals mu*h(a)/2 exactly,
@@ -205,9 +146,9 @@ class TestKernels:
         assert s <= full <= s + tail
 
     def test_H_sum_vectorized_brackets_identity(self):
-        params = SpectralParams(mu=1e-2, K=1, L_modes=3000)
+        params = SpectralParams(mu=1e-2, K=1)
         k = np.array([1.0, 5.0, 60.0, 700.0])
-        s, tail = kernel_H_sum(params, k)
+        s, tail = kernel_H_sum(params, k, 3000)
         a = math.sqrt(params.mu) * k
         full = params.mu * np.tanh(a) / (2.0 * a)
         assert np.all(s <= full)
@@ -222,12 +163,12 @@ class TestKernels:
     def test_bound_invariants_on_subgrid(self):
         k = np.arange(1, 2001, dtype=float)
         for mu in (1.0, 1e-2, 1e-4, 1e-6):
-            params = SpectralParams(mu=mu, K=1, L_modes=2000)
+            params = SpectralParams(mu=mu, K=1)
             rmu = math.sqrt(mu)
             assert np.all(np.abs(kernel_F(params, k)) <= rmu / k)
             assert np.all(np.abs(kernel_I(params, k)) <= rmu * k)
             assert np.all(np.abs(kernel_G(params, k)) <= 2.0 * np.minimum(rmu, mu**0.25 / np.sqrt(k)))
-            s, _ = kernel_H_sum(params, k)
+            s, _ = kernel_H_sum(params, k, 2000)
             assert np.all(s <= mu / 2.0)
             assert np.all(s <= 2.0 * rmu / k)
             assert np.all(np.isfinite(kernel_J(params, k)))
@@ -242,7 +183,7 @@ class TestForcingGap:
         expected = {1e-2: 0.14322321193994964, 1e-3: 0.07346478958006918, 1e-4: 0.028232961988608023}
         gaps = []
         for mu in (1e-2, 1e-3, 1e-4):
-            g = bmu_dual_norm_gap(SpectralParams(mu=mu, K=256, L_modes=10_000))
+            g = bmu_dual_norm_gap(SpectralParams(mu=mu, K=256))
             gaps.append(g)
             assert g == pytest.approx(expected[mu], rel=1e-6)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -251,10 +192,10 @@ class TestForcingGap:
         from wavetank.basis import norm
 
         for mu in (1e-2, 1e-4):
-            params = SpectralParams(mu=mu, K=256, L_modes=10_000)
+            params = SpectralParams(mu=mu, K=256)
             k = np.arange(257)
             f_oracle = np.array([closed_form_forcing(mu, kk) if kk else -1 / math.sqrt(math.pi) for kk in k])
-            b0 = limit_forcing(256).b0
+            b0 = limit_forcing(256)
             oracle = norm(ModalVector(f_oracle - b0), -1.0)
             assert bmu_dual_norm_gap(params) == pytest.approx(oracle, rel=1e-12)
 
@@ -266,9 +207,9 @@ class TestForcingGap:
     log_l=st.floats(0.0, math.log10(5000.0)),
 )
 def test_closed_lateral_sum_within_series_certificate(log_mu, log_k, log_l):
-    params = SpectralParams(mu=10.0**log_mu, K=1, L_modes=min(5000, round(10.0**log_l)))
+    params = SpectralParams(mu=10.0**log_mu, K=1)
     k = 10.0**log_k
     closed = lateral_sum(params, k)
-    series = kernel_H_sum(params, k)
+    series = kernel_H_sum(params, k, min(5000, round(10.0**log_l)))
     diff = closed - series.value
     assert -1e-14 * closed <= diff <= series.tail_bound * (1.0 + PROVEN_TOL)
