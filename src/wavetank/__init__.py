@@ -45,7 +45,6 @@ from .lab import (
     random_probe_audit,
     run_sweep,
     sweep_summary,
-    trajectory_errors,
     write_sweep_csv,
 )
 from .operators import (

@@ -31,10 +31,15 @@ def write_text(path, text: str) -> None:
         fh.write(text.encode("ascii"))
 
 
+def block_rows(width: int) -> int:
+    """Rows of `width` values that make one bounded block."""
+    return max(1, _CHUNK_VALUES // width)
+
+
 def row_blocks(*columns):
     """Yield 1-d (one CSV column) and 2-d columns side by side, a bounded block at a time."""
     cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-    step = max(1, _CHUNK_VALUES // sum(c.shape[1] for c in cols))
+    step = block_rows(sum(c.shape[1] for c in cols))
     for i in range(0, cols[0].shape[0], step):
         yield np.hstack([c[i : i + step] for c in cols])
 

@@ -23,9 +23,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._writer import row_blocks, write_csv, write_text
+from ._writer import block_rows, write_csv, write_text
 from .basis import ModalVector, SpectralParams
-from .evolution import InputSignal, evolve, limit_system, make_initial, water_system
+from .evolution import InputSignal, _blocks, limit_system, make_initial, water_system
 from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
 from .lab import (
     SweepConfig,
@@ -268,12 +268,6 @@ class _OutputSet:
                 pass
 
 
-def _write_trajectory_csv(path: Path, traj) -> None:
-    modes = range(traj.K + 1)
-    header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
-    write_csv(path, header, row_blocks(traj.times, traj.zeta, traj.zeta_t))
-
-
 def _n_steps(cfg: RunConfig) -> int:
     """Number of steps of length dt that end exactly at tau; ConfigError otherwise."""
     dt = cfg.effective_dt
@@ -298,8 +292,11 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
         system = limit_system(cfg.k_modes)
     zeta0 = parse_initial_spec(cfg.init, cfg.k_modes)
     zeta1 = parse_initial_spec(cfg.init1, cfg.k_modes)
-    traj = evolve(make_initial(zeta0, zeta1, system), make_signal(cfg.signal, dt, n), system)
-    _write_trajectory_csv(out.path("trajectory.csv"), traj)
+    modes = range(cfg.k_modes + 1)
+    header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
+    rows = block_rows(2 * cfg.k_modes + 3)
+    samples = _blocks(make_initial(zeta0, zeta1, system), make_signal(cfg.signal, dt, n), system, rows)
+    write_csv(out.path("trajectory.csv"), header, (np.column_stack(block) for block in samples))
     return 0
 
 

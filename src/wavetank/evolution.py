@@ -15,10 +15,17 @@ because the rotation variables do not determine it.
 
 With u = 0 each step is a pure rotation, so E = ||alpha||^2 + ||beta||^2 is
 conserved to roundoff regardless of dt.
+
+All stepping goes through one private generator, `_propagate`.  It holds a
+batch of systems as (n_sys, K+1) arrays, computes cos/sin(omega dt) once and
+yields the samples after every step, so a caller reduces them (the sweep) or
+streams them (`simulate`) in O(n_sys K) memory; `step` and `evolve` are its
+one-system users.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,37 +150,66 @@ def make_initial(zeta0: ModalVector, zeta1: ModalVector, system: ModeSystem) -> 
         raise ValueError(f"mode count mismatch: zeta0 K={zeta0.K}, zeta1 K={zeta1.K}")
     if zeta0.K != system.K:
         raise ValueError(f"mode count mismatch: data K={zeta0.K}, system K={system.K}")
-    beta = system.omega * zeta0.coeffs
+    with np.errstate(over="ignore"):  # an overflowing mode is rejected below
+        beta = system.omega * zeta0.coeffs
+    bad = np.flatnonzero(~np.isfinite(beta))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"init mode {k}: omega_k * zeta0_k = {system.omega[k]:g} * {zeta0.coeffs[k]:g} overflows float64"
+        )
     beta[0] = 0.0
     return EvolutionState(alpha=zeta1, beta=ModalVector(beta), zeta0=float(zeta0.coeffs[0]), t=0.0)
 
 
-def _advance(alpha, beta, zeta0, u, dt, omega, forcing):
-    """One exact step of every mode for input held constant at u."""
-    a1 = np.empty_like(alpha)
-    b1 = np.zeros_like(beta)
-    c = np.cos(omega[1:] * dt)
-    s = np.sin(omega[1:] * dt)
-    p = forcing[1:] * u / omega[1:]
-    da = alpha[1:]
-    db = beta[1:] - p
-    a1[1:] = c * da - s * db
-    b1[1:] = p + s * da + c * db
-    z0 = zeta0 + alpha[0] * dt + 0.5 * forcing[0] * u * dt * dt
-    a1[0] = alpha[0] + forcing[0] * u * dt
-    return a1, b1, z0
+def _reconstruct_zeta(beta, zeta0, omega):
+    z = np.empty_like(beta)
+    z[:, 0] = zeta0
+    z[:, 1:] = beta[:, 1:] / omega[:, 1:]
+    return z
+
+
+def _propagate(states, systems, values, dt):
+    """The stepping loop: exact steps of a batch of systems under one input.
+
+    Every state is stepped by its own system with u held at values[m] on step
+    m.  Yields (zeta, alpha, beta), each of shape (n_sys, K+1), at
+    t = 0, dt, ..., n dt; zeta[:, 0] is the mode-0 elevation.  The arrays are
+    new at every step, so a consumer may keep them.
+    """
+    for state, system in zip(states, systems):
+        if state.alpha.K != system.K:
+            raise ValueError(f"mode count mismatch: state K={state.alpha.K}, system K={system.K}")
+    omega = np.stack([system.omega for system in systems])
+    forcing = np.stack([system.forcing for system in systems])
+    alpha = np.stack([state.alpha.coeffs for state in states])
+    beta = np.stack([state.beta.coeffs for state in states])
+    zeta0 = np.array([state.zeta0 for state in states])
+    c = np.cos(omega[:, 1:] * dt)
+    s = np.sin(omega[:, 1:] * dt)
+    yield _reconstruct_zeta(beta, zeta0, omega), alpha, beta
+    for u in values:
+        a1 = np.empty_like(alpha)
+        b1 = np.zeros_like(beta)
+        p = forcing[:, 1:] * u / omega[:, 1:]
+        da = alpha[:, 1:]
+        db = beta[:, 1:] - p
+        a1[:, 1:] = c * da - s * db
+        b1[:, 1:] = p + s * da + c * db
+        zeta0 = zeta0 + alpha[:, 0] * dt + 0.5 * forcing[:, 0] * u * dt * dt
+        a1[:, 0] = alpha[:, 0] + forcing[:, 0] * u * dt
+        alpha, beta = a1, b1
+        yield _reconstruct_zeta(beta, zeta0, omega), alpha, beta
 
 
 def step(state: EvolutionState, u: float, dt: float, system: ModeSystem) -> EvolutionState:
     """Advance one step of length dt with the input held at u."""
-    if state.alpha.K != system.K:
-        raise ValueError(f"mode count mismatch: state K={state.alpha.K}, system K={system.K}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    a1, b1, z0 = _advance(
-        state.alpha.coeffs, state.beta.coeffs, state.zeta0, float(u), float(dt), system.omega, system.forcing
+    *_, (zeta, alpha, beta) = _propagate([state], [system], [float(u)], float(dt))
+    return EvolutionState(
+        alpha=ModalVector(alpha[0]), beta=ModalVector(beta[0]), zeta0=float(zeta[0, 0]), t=state.t + dt
     )
-    return EvolutionState(alpha=ModalVector(a1), beta=ModalVector(b1), zeta0=z0, t=state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -195,39 +231,23 @@ class Trajectory:
     def K(self) -> int:
         return self.zeta.shape[1] - 1
 
-    def zeta_vector(self, i: int) -> ModalVector:
-        return ModalVector(self.zeta[i])
 
-    def zeta_t_vector(self, i: int) -> ModalVector:
-        return ModalVector(self.zeta_t[i])
-
-
-def _reconstruct_zeta(beta, zeta0, omega):
-    z = np.empty_like(beta)
-    z[0] = zeta0
-    z[1:] = beta[1:] / omega[1:]
-    return z
+def _blocks(initial: EvolutionState, signal: InputSignal, system: ModeSystem, rows: int):
+    """(times, zeta, zeta_t) of one system's trajectory, in consecutive blocks of at most `rows` samples."""
+    times = initial.t + signal.dt * np.arange(signal.n_steps + 1)
+    samples = _propagate([initial], [system], signal.values, signal.dt)
+    for start in range(0, times.size, rows):
+        t = times[start : start + rows]
+        zeta = np.empty((t.size, system.K + 1))
+        zeta_t = np.empty_like(zeta)
+        for i, (z, a, _) in enumerate(itertools.islice(samples, t.size)):
+            zeta[i], zeta_t[i] = z[0], a[0]
+        yield t, zeta, zeta_t
 
 
 def evolve(initial: EvolutionState, signal: InputSignal, system: ModeSystem) -> Trajectory:
     """Exact stepping through the whole signal, sampled at t_i = t0 + i dt."""
-    if initial.alpha.K != system.K:
-        raise ValueError(f"mode count mismatch: state K={initial.alpha.K}, system K={system.K}")
-    n = signal.n_steps
-    dt = signal.dt
-    alpha = initial.alpha.coeffs.copy()
-    beta = initial.beta.coeffs.copy()
-    z0 = initial.zeta0
-    times = initial.t + dt * np.arange(n + 1)
-    zeta = np.empty((n + 1, system.K + 1))
-    zeta_t = np.empty_like(zeta)
-    zeta[0] = _reconstruct_zeta(beta, z0, system.omega)
-    zeta_t[0] = alpha
-    for m in range(n):
-        alpha, beta, z0 = _advance(alpha, beta, z0, signal.values[m], dt, system.omega, system.forcing)
-        zeta[m + 1] = _reconstruct_zeta(beta, z0, system.omega)
-        zeta_t[m + 1] = alpha
-    return Trajectory(times=times, zeta=zeta, zeta_t=zeta_t)
+    return Trajectory(*next(_blocks(initial, signal, system, signal.n_steps + 1)))
 
 
 def energy(state: EvolutionState) -> float:

@@ -1,7 +1,7 @@
 """Convergence laboratory: shallowness sweeps, rate fits, and kernel audits.
 
-A sweep evolves the tank and the limit string from identical data and input,
-measures
+A sweep evolves the limit string and one tank per shallowness from identical
+data and input, as one batch, and measures
 
     err_half(mu)  = sup_t || zeta_mu - zeta ||      (elevation, alpha = 1/2)
     err_deriv(mu) = sup_t || d zeta_mu/dt - d zeta/dt ||   (velocity, alpha = 0)
@@ -22,7 +22,7 @@ import numpy as np
 
 from ._writer import row_blocks, write_csv
 from .basis import ModalVector, SpectralParams, sobolev_weights
-from .evolution import InputSignal, Trajectory, evolve, limit_system, make_initial, water_system
+from .evolution import InputSignal, _propagate, limit_system, make_initial, water_system
 from .operators import (
     bmu_dual_norm_gap,
     dtn_eigenvalue,
@@ -43,7 +43,6 @@ __all__ = [
     "KernelAuditRow",
     "KernelAudit",
     "ResolventAudit",
-    "trajectory_errors",
     "run_sweep",
     "fit_rate",
     "audit_kernels",
@@ -95,8 +94,10 @@ class SweepConfig:
             raise ValueError("initial data must have K+1 coefficients")
         if self.signal.dt != self.dt:
             raise ValueError("signal step must equal the sweep dt")
-        if self.signal.duration < self.tau - 1e-12:
-            raise ValueError("signal too short for the horizon tau")
+        # the rule of cli._n_steps: the signal ends at tau to 1e-9 relative
+        mismatch = self.signal.n_steps * self.dt - self.tau
+        if abs(mismatch) > 1e-9 * self.tau:
+            raise ValueError(f"signal too {'short' if mismatch < 0 else 'long'} for the horizon tau={self.tau:g}")
 
 
 @dataclass(frozen=True)
@@ -118,22 +119,6 @@ class SweepReport:
     audit: Optional["KernelAudit"] = None
 
 
-def trajectory_errors(a: Trajectory, b: Trajectory):
-    """Sup-over-grid elevation and velocity error norms between two trajectories.
-
-    Returns (err_half, err_deriv, slack_half, slack_deriv); the slacks are the
-    largest per-step change of each error norm.
-    """
-    if a.zeta.shape != b.zeta.shape:
-        raise ValueError("trajectories have different shapes")
-    w = sobolev_weights(a.K, 0.5)
-    half_t = np.sqrt(((a.zeta - b.zeta) ** 2 * w).sum(axis=1))
-    deriv_t = np.sqrt(((a.zeta_t - b.zeta_t) ** 2).sum(axis=1))
-    slack_half = float(np.abs(np.diff(half_t)).max()) if half_t.size > 1 else 0.0
-    slack_deriv = float(np.abs(np.diff(deriv_t)).max()) if deriv_t.size > 1 else 0.0
-    return float(half_t.max()), float(deriv_t.max()), slack_half, slack_deriv
-
-
 def fit_rate(mu: Sequence[float], err: Sequence[float], skip_largest: int = 1) -> float:
     """Least-squares slope of log(err) against log(mu).
 
@@ -149,20 +134,31 @@ def fit_rate(mu: Sequence[float], err: Sequence[float], skip_largest: int = 1) -
 
 
 def run_sweep(cfg: SweepConfig, skip_largest: int = 1) -> SweepReport:
-    """Evolve tank and limit from identical data per shallowness and collect errors."""
-    limit = limit_system(cfg.K)
-    traj_limit = evolve(make_initial(cfg.zeta0, cfg.zeta1, limit), cfg.signal, limit)
-    eh, ed, sh, sd = [], [], [], []
-    for mu in cfg.mu_list:
-        params = SpectralParams(mu=mu, K=cfg.K)
-        water = water_system(params)
-        traj = evolve(make_initial(cfg.zeta0, cfg.zeta1, water), cfg.signal, water)
-        e1, e2, s1, s2 = trajectory_errors(traj, traj_limit)
-        eh.append(e1)
-        ed.append(e2)
-        sh.append(s1)
-        sd.append(s2)
-    eh, ed = np.array(eh), np.array(ed)
+    """Evolve the limit and every tank as one batch from identical data, reducing the errors as it goes.
+
+    At each step the error norms of every tank against the limit update their
+    running sup and the largest step-to-step change; no trajectory is kept.
+    """
+    systems = [limit_system(cfg.K)] + [water_system(SpectralParams(mu=mu, K=cfg.K)) for mu in cfg.mu_list]
+    initial = [make_initial(cfg.zeta0, cfg.zeta1, system) for system in systems]
+    w = sobolev_weights(cfg.K, 0.5)
+    prev = None
+    # overflow surfaces as a non-finite norm, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for zeta, alpha, _ in _propagate(initial, systems, cfg.signal.values, cfg.dt):
+            half = np.sqrt(((zeta[1:] - zeta[0]) ** 2 * w).sum(axis=1))
+            deriv = np.sqrt(((alpha[1:] - alpha[0]) ** 2).sum(axis=1))
+            norms = np.array([half, deriv])
+            if prev is None:
+                sup, slack = norms, np.zeros_like(norms)
+            else:
+                sup, slack = np.maximum(sup, norms), np.maximum(slack, np.abs(norms - prev))
+            prev = norms
+    bad = np.flatnonzero(~np.all(np.isfinite(sup) & np.isfinite(slack), axis=0))
+    if bad.size:
+        mu = cfg.mu_list[bad[0]]
+        raise ValueError(f"error norms at mu={mu:g} are not finite: the data or input overflow float64")
+    (eh, ed), (sh, sd) = sup, slack
     n_fit = len(cfg.mu_list) - skip_largest
     rate_h = fit_rate(cfg.mu_list, eh, skip_largest) if n_fit >= 2 else float("nan")
     rate_d = fit_rate(cfg.mu_list, ed, skip_largest) if n_fit >= 2 else float("nan")
@@ -172,8 +168,8 @@ def run_sweep(cfg: SweepConfig, skip_largest: int = 1) -> SweepReport:
         err_deriv=ed,
         rate_half=rate_h,
         rate_deriv=rate_d,
-        grid_slack_half=np.array(sh),
-        grid_slack_deriv=np.array(sd),
+        grid_slack_half=sh,
+        grid_slack_deriv=sd,
     )
 
 

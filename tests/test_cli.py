@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetank import cli
+from wavetank.basis import ModalVector, SpectralParams
 from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_initial_spec
+from wavetank.evolution import evolve, make_initial, water_system
 from wavetank.lab import KernelAudit, KernelAuditRow
 
 
@@ -142,6 +144,18 @@ def test_simulate_limit_system(tmp_path):
     assert last[2] == pytest.approx(math.cos(1.0), abs=1e-12)
 
 
+def test_simulate_streams_the_rows_of_evolve(tmp_path):
+    # at K = 2000 a block holds 16 rows, so the 51 rows span four blocks
+    args = ["simulate", "--out", str(tmp_path), "--k-modes", "2000", "--tau", "0.5", "--dt", "0.01",
+            "--signal", "pulse:0:0.2:1"]
+    assert main(args) == 0
+    system = water_system(SpectralParams(mu=0.01, K=2000))
+    initial = make_initial(parse_initial_spec("smooth8", 2000), ModalVector.zeros(2000), system)
+    traj = evolve(initial, make_signal("pulse:0:0.2:1", 0.01, 50), system)
+    expected = [",".join(f"{v:.17g}" for v in row) for row in np.column_stack([traj.times, traj.zeta, traj.zeta_t])]
+    assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == expected
+
+
 def test_simulate_ignores_l_modes(tmp_path):
     # the forcing is the closed form; l_modes only truncates the series oracle
     outputs = []
@@ -176,6 +190,27 @@ def test_horizon_too_large_to_count_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path), "--k-modes", "4", "--tau", "1e308", "--dt", "1e-300"])
     assert rc == 1
     assert "too many steps" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_initial_elevation_overflow_exits_1_naming_the_mode(tmp_path, capsys, command):
+    # beta_2 = omega_2 zeta0_2 = 2e308 overflows for the limit string
+    args = [command, "--out", str(tmp_path), "--system", "limit", "--k-modes", "2", "--init", "mode:2:1e308",
+            "--tau", "0.1", "--dt", "0.05", "--mu-list", "1e-1,1e-2", "--k-max", "10"]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"wavetank: {command}: init mode 2:"), err
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_error_norm_overflow_exits_1(tmp_path, capsys):
+    # errors near 1e200 are finite, their squares are not
+    args = ["sweep", "--out", str(tmp_path), "--k-modes", "16", "--init", "mode:1:1e200", "--tau", "1",
+            "--dt", "0.01", "--mu-list", "1e-1,1e-2,1e-3", "--k-max", "50"]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not finite" in err[0], err
     assert not any(tmp_path.iterdir())
 
 

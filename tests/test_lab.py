@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavetank.basis import ModalVector
-from wavetank.evolution import InputSignal, evolve, limit_system, make_initial
+from wavetank.basis import ModalVector, SpectralParams, sobolev_weights
+from wavetank.evolution import InputSignal, limit_system, make_initial, water_system
 from wavetank.lab import (
     KernelAudit,
     SweepConfig,
@@ -15,7 +17,6 @@ from wavetank.lab import (
     random_probe_audit,
     run_sweep,
     sweep_summary,
-    trajectory_errors,
     write_sweep_csv,
 )
 
@@ -24,15 +25,6 @@ def smooth8(K):
     c = np.zeros(K + 1)
     c[1:9] = 1.0 / np.arange(1, 9) ** 2
     return ModalVector(c)
-
-
-def test_self_comparison_is_zero():
-    K = 16
-    limit = limit_system(K)
-    sig = InputSignal.pulse(0.01, 200, 0.0, 1.0, 1.0)
-    traj = evolve(make_initial(smooth8(K), ModalVector.zeros(K), limit), sig, limit)
-    eh, ed, sh, sd = trajectory_errors(traj, traj)
-    assert eh == 0.0 and ed == 0.0 and sh == 0.0 and sd == 0.0
 
 
 def test_fit_rate_recovers_power_law():
@@ -55,6 +47,8 @@ def test_sweep_config_validation():
         SweepConfig(mu_list=(2.0, 1e-2), **kw)
     with pytest.raises(ValueError, match="short"):
         SweepConfig(mu_list=(1e-1,), **{**kw, "tau": 50.0})
+    with pytest.raises(ValueError, match="long"):
+        SweepConfig(mu_list=(1e-1,), **{**kw, "tau": 4.9})
 
 
 def test_sweep_errors_decrease_and_rate():
@@ -100,6 +94,76 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
     td = np.linspace(0.0, 10.0, 400001)
     oracle = np.abs(w1 * np.sin(w1 * td) - np.sin(td)).max()
     assert report.err_deriv[0] == pytest.approx(oracle, rel=1e-3)
+
+
+def _reference_advance(alpha, beta, zeta0, u, dt, omega, forcing):
+    """One exact step of one system, as the per-system stepper computed it."""
+    a1 = np.empty_like(alpha)
+    b1 = np.zeros_like(beta)
+    c = np.cos(omega[1:] * dt)
+    s = np.sin(omega[1:] * dt)
+    p = forcing[1:] * u / omega[1:]
+    da = alpha[1:]
+    db = beta[1:] - p
+    a1[1:] = c * da - s * db
+    b1[1:] = p + s * da + c * db
+    z0 = zeta0 + alpha[0] * dt + 0.5 * forcing[0] * u * dt * dt
+    a1[0] = alpha[0] + forcing[0] * u * dt
+    return a1, b1, z0
+
+
+def _reference_trajectory(cfg, system):
+    """(zeta, zeta_t) rows at every step, one system stepped on its own."""
+    state = make_initial(cfg.zeta0, cfg.zeta1, system)
+    alpha, beta, z0 = state.alpha.coeffs, state.beta.coeffs, state.zeta0
+    zeta, zeta_t = [], []
+    for m in range(cfg.signal.n_steps + 1):
+        if m:
+            alpha, beta, z0 = _reference_advance(
+                alpha, beta, z0, cfg.signal.values[m - 1], cfg.dt, system.omega, system.forcing
+            )
+        zeta.append(np.concatenate([[z0], beta[1:] / system.omega[1:]]))
+        zeta_t.append(alpha)
+    return np.array(zeta), np.array(zeta_t)
+
+
+def _reference_errors(cfg):
+    """(err_half, err_deriv, grid_slack_half, grid_slack_deriv) per shallowness from full trajectories."""
+    zeta_lim, zeta_t_lim = _reference_trajectory(cfg, limit_system(cfg.K))
+    w = sobolev_weights(cfg.K, 0.5)
+    rows = []
+    for mu in cfg.mu_list:
+        zeta, zeta_t = _reference_trajectory(cfg, water_system(SpectralParams(mu=mu, K=cfg.K)))
+        half_t = np.sqrt(((zeta - zeta_lim) ** 2 * w).sum(axis=1))
+        deriv_t = np.sqrt(((zeta_t - zeta_t_lim) ** 2).sum(axis=1))
+        rows.append((half_t.max(), deriv_t.max(), np.abs(np.diff(half_t)).max(), np.abs(np.diff(deriv_t)).max()))
+    return np.array(rows).T
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    data=st.data(),
+    K=st.integers(1, 10),
+    n=st.integers(1, 40),
+    dt=st.floats(1e-3, 1.0),
+    mu=st.lists(st.floats(1e-8, 1.0), min_size=1, max_size=4, unique=True),
+)
+def test_run_sweep_matches_per_system_reference_bitwise(data, K, n, dt, mu):
+    def vector(bound):
+        return ModalVector(data.draw(st.lists(st.floats(-bound, bound), min_size=K + 1, max_size=K + 1)))
+
+    cfg = SweepConfig(
+        mu_list=tuple(sorted(mu, reverse=True)),
+        tau=n * dt,
+        K=K,
+        dt=dt,
+        zeta0=vector(1.0),
+        zeta1=vector(1.0),
+        signal=InputSignal(dt, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))),
+    )
+    report = run_sweep(cfg)
+    got = np.array([report.err_half, report.err_deriv, report.grid_slack_half, report.grid_slack_deriv])
+    np.testing.assert_array_equal(got, _reference_errors(cfg))
 
 
 def test_kernel_audit_small_grid():
