@@ -35,14 +35,12 @@ from .fields import (
 )
 from .lab import (
     KernelAudit,
-    ResolventAudit,
     SweepConfig,
     SweepReport,
     audit_kernels,
     audit_resolvents,
     bmu_rate_table,
     fit_rate,
-    random_probe_audit,
     run_sweep,
     sweep_summary,
     write_sweep_csv,

@@ -7,9 +7,12 @@ data and input, as one batch, and measures
     err_deriv(mu) = sup_t || d zeta_mu/dt - d zeta/dt ||   (velocity, alpha = 0)
 
 over the step grid, and fits the empirical rate err ~ C mu^p by least squares
-in log-log coordinates.  The audits sweep the comparison kernels over a
-(mu, k) grid and check every proven envelope exactly as stated, fitting the
-free constants where the envelope only asserts existence.
+in log-log coordinates.  Every audit is a KernelAudit: a titled table of
+rows, each a measured value with a hard limit where the bound is proven and
+none where the constant is only fitted.  The kernel audit sweeps the
+comparison kernels over a (mu, k) grid; the resolvent audit takes the exact
+operator-norm gap of the shifted resolvents, which are diagonal, as a max over
+modes; the forcing audit tabulates the dual-norm gap against mu^(1/4).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .basis import ModalVector, SpectralParams, sobolev_weights
 from .evolution import InputSignal, _propagate, limit_system, make_initial, water_system
 from .operators import (
     bmu_dual_norm_gap,
-    dtn_eigenvalue,
     kernel_F,
     kernel_G,
     kernel_H_sum,
@@ -37,17 +39,14 @@ from .operators import (
 __all__ = [
     "DEFAULT_MU_GRID",
     "GAP_MU_GRID",
-    "DEFAULT_PROBE_SEED",
     "SweepConfig",
     "SweepReport",
     "KernelAuditRow",
     "KernelAudit",
-    "ResolventAudit",
     "run_sweep",
     "fit_rate",
     "audit_kernels",
     "audit_resolvents",
-    "random_probe_audit",
     "bmu_rate_table",
     "write_sweep_csv",
     "sweep_summary",
@@ -62,9 +61,11 @@ GAP_K = 16_384
 # the lateral-series oracle is compared with the closed form on at most this
 # many log-spaced modes per shallowness
 ORACLE_K_SAMPLES = 64
-DEFAULT_PROBE_SEED = 20260809
 
 PROVEN_TOL = 1e-12  # relative slack allowed on proven envelopes
+# the forcing-gap spread must stay strictly below 2: the largest float under 2
+# is the limit that `value <= limit` needs for that
+_SPREAD_LIMIT = math.nextafter(2.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class SweepReport:
 
     grid_slack_* report the largest step-to-step change of each error norm on
     the sampling grid, an observed bound on what the grid max may miss between
-    samples.  `audit` optionally attaches a kernel-bound audit to the report.
+    samples.
     """
 
     mu_list: Tuple[float, ...]
@@ -116,13 +117,14 @@ class SweepReport:
     rate_deriv: float
     grid_slack_half: np.ndarray
     grid_slack_deriv: np.ndarray
-    audit: Optional["KernelAudit"] = None
 
 
 def fit_rate(mu: Sequence[float], err: Sequence[float], skip_largest: int = 1) -> float:
     """Least-squares slope of log(err) against log(mu).
 
     The largest skip_largest shallowness values are excluded as pre-asymptotic.
+    The slope comes from centred sums, so shallowness values that agree to the
+    last bit give a slope (or nan when their logs coincide), never a warning.
     """
     mu = np.asarray(mu, dtype=float)[skip_largest:]
     err = np.asarray(err, dtype=float)[skip_largest:]
@@ -130,7 +132,11 @@ def fit_rate(mu: Sequence[float], err: Sequence[float], skip_largest: int = 1) -
         raise ValueError("need at least two points to fit a rate")
     if np.any(err <= 0):
         return float("nan")
-    return float(np.polyfit(np.log(mu), np.log(err), 1)[0])
+    x = np.log(mu)
+    y = np.log(err)
+    x -= x.mean()
+    sxx = np.sum(x * x)
+    return float(np.sum(x * (y - y.mean())) / sxx) if sxx > 0 else float("nan")
 
 
 def run_sweep(cfg: SweepConfig, skip_largest: int = 1) -> SweepReport:
@@ -175,6 +181,8 @@ def run_sweep(cfg: SweepConfig, skip_largest: int = 1) -> SweepReport:
 
 @dataclass(frozen=True)
 class KernelAuditRow:
+    """One audited quantity; it passes when value <= limit, and always when limit is None."""
+
     kernel: str
     check: str
     value: float
@@ -182,26 +190,38 @@ class KernelAuditRow:
 
     @property
     def passed(self) -> bool:
-        return self.limit is None or self.value <= self.limit * (1.0 + PROVEN_TOL)
+        return self.limit is None or self.value <= self.limit
+
+
+def _proven(limit: float) -> float:
+    """The stored limit of a proven envelope: the bound with relative slack PROVEN_TOL."""
+    return limit * (1.0 + PROVEN_TOL)
 
 
 @dataclass(frozen=True)
 class KernelAudit:
+    """A titled table of audit rows; it passes when every row does."""
+
+    title: str
     rows: Tuple[KernelAuditRow, ...]
-    mu_grid: Tuple[float, ...]
-    k_max: int
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
     def table(self) -> str:
-        lines = [f"kernel audit over mu in {list(self.mu_grid)}, k <= {self.k_max}"]
+        lines = [self.title]
         for r in self.rows:
             verdict = "" if r.limit is None else ("  PASS" if r.passed else "  FAIL")
             lim = "" if r.limit is None else f" (limit {r.limit:g})"
             lines.append(f"  {r.kernel:<8} {r.check:<42} {r.value: .6e}{lim}{verdict}")
         return "\n".join(lines)
+
+
+def _grid(mu_grid: Sequence[float], K: int) -> Tuple[float, ...]:
+    if len(mu_grid) == 0 or K < 1:
+        raise ValueError("audit grids must be nonempty")
+    return tuple(float(m) for m in mu_grid)
 
 
 def audit_kernels(
@@ -218,8 +238,7 @@ def audit_kernels(
     at l_modes must match it within its certified tail on up to
     ORACLE_K_SAMPLES log-spaced k <= k_max per shallowness.
     """
-    if len(mu_grid) == 0 or k_max < 1:
-        raise ValueError("audit grids must be nonempty")
+    mu_grid = _grid(mu_grid, k_max)
     k = np.arange(1, k_max + 1, dtype=float)
     k_oracle = np.unique(np.round(np.geomspace(1.0, k_max, ORACLE_K_SAMPLES)))
     ratio_f, ratio_i, ratio_h1, ratio_h2, ratio_oracle = [], [], [], [], []
@@ -243,92 +262,53 @@ def audit_kernels(
     # so they carry no hard limit here (the acceptance suite pins them on the
     # full default grid)
     rows = (
-        KernelAuditRow("F", "max |F| k / sqrt(mu)", float(np.max(ratio_f)), 1.0),
-        KernelAuditRow("I", "max |I| / (sqrt(mu) k)", float(np.max(ratio_i)), 1.0),
-        KernelAuditRow("H_sum", "max sum_l H / (mu/2)", float(np.max(ratio_h1)), 1.0),
-        KernelAuditRow("H_sum", "max sum_l H k / (2 sqrt(mu))", float(np.max(ratio_h2)), 1.0),
-        KernelAuditRow("H_sum", "max |closed - series| / certified tail", float(np.max(ratio_oracle)), 1.0),
-        KernelAuditRow("G", "fitted C over min(sqrt(mu), mu^1/4 k^-1/2)", float(np.max(fit_g)), 2.0),
+        KernelAuditRow("F", "max |F| k / sqrt(mu)", float(np.max(ratio_f)), _proven(1.0)),
+        KernelAuditRow("I", "max |I| / (sqrt(mu) k)", float(np.max(ratio_i)), _proven(1.0)),
+        KernelAuditRow("H_sum", "max sum_l H / (mu/2)", float(np.max(ratio_h1)), _proven(1.0)),
+        KernelAuditRow("H_sum", "max sum_l H k / (2 sqrt(mu))", float(np.max(ratio_h2)), _proven(1.0)),
+        KernelAuditRow("H_sum", "max |closed - series| / certified tail", float(np.max(ratio_oracle)), _proven(1.0)),
+        KernelAuditRow("G", "fitted C over min(sqrt(mu), mu^1/4 k^-1/2)", float(np.max(fit_g)), _proven(2.0)),
         KernelAuditRow("G", "fitted C spread across decades", float(np.max(fit_g) / np.min(fit_g)), None),
         KernelAuditRow("J", "fitted C over mu^1/4 k^1/2", float(np.max(fit_j)), None),
         KernelAuditRow("J", "fitted C spread across decades", float(np.max(fit_j) / np.min(fit_j)), None),
     )
-    return KernelAudit(rows=rows, mu_grid=tuple(float(m) for m in mu_grid), k_max=k_max)
+    return KernelAudit(f"kernel audit over mu in {list(mu_grid)}, k <= {k_max}", rows)
 
 
-@dataclass(frozen=True)
-class ResolventAudit:
-    """Measured resolvent gaps for one probe against the sqrt(mu)-scaled bounds."""
+def audit_resolvents(mu_grid: Sequence[float] = DEFAULT_MU_GRID, K: int = 256) -> KernelAudit:
+    """Exact operator-norm gaps between the shifted resolvents of the tank and of the string.
 
-    mu: float
-    probe_norm: float
-    f_gap: float
-    f_bound: float
-    g_gap: float
-    g_ratio: float
-
-    @property
-    def passed(self) -> bool:
-        return self.f_gap <= self.f_bound * (1.0 + PROVEN_TOL)
-
-
-def audit_resolvents(mu: float, K: int, probe: ModalVector) -> ResolventAudit:
-    """Gap between shifted resolvents of the tank map and its limit on one probe.
-
-    The shifted resolvents (I + A)^(-1) act coefficient-wise, with A the
-    depth-scaled map lambda_k/mu for the tank and k^2 for the limit.  The plain
-    resolvent gap is proven <= sqrt(mu) ||probe||; the square-root channel
-    carries the fitted-constant envelope, reported as gap/(sqrt(mu)||probe||).
+    (I + A)^(-1) acts coefficient-wise, with A = lambda_k/mu = k^2 h(sqrt(mu) k)
+    for the tank and k^2 for the string, so on a probe p the gap is -F_k p_k
+    mode by mode (zero on mode 0).  Its sup over unit probes on modes 0..K is
+    therefore max_{1<=k<=K} |F_k|, proven <= sqrt(mu); the square-root channel
+    is likewise max |G_k|, whose constant over sqrt(mu) is only fitted.
     """
-    if probe.K != K:
-        raise ValueError(f"probe K={probe.K} does not match K={K}")
-    params = SpectralParams(mu=mu, K=K)
-    k = np.arange(K + 1, dtype=float)
-    p = probe.coeffs
-    gap = p / (1.0 + dtn_eigenvalue(params, k) / mu) - p / (1.0 + k**2)
-    f_gap = float(np.sqrt(np.sum(gap**2)))
-    g_kernel = kernel_G(params, k[1:])
-    g_gap = float(np.sqrt(np.sum((g_kernel * p[1:]) ** 2)))
-    pn = float(np.sqrt(np.sum(p**2)))
-    rmu = math.sqrt(mu)
-    ratio = g_gap / (rmu * pn) if pn > 0 else 0.0
-    return ResolventAudit(mu=mu, probe_norm=pn, f_gap=f_gap, f_bound=rmu * pn, g_gap=g_gap, g_ratio=ratio)
-
-
-def random_probe_audit(
-    mu_grid: Sequence[float] = DEFAULT_MU_GRID,
-    K: int = 256,
-    n_probes: int = 100,
-    seed: int = DEFAULT_PROBE_SEED,
-):
-    """Resolvent audit over seeded random unit probes; returns one row per shallowness.
-
-    Each row is (mu, worst f_gap, bound sqrt(mu), fitted C of the square-root
-    channel, all_passed).
-    """
-    rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((n_probes, K + 1))
-    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    rows = []
+    mu_grid = _grid(mu_grid, K)
+    k = np.arange(1, K + 1, dtype=float)
+    gap_f, gap_g = [], []
     for mu in mu_grid:
-        audits = [audit_resolvents(mu, K, ModalVector(p)) for p in probes]
-        worst = max(a.f_gap for a in audits)
-        fitted = max(a.g_ratio for a in audits)
-        rows.append((float(mu), worst, math.sqrt(mu), fitted, all(a.passed for a in audits)))
-    return rows
+        params = SpectralParams(mu=mu, K=1)
+        gap_f.append(np.max(np.abs(kernel_F(params, k))) / math.sqrt(mu))
+        gap_g.append(np.max(np.abs(kernel_G(params, k))) / math.sqrt(mu))
+    rows = (
+        KernelAuditRow("F", "sup |p|=1 resolvent gap / sqrt(mu)", float(np.max(gap_f)), _proven(1.0)),
+        KernelAuditRow("G", "sup |p|=1 sqrt-channel gap / sqrt(mu)", float(np.max(gap_g)), None),
+    )
+    return KernelAudit(f"resolvent audit (exact sup over unit probes) over mu in {list(mu_grid)}, k <= {K}", rows)
 
 
-def bmu_rate_table(mu_grid: Sequence[float] = GAP_MU_GRID, K: int = GAP_K):
-    """Dual-norm forcing gap per shallowness with its mu^(1/4) scaling.
+def bmu_rate_table(mu_grid: Sequence[float] = GAP_MU_GRID, K: int = GAP_K) -> KernelAudit:
+    """Dual-norm forcing gap per shallowness, scaled by mu^(-1/4), and the spread of the scaled values.
 
-    Returns rows (mu, gap, gap * mu^(-1/4)).  The scaled column should sit
-    near a constant once K sqrt(mu) is large.
+    The scaled gap should sit near a constant once K sqrt(mu) is large; the
+    spread (largest over smallest) must stay strictly below 2.
     """
-    rows = []
-    for mu in mu_grid:
-        gap = bmu_dual_norm_gap(SpectralParams(mu=mu, K=K))
-        rows.append((float(mu), gap, gap * mu ** (-0.25)))
-    return rows
+    mu_grid = _grid(mu_grid, K)
+    scaled = [bmu_dual_norm_gap(SpectralParams(mu=mu, K=K)) * mu ** (-0.25) for mu in mu_grid]
+    rows = tuple(KernelAuditRow("gap", f"gap mu^(-1/4) at mu={mu:.1e}", sc, None) for mu, sc in zip(mu_grid, scaled))
+    spread = KernelAuditRow("gap", "scaled spread max/min, strictly below 2", max(scaled) / min(scaled), _SPREAD_LIMIT)
+    return KernelAudit(f"forcing gap rate audit (dual norm) over mu in {list(mu_grid)}, K = {K}", rows + (spread,))
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:
@@ -348,7 +328,4 @@ def sweep_summary(report: SweepReport) -> str:
             f"  {mu:<10.3e}  {report.err_half[i]:<12.6e}  {report.err_deriv[i]:<12.6e}  "
             f"{report.grid_slack_half[i]:<15.3e}  {report.grid_slack_deriv[i]:.3e}"
         )
-    if report.audit is not None:
-        lines.append("")
-        lines.append(report.audit.table())
     return "\n".join(lines)

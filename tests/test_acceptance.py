@@ -16,8 +16,8 @@ from wavetank.fields import FieldGrid, LateralProfile, dirichlet_values, neumann
 from wavetank.lab import (
     SweepConfig,
     audit_kernels,
+    audit_resolvents,
     bmu_rate_table,
-    random_probe_audit,
     run_sweep,
 )
 from wavetank.operators import ntn_forcing
@@ -60,17 +60,18 @@ def test_criterion_1_kernel_bound_audit():
 
 
 def test_criterion_2_resolvent_gap_probes():
+    # the exact sup over unit probes bounds every probe's gap, so a sup
+    # <= sqrt(mu) means no probe can violate the bound
     t0 = time.time()
-    rows = random_probe_audit(mu_grid=MU_GRID, K=256, n_probes=100)
+    audit = audit_resolvents(mu_grid=MU_GRID, K=256)
     elapsed = time.time() - t0
-    violations = sum(0 if ok else 1 for *_, ok in rows)
-    worst_margin = max(worst / bound for _, worst, bound, _, _ in rows)
-    ok = violations == 0 and elapsed < 10.0
+    worst = audit.rows[0].value
+    ok = worst <= 1.0 and elapsed < 10.0
     line = _report(
         2,
         "resolvent gap",
         ok,
-        f"{len(rows) * 100} probes, 0 violations required, got {violations}; worst gap/bound {worst_margin:.4f}",
+        f"exact sup over unit probes of gap/sqrt(mu) {worst:.4f} <= 1",
         elapsed,
         10.0,
     )
@@ -79,11 +80,11 @@ def test_criterion_2_resolvent_gap_probes():
 
 def test_criterion_3_forcing_gap_rate():
     t0 = time.time()
-    rows = bmu_rate_table()  # mu in {1e-2..1e-6}, dedicated high truncation
+    *rows, spread_row = bmu_rate_table().rows  # mu in {1e-2..1e-6}, dedicated high truncation
     elapsed = time.time() - t0
-    scaled = [r[2] for r in rows]
+    scaled = [r.value for r in rows]
     spread = max(scaled) / min(scaled)
-    ok = spread < 2.0 and elapsed < 10.0
+    ok = spread < 2.0 and spread_row.passed and elapsed < 10.0
     line = _report(
         3,
         "forcing gap rate",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,50 @@ def test_config_round_trip():
     assert again == cfg
 
 
+def test_flag_values_are_stripped_and_reject_comment_or_line_break():
+    cfg = parse_config("sweep", overrides={"signal": "pulse:0:1:1 ", "out": " x", "mu": " 0.5"})
+    assert (cfg.signal, cfg.out, cfg.mu) == ("pulse:0:1:1", "x", 0.5)
+    for bad in ("a#b", "a\nb", "a\rb", "a\u2028b", "x\n"):
+        with pytest.raises(ConfigError, match="out must contain neither"):
+            parse_config("sweep", overrides={"out": bad})
+
+
+def _padded(values):
+    blanks = st.sampled_from(["", " ", "\t "])
+    return st.builds(lambda pre, v, post: pre + v + post, blanks, values, blanks)
+
+
+_FLAG_VALUES = {
+    "out": st.one_of(st.text(max_size=12), _padded(st.text(max_size=8))),
+    "mu": _padded(st.floats(0.0, 1.0, exclude_min=True).map(repr)),
+    "mu_list": _padded(st.sampled_from(["1e-1,1e-2", "0.5 , 0.25", "1e-1,1e-2,3e-7"])),
+    "k_modes": _padded(st.integers(1, 64).map(str)),
+    "dt": _padded(st.sampled_from(["", "0.01", "1e-3"])),
+    "grid": _padded(st.sampled_from(["5,6", "5 , 6", "2,300"])),
+    "signal": _padded(st.sampled_from(["zero", "const:2", "pulse:0:1:1", "pulse: 0:1 :1"])),
+    "init": _padded(st.sampled_from(["smooth8", "cos1", "mode:1:0.5 + mode:2:1"])),
+    "init1": _padded(st.sampled_from(["zero", "mode:0:1e-3"])),
+    "system": _padded(st.sampled_from(["water", "limit"])),
+    "seed": _padded(st.integers(0, 10**6).map(str)),
+}
+
+
+@settings(deadline=None)
+@given(command=st.sampled_from(cli.COMMANDS), overrides=st.fixed_dictionaries(_FLAG_VALUES),
+       spoilt=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(_FLAG_VALUES)),
+                                             st.sampled_from(["#", " #c", "#c ", "\n", "\r", "\u2028"]))))
+def test_config_round_trips_or_raises(command, overrides, spoilt):
+    # padded flag values; in about half the examples one of them ends in a comment or a line break
+    if spoilt is not None:
+        key, ending = spoilt
+        overrides[key] += ending
+    try:
+        cfg = parse_config(command, overrides=overrides)
+    except ConfigError:
+        return
+    assert parse_config(cfg.command, cfg.to_text()) == cfg
+
+
 def test_initial_spec_language():
     v = parse_initial_spec("zero", 4)
     assert np.all(v.coeffs == 0.0)
@@ -71,7 +116,7 @@ def test_initial_spec_language():
         parse_initial_spec("mode:9:1", 4)
     with pytest.raises(ConfigError, match="initial-data"):
         parse_initial_spec("garbage", 4)
-    for bad in ("mode:1:nan", "mode:1:-inf", "mode:1:1e308+mode:1:1e308"):
+    for bad in ("mode:1:nan", "mode:1:-inf", "mode:1:1e308+mode:1:1e308", "mode:0:1e308+mode:0:1e308+mode:0:-inf"):
         with pytest.raises(ConfigError, match="finite"):
             parse_initial_spec(bad, 4)
 
@@ -156,6 +201,19 @@ def test_simulate_streams_the_rows_of_evolve(tmp_path):
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == expected
 
 
+def test_simulate_non_finite_state_exits_1_naming_the_time(tmp_path, capsys):
+    # the mode-0 elevation grows as 1e308 t^2 and overflows at t = 2.55, step 51 of 200
+    args = ["simulate", "--out", str(tmp_path), "--k-modes", "2", "--signal", "const:1e308", "--tau", "10",
+            "--dt", "0.05"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 1
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["wavetank: simulate: the state is not finite at t=2.55: the data or input overflow float64"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_ignores_l_modes(tmp_path):
     # the forcing is the closed form; l_modes only truncates the series oracle
     outputs = []
@@ -168,7 +226,7 @@ def test_simulate_ignores_l_modes(tmp_path):
 
 
 def test_verify_audit_failure_exits_2(tmp_path, capsys, monkeypatch):
-    failing = KernelAudit(rows=(KernelAuditRow("F", "forced violation", 2.0, 1.0),), mu_grid=(1.0,), k_max=1)
+    failing = KernelAudit("kernel audit", (KernelAuditRow("F", "forced violation", 2.0, 1.0),))
     monkeypatch.setattr(cli, "audit_kernels", lambda **kw: failing)
     rc = main(["verify", "--out", str(tmp_path), "--k-modes", "16", "--seed", "5"])
     assert rc == 2
@@ -229,6 +287,17 @@ def test_default_dt_reaches_horizon():
     for tau in ("0.1", "1", "7.3", "10", "20", "12345.678"):
         cfg = parse_config("simulate", overrides={"tau": tau})
         assert cli._n_steps(cfg) == 1000
+
+
+def test_sweep_of_shallowness_one_ulp_apart_exits_0_quietly(tmp_path, capsys):
+    # the rate fit sees two mu one ulp apart; a Vandermonde fit warned here
+    args = ["sweep", "--out", str(tmp_path), "--mu-list", "1,1.0000000000000002e-08,1e-8", "--k-modes", "4",
+            "--tau", "1", "--dt", "0.1", "--k-max", "10", "--l-modes", "10"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_outputs_and_determinism(tmp_path):

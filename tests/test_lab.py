@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +9,18 @@ from hypothesis import strategies as st
 from wavetank.basis import ModalVector, SpectralParams, sobolev_weights
 from wavetank.evolution import InputSignal, limit_system, make_initial, water_system
 from wavetank.lab import (
+    DEFAULT_MU_GRID,
     KernelAudit,
     SweepConfig,
     audit_kernels,
     audit_resolvents,
     bmu_rate_table,
     fit_rate,
-    random_probe_audit,
     run_sweep,
     sweep_summary,
     write_sweep_csv,
 )
+from wavetank.operators import dtn_eigenvalue, kernel_G
 
 
 def smooth8(K):
@@ -34,6 +36,13 @@ def test_fit_rate_recovers_power_law():
     assert fit_rate(mu, err, skip_largest=1) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         fit_rate(mu[:2], err[:2], skip_largest=1)
+
+
+def test_fit_rate_of_coincident_logs_is_nan():
+    # near 1e-300 one ulp of mu is below half an ulp of log(mu), so the logs coincide
+    mu = [1e-300, math.nextafter(1e-300, 1.0)]
+    assert math.log(mu[0]) == math.log(mu[1])
+    assert math.isnan(fit_rate(mu, [1.0, 2.0], skip_largest=0))
 
 
 def test_sweep_config_validation():
@@ -181,46 +190,65 @@ def test_kernel_audit_rejects_empty():
         audit_kernels(mu_grid=(), k_max=10)
 
 
-def test_resolvent_audit_single_probe():
-    K = 64
-    zero = audit_resolvents(1e-2, K, ModalVector.zeros(K))
-    assert zero.f_gap == 0.0 and zero.g_gap == 0.0 and zero.passed
-    rng = np.random.default_rng(0)
-    probe = ModalVector(rng.standard_normal(K + 1))
-    audit = audit_resolvents(1e-2, K, probe)
-    assert audit.f_gap <= math.sqrt(1e-2) * audit.probe_norm
-    assert audit.passed
-    with pytest.raises(ValueError, match="K"):
-        audit_resolvents(1e-2, K, ModalVector.zeros(K + 3))
+def test_resolvent_audit_rejects_empty():
+    with pytest.raises(ValueError):
+        audit_resolvents(mu_grid=(), K=8)
+    with pytest.raises(ValueError):
+        audit_resolvents(mu_grid=(1e-2,), K=0)
+
+
+def _probe_gaps(mu, K, probes):
+    """Resolvent gaps of each probe row, as the per-probe audit computed them: plain and sqrt channel."""
+    params = SpectralParams(mu=mu, K=K)
+    k = np.arange(K + 1, dtype=float)
+    plain = probes / (1.0 + dtn_eigenvalue(params, k) / mu) - probes / (1.0 + k**2)
+    sqrt_channel = kernel_G(params, k[1:]) * probes[:, 1:]
+    return np.linalg.norm(plain, axis=1), np.linalg.norm(sqrt_channel, axis=1)
 
 
 def test_resolvent_audit_unit_probes_match_closed_form():
-    # shifted resolvents at mu = 1/4: mode 2 has lambda_2/mu = 2 tanh(1)/0.5 against 2^2
-    K = 4
-    e2 = audit_resolvents(0.25, K, ModalVector.unit(2, K))
-    assert e2.f_gap == pytest.approx(abs(1.0 / (1.0 + 2.0 * math.tanh(1.0) / 0.5) - 1.0 / 5.0), rel=1e-15)
-    assert audit_resolvents(0.25, K, ModalVector.unit(0, K)).f_gap == 0.0
+    # shifted resolvents at mu = 1/4: mode 2 has lambda_2/mu = 2 tanh(1)/0.5 against 2^2, and it
+    # is the worst of modes 1 and 2
+    f_row, _ = audit_resolvents(mu_grid=(0.25,), K=2).rows
+    gap = abs(1.0 / (1.0 + 2.0 * math.tanh(1.0) / 0.5) - 1.0 / 5.0)
+    assert f_row.value * math.sqrt(0.25) == pytest.approx(gap, rel=1e-15)
+    plain, _ = _probe_gaps(0.25, 2, np.eye(3))
+    assert plain[0] == 0.0 and plain[2] == pytest.approx(gap, rel=1e-15)
 
 
-def test_random_probe_audit_bounds_hold():
-    rows = random_probe_audit(mu_grid=(1e-1, 1e-3, 1e-5), K=64, n_probes=25, seed=7)
-    for mu, worst, bound, fitted, ok in rows:
-        assert ok
-        assert worst <= bound
-        assert 0.0 < fitted <= 2.0
-
-
-def test_random_probe_audit_deterministic():
-    a = random_probe_audit(mu_grid=(1e-2,), K=32, n_probes=10, seed=3)
-    b = random_probe_audit(mu_grid=(1e-2,), K=32, n_probes=10, seed=3)
-    assert a == b
+def test_exact_resolvent_sup_bounds_seeded_probes():
+    # the exact sup is the gap of the worst unit probe: seeded probes stay
+    # below it, and the unit probe at the argmax attains it
+    K = 256
+    probes = np.random.default_rng(20260809).standard_normal((100, K + 1))
+    norms = np.linalg.norm(probes, axis=1)
+    for mu in DEFAULT_MU_GRID:
+        f_row, g_row = audit_resolvents(mu_grid=(mu,), K=K).rows
+        sup_f, sup_g = f_row.value * math.sqrt(mu), g_row.value * math.sqrt(mu)
+        plain, sqrt_channel = _probe_gaps(mu, K, probes)
+        assert np.all(plain <= sup_f * norms * (1.0 + 1e-12))
+        assert np.all(sqrt_channel <= sup_g * norms * (1.0 + 1e-12))
+        plain, sqrt_channel = _probe_gaps(mu, K, np.eye(K + 1))
+        assert plain.max() == pytest.approx(sup_f, rel=1e-12)
+        assert sqrt_channel.max() == pytest.approx(sup_g, rel=1e-12)
+        assert f_row.value <= 1.0
 
 
 def test_bmu_rate_table_scaling():
-    rows = bmu_rate_table(mu_grid=(1e-2, 1e-4), K=4096)
-    assert rows[0][1] > rows[1][1]  # gap decreases with mu
-    scaled = [r[2] for r in rows]
-    assert max(scaled) / min(scaled) < 2.0
+    audit = bmu_rate_table(mu_grid=(1e-2, 1e-4), K=4096)
+    *scaled, spread = audit.rows
+    gaps = [row.value * mu**0.25 for row, mu in zip(scaled, (1e-2, 1e-4))]
+    assert gaps[0] > gaps[1]  # gap decreases with mu
+    assert spread.value == max(r.value for r in scaled) / min(r.value for r in scaled)
+    assert spread.value < 2.0 and audit.passed
+
+
+def test_forcing_gap_spread_of_two_fails():
+    # the spread row keeps the strict `spread < 2`: 2.0 fails, the float below it passes
+    spread = bmu_rate_table(mu_grid=(1e-2, 1e-4), K=256).rows[-1]
+    assert not replace(spread, value=2.0).passed
+    assert replace(spread, value=math.nextafter(2.0, 0.0)).passed
+    assert not KernelAudit("forcing gap", (replace(spread, value=2.0),)).passed
 
 
 def test_sweep_csv_roundtrip(tmp_path):
