@@ -10,8 +10,8 @@ Commands
 Configuration is a flat key=value file (one pair per line, `#` comments);
 command-line flags override file values, and a flag value may hold neither
 `#` nor a line break.  Exit codes: 0 success, 1 usage, configuration or
-output error, or non-finite results, 2 audit failure (some row of verify
-fails).
+output error, non-finite results, or a run too large to allocate, 2 audit
+failure (some row of verify fails).
 """
 
 from __future__ import annotations
@@ -120,19 +120,14 @@ def _parse_pairs(text: str, source: str) -> dict:
     return pairs
 
 
-def _to_float(key: str, raw: str, lo: float, hi: float, lo_open=True, hi_open=False) -> float:
+def _to_float(key: str, raw: str, hi: float) -> float:
+    """A finite number in (0, hi]; ConfigError otherwise."""
     try:
         val = float(raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    lo_ok = val > lo if lo_open else val >= lo
-    hi_ok = val < hi if hi_open else val <= hi
-    if not (math.isfinite(val) and lo_ok and hi_ok):
-        lo_b = "(" if lo_open else "["
-        hi_b = ")" if hi_open else "]"
-        lo_s = "0" if lo == 0 else f"{lo:g}"
-        hi_s = "inf" if hi == math.inf else f"{hi:g}"
-        raise ConfigError(f"{key} must be in {lo_b}{lo_s}, {hi_s}{hi_b}, got {raw}")
+    if not (math.isfinite(val) and 0.0 < val <= hi):
+        raise ConfigError(f"{key} must be in (0, {hi:g}], got {raw}")
     return val
 
 
@@ -161,18 +156,18 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
                 raise ConfigError(f"{k} must contain neither '#' nor a line break, got {v!r}")
             raw[k] = v.strip()
 
-    mu = _to_float("mu", raw["mu"], 0.0, 1.0)
+    mu = _to_float("mu", raw["mu"], 1.0)
     items = [s for s in raw["mu_list"].split(",") if s.strip()]
     if not items:
         raise ConfigError("mu_list must contain at least one value")
-    mu_list = tuple(_to_float("mu_list", s, 0.0, 1.0) for s in items)
+    mu_list = tuple(_to_float("mu_list", s, 1.0) for s in items)
     if any(b >= a for a, b in zip(mu_list, mu_list[1:])):
         raise ConfigError(f"mu_list must be strictly decreasing, got {raw['mu_list']}")
     grid_items = raw["grid"].split(",")
     if len(grid_items) != 2:
         raise ConfigError(f"grid must be NX,NY, got {raw['grid']!r}")
     grid = (_to_int("grid", grid_items[0], 2), _to_int("grid", grid_items[1], 2))
-    dt = None if raw["dt"] == "" else _to_float("dt", raw["dt"], 0.0, math.inf)
+    dt = None if raw["dt"] == "" else _to_float("dt", raw["dt"], math.inf)
     system = raw["system"]
     if system not in ("water", "limit"):
         raise ConfigError(f"system must be water or limit, got {system!r}")
@@ -184,7 +179,7 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
         k_modes=_to_int("k_modes", raw["k_modes"], 1),
         l_modes=_to_int("l_modes", raw["l_modes"], 1),
         dt=dt,
-        tau=_to_float("tau", raw["tau"], 0.0, math.inf),
+        tau=_to_float("tau", raw["tau"], math.inf),
         grid=grid,
         signal=raw["signal"],
         init=raw["init"],
@@ -316,9 +311,6 @@ def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
     n = _n_steps(cfg)
     sweep_cfg = SweepConfig(
         mu_list=cfg.mu_list,
-        tau=cfg.tau,
-        K=cfg.k_modes,
-        dt=dt,
         zeta0=parse_initial_spec(cfg.init, cfg.k_modes),
         zeta1=parse_initial_spec(cfg.init1, cfg.k_modes),
         signal=make_signal(cfg.signal, dt, n),
@@ -422,12 +414,12 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
             source = args.config
         cfg = parse_config(args.command, file_text, overrides, source=source)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"wavetank: config error: {exc}", file=sys.stderr)
         return 1
     try:
         return dispatch(cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"wavetank: {cfg.command}: {exc}", file=sys.stderr)
         return 1
 

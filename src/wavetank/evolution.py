@@ -98,7 +98,6 @@ class ModeSystem:
 
     omega: np.ndarray
     forcing: np.ndarray
-    label: str
 
     def __post_init__(self):
         for name in ("omega", "forcing"):
@@ -116,12 +115,12 @@ def water_system(params: SpectralParams) -> ModeSystem:
     k = np.arange(params.K + 1, dtype=float)
     omega = k * np.sqrt(_h(np.sqrt(params.mu) * k))
     forcing = wave_maker_forcing(params)
-    return ModeSystem(omega=omega, forcing=forcing, label=f"water(mu={params.mu:g})")
+    return ModeSystem(omega=omega, forcing=forcing)
 
 
 def limit_system(K: int) -> ModeSystem:
     """Zero-depth limit: the string with omega_k = k and point-mass forcing."""
-    return ModeSystem(omega=np.arange(K + 1, dtype=float), forcing=limit_forcing(K), label="limit")
+    return ModeSystem(omega=np.arange(K + 1, dtype=float), forcing=limit_forcing(K))
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,6 @@ def test_criterion_4_shallow_limit_convergence():
     c[1:9] = 1.0 / np.arange(1, 9) ** 2
     cfg = SweepConfig(
         mu_list=(1e-1, 1e-2, 1e-3, 1e-4),
-        tau=10.0,
-        K=K,
-        dt=dt,
         zeta0=ModalVector(c),
         zeta1=ModalVector.zeros(K),
         signal=InputSignal.pulse(dt, 10_000, 0.0, 1.0, 1.0),
@@ -135,9 +132,6 @@ def test_criterion_5_single_mode_analytic_check():
     dt = 1e-2  # default dt = 1e-3 * tau
     cfg = SweepConfig(
         mu_list=(mu,),
-        tau=10.0,
-        K=K,
-        dt=dt,
         zeta0=ModalVector.unit(1, K),
         zeta1=ModalVector.zeros(K),
         signal=InputSignal.zero(dt, 1000),

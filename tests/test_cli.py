@@ -251,6 +251,23 @@ def test_horizon_too_large_to_count_exits_1(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args, stage",
+    [
+        (["simulate", "--k-modes", "4", "--tau", "1e6", "--dt", "1e-9"], "simulate"),
+        (["sweep", "--k-modes", "4", "--tau", "1e6", "--dt", "1e-9"], "sweep"),
+        (["verify", "--k-modes", "1000000000000000000"], "config error"),
+    ],
+)
+def test_run_too_large_to_allocate_exits_1(tmp_path, capsys, args, stage):
+    # 10^15 signal samples need 7.11 PiB and 10^18 modes 6.94 EiB, more than any
+    # 64-bit address space holds, so the allocation fails at once
+    assert main([*args, "--out", str(tmp_path), "--k-max", "10"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"wavetank: {stage}: Unable to allocate"), err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_initial_elevation_overflow_exits_1_naming_the_mode(tmp_path, capsys, command):
     # beta_2 = omega_2 zeta0_2 = 2e308 overflows for the limit string

@@ -192,7 +192,7 @@ def test_weak_form_identity_second_order_in_dt():
 def _systems(draw, K):
     omega = draw(st.lists(st.floats(0.1, 100.0), min_size=K, max_size=K))
     forcing = draw(st.lists(st.floats(-1.0, 1.0), min_size=K + 1, max_size=K + 1))
-    return ModeSystem(np.array([0.0, *omega]), np.array(forcing), "drawn")
+    return ModeSystem(np.array([0.0, *omega]), np.array(forcing))
 
 
 def _vectors(K, bound=10.0):

@@ -47,17 +47,17 @@ def test_fit_rate_of_coincident_logs_is_nan():
 
 def test_sweep_config_validation():
     K = 8
-    sig = InputSignal.zero(0.1, 50)
-    kw = dict(tau=5.0, K=K, dt=0.1, zeta0=smooth8(K), zeta1=ModalVector.zeros(K), signal=sig)
-    SweepConfig(mu_list=(1e-1, 1e-2), **kw)
+    kw = dict(zeta0=smooth8(K), zeta1=ModalVector.zeros(K), signal=InputSignal.zero(0.1, 50))
+    cfg = SweepConfig(mu_list=(1e-1, 1e-2), **kw)
+    assert (cfg.K, cfg.dt) == (K, 0.1)
     with pytest.raises(ValueError, match="decreasing"):
         SweepConfig(mu_list=(1e-2, 1e-1), **kw)
     with pytest.raises(ValueError, match="\\(0, 1\\]"):
         SweepConfig(mu_list=(2.0, 1e-2), **kw)
-    with pytest.raises(ValueError, match="short"):
-        SweepConfig(mu_list=(1e-1,), **{**kw, "tau": 50.0})
-    with pytest.raises(ValueError, match="long"):
-        SweepConfig(mu_list=(1e-1,), **{**kw, "tau": 4.9})
+    with pytest.raises(ValueError, match="mode count mismatch"):
+        SweepConfig(mu_list=(1e-1,), **{**kw, "zeta1": ModalVector.zeros(K + 1)})
+    with pytest.raises(ValueError, match="at least one step"):
+        SweepConfig(mu_list=(1e-1,), **{**kw, "signal": InputSignal(0.1, [])})
 
 
 def test_sweep_errors_decrease_and_rate():
@@ -66,9 +66,6 @@ def test_sweep_errors_decrease_and_rate():
     n = 500
     cfg = SweepConfig(
         mu_list=(1e-1, 1e-2, 1e-3, 1e-4),
-        tau=5.0,
-        K=K,
-        dt=dt,
         zeta0=smooth8(K),
         zeta1=ModalVector.zeros(K),
         signal=InputSignal.pulse(dt, n, 0.0, 1.0, 1.0),
@@ -91,9 +88,6 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
     n = 1000
     cfg = SweepConfig(
         mu_list=(mu,),
-        tau=10.0,
-        K=K,
-        dt=dt,
         zeta0=ModalVector.unit(1, K),
         zeta1=ModalVector.zeros(K),
         signal=InputSignal.zero(dt, n),
@@ -163,9 +157,6 @@ def test_run_sweep_matches_per_system_reference_bitwise(data, K, n, dt, mu):
 
     cfg = SweepConfig(
         mu_list=tuple(sorted(mu, reverse=True)),
-        tau=n * dt,
-        K=K,
-        dt=dt,
         zeta0=vector(1.0),
         zeta1=vector(1.0),
         signal=InputSignal(dt, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))),
@@ -256,9 +247,6 @@ def test_sweep_csv_roundtrip(tmp_path):
     dt = 0.05
     cfg = SweepConfig(
         mu_list=(1e-1, 1e-2),
-        tau=1.0,
-        K=K,
-        dt=dt,
         zeta0=ModalVector.unit(1, K),
         zeta1=ModalVector.zeros(K),
         signal=InputSignal.zero(dt, 20),

@@ -1,8 +1,9 @@
-"""Each module's __all__ names what it defines, and the package re-exports only those."""
+"""Each module's __all__ names what it defines; the package root holds only __version__; src imports only numpy."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,10 +19,22 @@ def test_module_all_names_exist(name):
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
-def test_package_reexports_are_in_module_all():
-    tree = ast.parse(Path(wavetank.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        mod = importlib.import_module(f"wavetank.{node.module}")
-        assert [a.name for a in node.names if a.name not in mod.__all__] == [], node.module
+def test_package_root_binds_only_version():
+    docstring, *rest = ast.parse(Path(wavetank.__file__).read_text()).body
+    assert isinstance(docstring, ast.Expr)
+    assert [ast.unparse(node) for node in rest] == [f"__version__ = {wavetank.__version__!r}"]
+
+
+def test_src_imports_only_stdlib_numpy_and_wavetank():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "wavetank"}
+    foreign = {}
+    for path in sorted(Path(wavetank.__file__).parent.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        if imported - allowed:
+            foreign[path.name] = sorted(imported - allowed)
+    assert foreign == {}
