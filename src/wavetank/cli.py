@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._writer import block_rows, write_csv, write_text
+from ._writer import block_rows, row_blocks, write_csv, write_text
 from .basis import ModalVector, SpectralParams
 from .evolution import InputSignal, _blocks, limit_system, make_initial, water_system
 from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
@@ -208,17 +208,17 @@ def parse_initial_spec(spec: str, K: int) -> ModalVector:
         c[1 : top + 1] = 1.0 / np.arange(1, top + 1) ** 2
         return ModalVector(c)
     c = np.zeros(K + 1)
-    for term in spec.split("+"):
-        parts = term.strip().split(":")
-        if len(parts) != 3 or parts[0] != "mode":
-            raise ConfigError(f"bad initial-data term {term!r}; expected mode:K:AMP or a preset")
-        try:
-            k, amp = int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ConfigError(f"bad initial-data term {term!r}") from None
-        if not 0 <= k <= K:
-            raise ConfigError(f"initial-data mode {k} outside 0..{K}")
-        with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows or meets -inf is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows or meets -inf is rejected below
+        for term in spec.split("+"):
+            parts = term.strip().split(":")
+            if len(parts) != 3 or parts[0] != "mode":
+                raise ConfigError(f"bad initial-data term {term!r}; expected mode:K:AMP or a preset")
+            try:
+                k, amp = int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ConfigError(f"bad initial-data term {term!r}") from None
+            if not 0 <= k <= K:
+                raise ConfigError(f"initial-data mode {k} outside 0..{K}")
             c[k] += amp
     if not np.all(np.isfinite(c)):
         raise ConfigError(f"initial-data amplitudes must sum to finite values, got {spec!r}")
@@ -297,13 +297,13 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
 
 
 def _finite_rows(samples):
-    """CSV rows of each (times, zeta, zeta_t) block; ValueError naming the first time that is not finite."""
+    """CSV text of each (times, zeta, zeta_t) block; ValueError naming the first time that is not finite."""
     for block in samples:
         rows = np.column_stack(block)
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         if bad.size:
             raise ValueError(f"the state is not finite at t={rows[bad[0], 0]:g}: the data or input overflow float64")
-        yield rows
+        yield from row_blocks(rows)
 
 
 def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
@@ -336,9 +336,11 @@ def _cmd_field(cfg: RunConfig, out: _OutputSet) -> int:
     params = SpectralParams(mu=cfg.mu, K=cfg.k_modes)
     grid = FieldGrid.regular(*cfg.grid)
     eta = parse_initial_spec(cfg.init, cfg.k_modes)
-    write_field_csv(dirichlet_extension(eta, params, grid), out.path("field_dirichlet.csv"))
     profile = LateralProfile.constant(1.0, min(cfg.l_modes, _FIELD_L_MODES_CAP))
-    write_field_csv(neumann_extension(profile, params, grid), out.path("field_neumann.csv"))
+    # overflow surfaces as non-finite field values, which FieldGrid rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        write_field_csv(dirichlet_extension(eta, params, grid), out.path("field_dirichlet.csv"))
+        write_field_csv(neumann_extension(profile, params, grid), out.path("field_neumann.csv"))
     return 0
 
 

@@ -18,6 +18,10 @@ mode index.
 Each field is one matrix product over the modes: the x factors (`basis._phi`,
 or the lateral ratios) times the coefficient-scaled y factors (the depth
 ratios, or `_psi`, the one evaluator of the lateral family psi_k).
+
+`write_field_csv` writes a field as x,y,value rows through `_writer.grid_rows`,
+which formats each of the nx + ny grid coordinates once per file and each
+field value once, in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._writer import row_blocks, write_csv
+from ._writer import grid_rows, write_csv
 from .basis import ModalVector, SpectralParams, _phi, _readonly, _simpson
 
 __all__ = [
@@ -209,5 +213,4 @@ def write_field_csv(grid: FieldGrid, path) -> None:
     """Serialize a filled grid as x,y,value rows (x outer, y inner), 17 significant digits."""
     if grid.values is None:
         raise ValueError("grid has no values to serialize")
-    columns = (np.repeat(grid.x, grid.ny), np.tile(grid.y, grid.nx), grid.values.ravel())
-    write_csv(path, "x,y,value", row_blocks(*columns))
+    write_csv(path, "x,y,value", grid_rows(grid.x, grid.y, grid.values))

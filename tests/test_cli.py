@@ -289,6 +289,15 @@ def test_sweep_error_norm_overflow_exits_1(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_field_overflow_exits_1_with_one_line(tmp_path, capsys):
+    # each amplitude is finite; the surface field sums them past float64
+    args = ["field", "--out", str(tmp_path), "--mu", "1", "--k-modes", "4", "--grid", "3,3",
+            "--init", "mode:1:1.7e308+mode:0:1.7e308"]
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["wavetank: field: field values must be finite"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_output_error_exits_1_with_one_line(tmp_path, capsys):
     # summary.txt cannot replace a directory; the sweep.csv written before it is removed
     (tmp_path / "summary.txt").mkdir()

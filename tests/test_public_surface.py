@@ -1,4 +1,5 @@
-"""Each module's __all__ names what it defines; the package root holds only __version__; src imports only numpy."""
+"""Each module's __all__ names what it defines; the package root holds only __version__; src imports only numpy;
+_writer alone writes files and holds the CSV row format."""
 
 import ast
 import importlib
@@ -38,3 +39,17 @@ def test_src_imports_only_stdlib_numpy_and_wavetank():
         if imported - allowed:
             foreign[path.name] = sorted(imported - allowed)
     assert foreign == {}
+
+
+def test_only_writer_opens_files_or_holds_the_row_format():
+    found = {}
+    for path in sorted(Path(wavetank.__file__).parent.glob("*.py")):
+        if path.stem == "_writer":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+            # a format spec such as f"{m:.17g}" is the constant ".17g", which has no '%'
+            row_format = isinstance(node, ast.Constant) and isinstance(node.value, str) and "%.17g" in node.value
+            if call in ("open", "os.replace") or call.endswith(".open") or row_format:
+                found.setdefault(path.name, []).append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert found == {}

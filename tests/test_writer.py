@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wavetank import _writer
-from wavetank._writer import row_blocks, write_csv, write_text
+from wavetank._writer import grid_rows, row_blocks, write_csv, write_text
 
 
 def _failing_source():
-    yield np.ones((3, 2))
+    yield from row_blocks(np.ones((3, 2)))
     raise RuntimeError("row source failed")
 
 
@@ -67,3 +67,29 @@ def test_every_field_is_17g_and_round_trips(tmp_path_factory, a):
         assert fields == [f"{v:.17g}" for v in row]
         back = np.array([float(f) for f in fields])
         assert back.tobytes() == row.tobytes()
+
+
+@st.composite
+def _grids(draw):
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    x = draw(hnp.arrays(np.float64, nx, elements=_finite))
+    y = draw(hnp.arrays(np.float64, ny, elements=_finite))
+    return x, y, draw(hnp.arrays(np.float64, (nx, ny), elements=_finite))
+
+
+_EDGES = [-0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1e308]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grids())
+@example((np.array(_EDGES), np.array(_EDGES), np.array([np.roll(_EDGES, i) for i in range(5)])))
+def test_grid_rows_equal_row_blocks_of_repeated_coordinates(grid):
+    x, y, values = grid
+    expected = "".join(row_blocks(np.repeat(x, y.size), np.tile(y, x.size), values.ravel()))
+    # the default block, one point per block, and one x row plus a point per block (splits rows)
+    for chunk in (_writer._CHUNK_VALUES, 5, 3 * (y.size + 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_writer, "_CHUNK_VALUES", chunk)
+            blocks = list(grid_rows(x, y, values))
+        assert "".join(blocks) == expected
+        assert all(b.count("\n") <= max(1, chunk // 3) for b in blocks)
