@@ -17,10 +17,11 @@ With u = 0 each step is a pure rotation, so E = ||alpha||^2 + ||beta||^2 is
 conserved to roundoff regardless of dt.
 
 All stepping goes through one private generator, `_propagate`.  It holds a
-batch of systems as (n_sys, K+1) arrays, computes cos/sin(omega dt) once and
-yields the samples after every step, so a caller reduces them (the sweep) or
-streams them (`simulate`) in O(n_sys K) memory; `step` and `evolve` are its
-one-system users.
+batch of systems as contiguous (n_sys, K) arrays of modes k >= 1 plus
+(n_sys,) vectors of mode 0, computes cos/sin(omega dt) once, steps in place
+without temporaries and yields fresh (n_sys, K+1) samples after every step,
+so a caller reduces them (the sweep) or streams them (`simulate`) in
+O(n_sys K) memory; `step` and `evolve` are its one-system users.
 """
 
 from __future__ import annotations
@@ -161,13 +162,6 @@ def make_initial(zeta0: ModalVector, zeta1: ModalVector, system: ModeSystem) -> 
     return EvolutionState(alpha=zeta1, beta=ModalVector(beta), zeta0=float(zeta0.coeffs[0]), t=0.0)
 
 
-def _reconstruct_zeta(beta, zeta0, omega):
-    z = np.empty_like(beta)
-    z[:, 0] = zeta0
-    z[:, 1:] = beta[:, 1:] / omega[:, 1:]
-    return z
-
-
 def _propagate(states, systems, values, dt):
     """The stepping loop: exact steps of a batch of systems under one input.
 
@@ -175,30 +169,47 @@ def _propagate(states, systems, values, dt):
     m.  Yields (zeta, alpha, beta), each of shape (n_sys, K+1), at
     t = 0, dt, ..., n dt; zeta[:, 0] is the mode-0 elevation.  The arrays are
     new at every step, so a consumer may keep them.
+
+    Modes k >= 1 live in contiguous (n_sys, K) arrays updated in place through
+    two swapped buffers, mode 0 in (n_sys,) vectors; the fixed point
+    p = f u / omega is recomputed only when the bits of u change (0.0 and -0.0
+    give differently signed zeros).  Every sample is bit-identical to the plain
+    per-step formula a1 = c da - s db, b1 = p + s da + c db.
     """
     for state, system in zip(states, systems):
         if state.alpha.K != system.K:
             raise ValueError(f"mode count mismatch: state K={state.alpha.K}, system K={system.K}")
-    omega = np.stack([system.omega for system in systems])
-    forcing = np.stack([system.forcing for system in systems])
+    omega = np.stack([system.omega[1:] for system in systems])
+    forcing = np.stack([system.forcing[1:] for system in systems])
+    f0 = np.array([system.forcing[0] for system in systems])
     alpha = np.stack([state.alpha.coeffs for state in states])
     beta = np.stack([state.beta.coeffs for state in states])
-    zeta0 = np.array([state.zeta0 for state in states])
-    c = np.cos(omega[:, 1:] * dt)
-    s = np.sin(omega[:, 1:] * dt)
-    yield _reconstruct_zeta(beta, zeta0, omega), alpha, beta
-    for u in values:
-        a1 = np.empty_like(alpha)
-        b1 = np.zeros_like(beta)
-        p = forcing[:, 1:] * u / omega[:, 1:]
-        da = alpha[:, 1:]
-        db = beta[:, 1:] - p
-        a1[:, 1:] = c * da - s * db
-        b1[:, 1:] = p + s * da + c * db
-        zeta0 = zeta0 + alpha[:, 0] * dt + 0.5 * forcing[:, 0] * u * dt * dt
-        a1[:, 0] = alpha[:, 0] + forcing[:, 0] * u * dt
-        alpha, beta = a1, b1
-        yield _reconstruct_zeta(beta, zeta0, omega), alpha, beta
+    z0 = np.array([state.zeta0 for state in states])
+    a0, a, b = alpha[:, 0].copy(), alpha[:, 1:].copy(), beta[:, 1:].copy()
+    a1, b1, p, db, t1, t2 = (np.empty_like(a) for _ in range(6))
+    c = np.cos(omega * dt)
+    s = np.sin(omega * dt)
+    zeta = np.empty_like(beta)
+    zeta[:, 0] = z0
+    np.divide(b, omega, out=zeta[:, 1:])
+    yield zeta, alpha, beta
+    values = np.asarray(values, dtype=float)
+    last = None
+    for u, bits in zip(values, values.view(np.uint64)):
+        if bits != last:
+            np.divide(np.multiply(forcing, u, out=p), omega, out=p)
+            last = bits
+        np.subtract(b, p, out=db)
+        np.subtract(np.multiply(c, a, out=t1), np.multiply(s, db, out=t2), out=a1)
+        np.add(np.add(p, np.multiply(s, a, out=t1), out=t1), np.multiply(c, db, out=t2), out=b1)
+        a, a1, b, b1 = a1, a, b1, b
+        z0 = z0 + a0 * dt + 0.5 * f0 * u * dt * dt
+        a0 = a0 + f0 * u * dt
+        zeta, alpha, beta = (np.empty_like(zeta) for _ in range(3))
+        zeta[:, 0], alpha[:, 0], beta[:, 0] = z0, a0, 0.0
+        np.divide(b, omega, out=zeta[:, 1:])
+        alpha[:, 1:], beta[:, 1:] = a, b
+        yield zeta, alpha, beta
 
 
 def step(state: EvolutionState, u: float, dt: float, system: ModeSystem) -> EvolutionState:

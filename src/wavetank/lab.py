@@ -151,18 +151,23 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     systems = [limit_system(cfg.K)] + [water_system(SpectralParams(mu=mu, K=cfg.K)) for mu in cfg.mu_list]
     initial = [make_initial(cfg.zeta0, cfg.zeta1, system) for system in systems]
     w = sobolev_weights(cfg.K, 0.5)
-    prev = None
+    diff = np.empty((len(cfg.mu_list), cfg.K + 1))
+    norms, prev = np.empty((2, len(cfg.mu_list))), None
     # overflow surfaces as a non-finite norm, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for zeta, alpha, _ in _propagate(initial, systems, cfg.signal.values, cfg.dt):
-            half = np.sqrt(((zeta[1:] - zeta[0]) ** 2 * w).sum(axis=1))
-            deriv = np.sqrt(((alpha[1:] - alpha[0]) ** 2).sum(axis=1))
-            norms = np.array([half, deriv])
+            np.subtract(zeta[1:], zeta[0], out=diff)
+            np.multiply(np.square(diff, out=diff), w, out=diff)
+            diff.sum(axis=1, out=norms[0])
+            np.subtract(alpha[1:], alpha[0], out=diff)
+            np.square(diff, out=diff).sum(axis=1, out=norms[1])
+            np.sqrt(norms, out=norms)
             if prev is None:
-                sup, slack = norms, np.zeros_like(norms)
+                sup, slack, prev = norms.copy(), np.zeros_like(norms), np.empty_like(norms)
             else:
-                sup, slack = np.maximum(sup, norms), np.maximum(slack, np.abs(norms - prev))
-            prev = norms
+                np.maximum(sup, norms, out=sup)
+                np.maximum(slack, np.abs(np.subtract(norms, prev, out=prev), out=prev), out=slack)
+            norms, prev = prev, norms
     bad = np.flatnonzero(~np.all(np.isfinite(sup) & np.isfinite(slack), axis=0))
     if bad.size:
         mu = cfg.mu_list[bad[0]]

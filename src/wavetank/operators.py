@@ -56,8 +56,6 @@ __all__ = [
 # lateral modes l > L changes f_k by at most _FORCING_TAIL_CONST/(2L-1)
 _FORCING_TAIL_CONST = 8.0 * math.sqrt(2.0) / (SQRT_PI * math.pi**2)
 
-_CHUNK = 2048
-
 
 def _h(x):
     """tanh(x)/x extended continuously by h(0) = 1.  Decreasing on [0, inf)."""
@@ -90,15 +88,20 @@ def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
 
     Times 4 mu / pi^2 this is sum_{l<=L} H(k, l).  Factoring 4 mu / pi^2 out of
     every term keeps the squared lateral frequencies finite for every mu in (0, 1].
+    The terms are formed in one reused block of max(1, 2^16 // L) rows of L
+    values, by in-place add and reciprocal, so the memory is O(L) plus the
+    block, and each row sums exactly as the lone row 1 / (odd2 + y^2) would.
     """
     if not (isinstance(L, (int, np.integer)) and L >= 1):
         raise ValueError(f"l_modes must be a positive integer, got {L!r}")
     odd2 = (2.0 * np.arange(1, L + 1) - 1.0) ** 2
     y2 = (2.0 * math.sqrt(mu) / math.pi * np.asarray(k, dtype=float)) ** 2
     out = np.empty(y2.shape)
-    for i in range(0, y2.size, _CHUNK):
-        blk = y2[i : i + _CHUNK, None]
-        out[i : i + _CHUNK] = (1.0 / (odd2[None, :] + blk)).sum(axis=1)
+    rows = max(1, (1 << 16) // L)
+    block = np.empty((min(rows, y2.size), L))
+    for i in range(0, y2.size, rows):
+        blk = np.add(odd2, y2[i : i + rows, None], out=block[: min(rows, y2.size - i)])
+        np.reciprocal(blk, out=blk).sum(axis=1, out=out[i : i + rows])
     return out
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavetank.basis import ModalVector, SpectralParams
@@ -18,6 +18,8 @@ from wavetank.evolution import (
     step,
     water_system,
 )
+
+from reference_stepper import reference_advance
 
 
 def test_signal_validation_and_builders():
@@ -253,3 +255,46 @@ def test_step_evolve_and_batched_kernel_agree_bitwise(data, K, n_sys, dt, n):
             np.testing.assert_array_equal(_bits(state.alpha.coeffs), _bits(alpha[i]))
             np.testing.assert_array_equal(_bits(state.beta.coeffs), _bits(beta[i]))
             assert _bits(state.zeta0) == _bits(zeta[i, 0])
+
+
+@st.composite
+def _batches(draw):
+    """(systems, zeta0, zeta1, dt, input values) for one batch of systems sharing K."""
+    K = draw(st.integers(1, 6))
+    systems = draw(st.lists(_systems(K), min_size=1, max_size=4))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20))
+    return systems, draw(_vectors(K)), draw(_vectors(K)), draw(st.floats(1e-3, 10.0)), values
+
+
+# zero modes and an input that flips the sign of zero pin the bit-keyed reuse
+# of p = f u / omega: where cos(omega dt) < 0 (omega = 20, 40 at dt = 0.1),
+# reusing the p of 0.0 at -0.0 flips signed zeros in alpha and beta
+_SIGNED_ZEROS = (
+    [
+        ModeSystem(np.array([0.0, 2.0, 20.0]), np.array([0.5, -1.0, 1.0])),
+        ModeSystem(np.array([0.0, 40.0, 20.0]), np.array([-0.5, 1.0, -1.0])),
+    ],
+    np.array([1.0, -0.0, 0.0]),
+    np.array([-0.0, -0.0, 0.0]),
+    0.1,
+    [0.0, -0.0, -0.0, 0.0, 1.5, 1.5, -0.0],
+)
+
+
+@settings(deadline=None)
+@example(batch=_SIGNED_ZEROS)
+@given(batch=_batches())
+def test_propagate_matches_per_step_reference_bitwise(batch):
+    systems, z0, z1, dt, values = batch
+    initial = [make_initial(ModalVector(z0), ModalVector(z1), s) for s in systems]
+    samples = list(_propagate(initial, systems, values, dt))
+    assert len(samples) == len(values) + 1
+    for i, (system, state) in enumerate(zip(systems, initial)):
+        omega, forcing = system.omega, system.forcing
+        alpha, beta, zeta0 = state.alpha.coeffs, state.beta.coeffs, state.zeta0
+        for m, (zeta, a, b) in enumerate(samples):
+            if m:
+                alpha, beta, zeta0 = reference_advance(alpha, beta, zeta0, values[m - 1], dt, omega, forcing)
+            np.testing.assert_array_equal(_bits(a[i]), _bits(alpha))
+            np.testing.assert_array_equal(_bits(b[i]), _bits(beta))
+            np.testing.assert_array_equal(_bits(zeta[i]), _bits(np.concatenate([[zeta0], beta[1:] / omega[1:]])))

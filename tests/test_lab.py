@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,8 @@ from wavetank.lab import (
     write_sweep_csv,
 )
 from wavetank.operators import dtn_eigenvalue, kernel_G
+
+from reference_stepper import reference_advance
 
 
 def smooth8(K):
@@ -99,22 +102,6 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
     assert report.err_deriv[0] == pytest.approx(oracle, rel=1e-3)
 
 
-def _reference_advance(alpha, beta, zeta0, u, dt, omega, forcing):
-    """One exact step of one system, as the per-system stepper computed it."""
-    a1 = np.empty_like(alpha)
-    b1 = np.zeros_like(beta)
-    c = np.cos(omega[1:] * dt)
-    s = np.sin(omega[1:] * dt)
-    p = forcing[1:] * u / omega[1:]
-    da = alpha[1:]
-    db = beta[1:] - p
-    a1[1:] = c * da - s * db
-    b1[1:] = p + s * da + c * db
-    z0 = zeta0 + alpha[0] * dt + 0.5 * forcing[0] * u * dt * dt
-    a1[0] = alpha[0] + forcing[0] * u * dt
-    return a1, b1, z0
-
-
 def _reference_trajectory(cfg, system):
     """(zeta, zeta_t) rows at every step, one system stepped on its own."""
     state = make_initial(cfg.zeta0, cfg.zeta1, system)
@@ -122,7 +109,7 @@ def _reference_trajectory(cfg, system):
     zeta, zeta_t = [], []
     for m in range(cfg.signal.n_steps + 1):
         if m:
-            alpha, beta, z0 = _reference_advance(
+            alpha, beta, z0 = reference_advance(
                 alpha, beta, z0, cfg.signal.values[m - 1], cfg.dt, system.omega, system.forcing
             )
         zeta.append(np.concatenate([[z0], beta[1:] / system.omega[1:]]))
@@ -164,6 +151,23 @@ def test_run_sweep_matches_per_system_reference_bitwise(data, K, n, dt, mu):
     report = run_sweep(cfg)
     got = np.array([report.err_half, report.err_deriv, report.grid_slack_half, report.grid_slack_deriv])
     np.testing.assert_array_equal(got, _reference_errors(cfg))
+
+
+def test_run_sweep_memory_is_independent_of_the_horizon():
+    # O(n_sys K): the same peak at 200 and 2000 steps, a few (n_sys, K+1) arrays
+    K, mu = 1024, (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    n_sys = 1 + len(mu)
+    peaks = []
+    for n in (200, 2000):
+        cfg = SweepConfig(mu_list=mu, zeta0=smooth8(K), zeta1=ModalVector.zeros(K), signal=InputSignal.zero(0.01, n))
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) < 32 * n_sys * (K + 1) * 8
 
 
 def test_kernel_audit_small_grid():

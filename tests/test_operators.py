@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wavetank.basis import ModalVector, SpectralParams
 from wavetank.evolution import water_system
 from wavetank.lab import PROVEN_TOL
 from wavetank.operators import (
+    _odd_sums,
     bmu_dual_norm_gap,
     dtn_eigenvalue,
     kernel_F,
@@ -213,3 +215,41 @@ def test_closed_lateral_sum_within_series_certificate(log_mu, log_k, log_l):
     series = kernel_H_sum(params, k, min(5000, round(10.0**log_l)))
     diff = closed - series.value
     assert -1e-14 * closed <= diff <= series.tail_bound * (1.0 + PROVEN_TOL)
+
+
+# the oracle's block holds 2^16 values: max(1, 2^16 // L) rows of L terms
+_BLOCK_VALUES = 1 << 16
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    data=st.data(),
+    mu=st.floats(1e-300, 1.0),
+    L=st.one_of(st.integers(1_000, 5_000), st.integers(_BLOCK_VALUES + 1, _BLOCK_VALUES + 5_000)),
+)
+def test_odd_sums_equal_row_at_a_time_reference_bitwise(data, mu, L):
+    rows = max(1, _BLOCK_VALUES // L)
+    n = data.draw(st.integers(1, 2 * rows + 1), label="number of k")
+    k = np.array(data.draw(st.lists(st.integers(0, 10**4), min_size=n, max_size=n)), dtype=float)
+    odd2 = (2.0 * np.arange(1, L + 1) - 1.0) ** 2
+    y2 = (2.0 * math.sqrt(mu) / math.pi * k) ** 2
+    expected = np.array([(1.0 / (odd2 + y2_i)).sum() for y2_i in y2])
+    got = _odd_sums(mu, k, L)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_oracles_need_one_block_not_k_times_l():
+    # O(l_modes) plus one block: a (64, 10^5) or (1025, 10^4) temporary would be 51 or 82 MB
+    params = SpectralParams(mu=1e-3, K=1024)
+    k = np.geomspace(1.0, 1e4, 64)
+    assert _peak_bytes(lambda: kernel_H_sum(params, k, 100_000)) < 4e6
+    assert _peak_bytes(lambda: ntn_forcing(params, 10_000)) < 2e6
