@@ -5,14 +5,14 @@ Neumann cosine family
 
     phi_0(x) = 1/sqrt(pi),      phi_k(x) = sqrt(2/pi) cos(k x)   (k >= 1),
 
-which is orthonormal in L^2[0, pi].  This module provides basis evaluation,
-projection by composite Simpson quadrature, and the mode-weighted norms in
-which convergence is measured; a scale space is named by its exponent alpha,
-a plain float.
+which is orthonormal in L^2[0, pi].  This module holds the coefficient
+vector, the resolution parameters and the mode-weighted norms in which
+convergence is measured; a scale space is named by its exponent alpha, a
+plain float.
 
 The package's one cosine evaluator is `_phi` (the points-by-modes matrix
-phi_k(x_i)), its one Simpson rule `_simpson`, and `_readonly` freezes the
-arrays of every frozen dataclass; `fields` uses all three.
+phi_k(x_i)), which `fields` uses, and `_readonly` freezes the arrays of every
+frozen dataclass and the samples of the stepping kernel.
 """
 
 from __future__ import annotations
@@ -30,12 +30,8 @@ __all__ = [
     "SQRT_2_OVER_PI",
     "SpectralParams",
     "ModalVector",
-    "eval_basis",
-    "eval_function",
-    "project",
     "norm",
     "sobolev_weights",
-    "quadrature_nodes",
 ]
 
 
@@ -48,16 +44,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _phi(k, x) -> np.ndarray:
     """phi_k(x) for a mode index k or an integer array of them; points x lead, modes k trail."""
     return np.where(k == 0, 1.0 / SQRT_PI, SQRT_2_OVER_PI * np.cos(np.multiply.outer(x, k)))
-
-
-def _simpson(a: float, b: float, n_panels: int):
-    """Composite Simpson rule on [a, b] with an even number of uniform panels: (nodes, weights)."""
-    x = np.linspace(a, b, n_panels + 1)
-    w = np.ones(n_panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= ((b - a) / n_panels) / 3.0
-    return x, w
 
 
 @dataclass(frozen=True)
@@ -109,73 +95,6 @@ class ModalVector:
         c = np.zeros(K + 1)
         c[k] = 1.0
         return cls(c)
-
-    def __add__(self, other: "ModalVector") -> "ModalVector":
-        return ModalVector(self.coeffs + _same_length(self, other).coeffs)
-
-    def __sub__(self, other: "ModalVector") -> "ModalVector":
-        return ModalVector(self.coeffs - _same_length(self, other).coeffs)
-
-    def __mul__(self, scalar: float) -> "ModalVector":
-        return ModalVector(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def _same_length(a: ModalVector, b: ModalVector) -> ModalVector:
-    if a.K != b.K:
-        raise ValueError(f"mode count mismatch: K={a.K} vs K={b.K}")
-    return b
-
-
-def _check_domain(x: np.ndarray):
-    if np.any(x < 0.0) or np.any(x > math.pi):
-        raise ValueError("x must lie in [0, pi]")
-
-
-def eval_basis(k: int, x):
-    """Evaluate phi_k at x (scalar or array), x in [0, pi]."""
-    if k < 0:
-        raise ValueError(f"mode index must be nonnegative, got {k}")
-    xa = np.asarray(x, dtype=float)
-    _check_domain(xa)
-    out = _phi(k, xa)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-
-
-def eval_function(v: ModalVector, x):
-    """Evaluate sum_k v_k phi_k(x) for x in [0, pi]."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(xa)
-    out = _phi(np.arange(v.K + 1), xa) @ v.coeffs
-    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
-
-
-def quadrature_nodes(K: int):
-    """Composite Simpson rule on [0, pi] with 4K+1 uniform nodes.
-
-    4K panels give at least four points per wavelength for mode K, so products
-    of any two retained modes (frequency at most 2K) are integrated exactly up
-    to roundoff.  Returns (nodes, weights).
-    """
-    return _simpson(0.0, math.pi, 4 * K)
-
-
-def project(f, params: SpectralParams) -> ModalVector:
-    """Project a function on [0, pi] onto modes 0..K by Simpson quadrature.
-
-    f may be vectorized over numpy arrays or accept scalars only.
-    """
-    x, w = quadrature_nodes(params.K)
-    try:
-        fx = np.asarray(f(x), dtype=float)
-        if fx.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fx = np.array([float(f(xi)) for xi in x])
-    if not np.all(np.isfinite(fx)):
-        raise ValueError("function samples must be finite")
-    return ModalVector((w * fx) @ _phi(np.arange(params.K + 1), x))
 
 
 def sobolev_weights(K: int, alpha: float) -> np.ndarray:

@@ -191,7 +191,7 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     # fail early on malformed mini-language specs
     parse_initial_spec(cfg.init, cfg.k_modes)
     parse_initial_spec(cfg.init1, cfg.k_modes)
-    make_signal(cfg.signal, 1.0, 1)
+    _signal_spec(cfg.signal)
     return cfg
 
 
@@ -225,20 +225,34 @@ def parse_initial_spec(spec: str, K: int) -> ModalVector:
     return ModalVector(c)
 
 
-def make_signal(spec: str, dt: float, n_steps: int) -> InputSignal:
-    """Signal mini-language: zero | const:AMP | pulse:T0:T1:AMP."""
+def _signal_spec(spec: str):
+    """(kind, numbers) of a signal spec; ConfigError unless the numbers are finite and a pulse has T0 < T1."""
     spec = spec.strip()
-    if spec == "zero":
-        return InputSignal.zero(dt, n_steps)
-    parts = spec.split(":")
+    kind, *args = spec.split(":")
     try:
-        if parts[0] == "const" and len(parts) == 2:
-            return InputSignal.constant(dt, n_steps, float(parts[1]))
-        if parts[0] == "pulse" and len(parts) == 4:
-            return InputSignal.pulse(dt, n_steps, float(parts[1]), float(parts[2]), float(parts[3]))
+        nums = [float(a) for a in args]
     except ValueError:
-        pass
-    raise ConfigError(f"bad signal spec {spec!r}; expected zero, const:AMP or pulse:T0:T1:AMP")
+        nums = None
+    if nums is None or len(nums) != {"zero": 0, "const": 1, "pulse": 3}.get(kind):
+        raise ConfigError(f"bad signal spec {spec!r}; expected zero, const:AMP or pulse:T0:T1:AMP")
+    if not all(map(math.isfinite, nums)):
+        raise ConfigError(f"signal {spec!r}: numbers must be finite")
+    if kind == "pulse" and not nums[0] < nums[1]:
+        raise ConfigError(f"signal {spec!r}: the pulse window [T0, T1) needs T0 < T1")
+    return kind, nums
+
+
+def make_signal(spec: str, dt: float, n_steps: int) -> InputSignal:
+    """Signal mini-language: zero | const:AMP | pulse:T0:T1:AMP, a pulse holding a step start m dt < n_steps dt."""
+    kind, nums = _signal_spec(spec)
+    if kind == "zero":
+        return InputSignal.zero(dt, n_steps)
+    if kind == "const":
+        return InputSignal.constant(dt, n_steps, *nums)
+    try:
+        return InputSignal.pulse(dt, n_steps, *nums)
+    except ValueError as exc:
+        raise ConfigError(f"signal {spec.strip()!r}: {exc}") from None
 
 
 class _OutputSet:
@@ -369,7 +383,8 @@ def _config_help() -> str:
         "initial-data mini-language (init, init1):",
         "  zero | cos1 (unit coefficient on mode 1) | smooth8 (modes 1..8, amplitude 1/k^2)",
         "  | mode:K:AMP terms joined by '+', e.g. mode:1:1+mode:3:0.5",
-        "signal mini-language: zero | const:AMP | pulse:T0:T1:AMP (held on [T0, T1))",
+        "signal mini-language: zero | const:AMP | pulse:T0:T1:AMP (held on [T0, T1), T0 < T1,",
+        "  which must hold a step start m*dt < tau)",
     ]
     return "\n".join(lines)
 

@@ -17,11 +17,10 @@ With u = 0 each step is a pure rotation, so E = ||alpha||^2 + ||beta||^2 is
 conserved to roundoff regardless of dt.
 
 All stepping goes through one private generator, `_propagate`.  It holds a
-batch of systems as contiguous (n_sys, K) arrays of modes k >= 1 plus
-(n_sys,) vectors of mode 0, computes cos/sin(omega dt) once, steps in place
-without temporaries and yields fresh (n_sys, K+1) samples after every step,
-so a caller reduces them (the sweep) or streams them (`simulate`) in
-O(n_sys K) memory; `step` and `evolve` are its one-system users.
+batch of systems in (n_sys, K+1) buffers, computes cos/sin(omega dt) once,
+steps in place without allocating and yields read-only views of the buffers
+after every step, so a caller reduces them (the sweep) or streams them
+(`simulate`, through `_blocks`) in O(n_sys K) memory.
 """
 
 from __future__ import annotations
@@ -38,13 +37,9 @@ __all__ = [
     "InputSignal",
     "ModeSystem",
     "EvolutionState",
-    "Trajectory",
     "water_system",
     "limit_system",
     "make_initial",
-    "step",
-    "evolve",
-    "energy",
 ]
 
 
@@ -67,10 +62,6 @@ class InputSignal:
     def n_steps(self) -> int:
         return self.values.size
 
-    @property
-    def duration(self) -> float:
-        return self.n_steps * self.dt
-
     @classmethod
     def zero(cls, dt: float, n_steps: int) -> "InputSignal":
         return cls(dt, np.zeros(n_steps))
@@ -81,16 +72,13 @@ class InputSignal:
 
     @classmethod
     def pulse(cls, dt: float, n_steps: int, t_on: float, t_off: float, amplitude: float) -> "InputSignal":
-        """amplitude on [t_on, t_off), sampled on the step grid."""
+        """amplitude on [t_on, t_off), sampled on the step grid; the window must hold a step start."""
         t = np.arange(n_steps) * dt
-        v = np.where((t >= t_on) & (t < t_off), float(amplitude), 0.0)
-        return cls(dt, v)
-
-    @classmethod
-    def from_function(cls, fn, dt: float, n_steps: int) -> "InputSignal":
-        """Sample an arbitrary u(t) at the left step endpoints (first-order commitment)."""
-        t = np.arange(n_steps) * dt
-        return cls(dt, np.array([float(fn(ti)) for ti in t]))
+        on = (t >= t_on) & (t < t_off)
+        if not on.any():
+            grid = f"dt={dt:g}, m < {n_steps}"
+            raise ValueError(f"the window [{t_on:g}, {t_off:g}) holds no step start m*dt of the grid {grid}")
+        return cls(dt, np.where(on, float(amplitude), 0.0))
 
 
 @dataclass(frozen=True)
@@ -167,79 +155,50 @@ def _propagate(states, systems, values, dt):
 
     Every state is stepped by its own system with u held at values[m] on step
     m.  Yields (zeta, alpha, beta), each of shape (n_sys, K+1), at
-    t = 0, dt, ..., n dt; zeta[:, 0] is the mode-0 elevation.  The arrays are
-    new at every step, so a consumer may keep them.
+    t = 0, dt, ..., n dt; zeta[:, 0] is the mode-0 elevation.  They are
+    read-only views of buffers that the next step overwrites, so a consumer
+    that keeps a sample copies it.
 
-    Modes k >= 1 live in contiguous (n_sys, K) arrays updated in place through
-    two swapped buffers, mode 0 in (n_sys,) vectors; the fixed point
-    p = f u / omega is recomputed only when the bits of u change (0.0 and -0.0
-    give differently signed zeros).  Every sample is bit-identical to the plain
-    per-step formula a1 = c da - s db, b1 = p + s da + c db.
+    Each step rotates a whole contiguous alpha and beta buffer into a second
+    pair, and the pairs swap.  Mode 0 rides in column 0 with a stand-in
+    frequency 1 and forcing 0, so the rotation needs no slicing, and its exact
+    values (alpha_0 + f_0 u dt, beta_0 = 0, the quadratic zeta_0) overwrite
+    the column.  The fixed point p = f u / omega is recomputed only when the
+    bits of u change (0.0 and -0.0 give differently signed zeros).  Every
+    sample is bit-identical to the plain per-step formula a1 = c da - s db,
+    b1 = p + s da + c db.
     """
     for state, system in zip(states, systems):
         if state.alpha.K != system.K:
             raise ValueError(f"mode count mismatch: state K={state.alpha.K}, system K={system.K}")
-    omega = np.stack([system.omega[1:] for system in systems])
-    forcing = np.stack([system.forcing[1:] for system in systems])
-    f0 = np.array([system.forcing[0] for system in systems])
+    omega = np.stack([system.omega for system in systems])
+    forcing = np.stack([system.forcing for system in systems])
+    f0 = forcing[:, 0].copy()
+    omega[:, 0], forcing[:, 0] = 1.0, 0.0
     alpha = np.stack([state.alpha.coeffs for state in states])
     beta = np.stack([state.beta.coeffs for state in states])
-    z0 = np.array([state.zeta0 for state in states])
-    a0, a, b = alpha[:, 0].copy(), alpha[:, 1:].copy(), beta[:, 1:].copy()
-    a1, b1, p, db, t1, t2 = (np.empty_like(a) for _ in range(6))
+    alpha1, beta1, zeta, p, db, t1, t2 = (np.empty_like(alpha) for _ in range(7))
     c = np.cos(omega * dt)
     s = np.sin(omega * dt)
-    zeta = np.empty_like(beta)
+    z0 = np.array([state.zeta0 for state in states])
+    np.divide(beta, omega, out=zeta)
     zeta[:, 0] = z0
-    np.divide(b, omega, out=zeta[:, 1:])
-    yield zeta, alpha, beta
+    yield _readonly(zeta.view()), _readonly(alpha.view()), _readonly(beta.view())
     values = np.asarray(values, dtype=float)
     last = None
     for u, bits in zip(values, values.view(np.uint64)):
         if bits != last:
             np.divide(np.multiply(forcing, u, out=p), omega, out=p)
             last = bits
-        np.subtract(b, p, out=db)
-        np.subtract(np.multiply(c, a, out=t1), np.multiply(s, db, out=t2), out=a1)
-        np.add(np.add(p, np.multiply(s, a, out=t1), out=t1), np.multiply(c, db, out=t2), out=b1)
-        a, a1, b, b1 = a1, a, b1, b
-        z0 = z0 + a0 * dt + 0.5 * f0 * u * dt * dt
-        a0 = a0 + f0 * u * dt
-        zeta, alpha, beta = (np.empty_like(zeta) for _ in range(3))
-        zeta[:, 0], alpha[:, 0], beta[:, 0] = z0, a0, 0.0
-        np.divide(b, omega, out=zeta[:, 1:])
-        alpha[:, 1:], beta[:, 1:] = a, b
-        yield zeta, alpha, beta
-
-
-def step(state: EvolutionState, u: float, dt: float, system: ModeSystem) -> EvolutionState:
-    """Advance one step of length dt with the input held at u."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    *_, (zeta, alpha, beta) = _propagate([state], [system], [float(u)], float(dt))
-    return EvolutionState(
-        alpha=ModalVector(alpha[0]), beta=ModalVector(beta[0]), zeta0=float(zeta[0, 0]), t=state.t + dt
-    )
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled evolution: rows of zeta and zeta_t hold modal coefficients at times[i]."""
-
-    times: np.ndarray
-    zeta: np.ndarray
-    zeta_t: np.ndarray
-
-    def __post_init__(self):
-        for name in ("times", "zeta", "zeta_t"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-        n = self.times.size
-        if self.zeta.shape[0] != n or self.zeta_t.shape != self.zeta.shape:
-            raise ValueError("times, zeta and zeta_t lengths disagree")
-
-    @property
-    def K(self) -> int:
-        return self.zeta.shape[1] - 1
+        np.subtract(beta, p, out=db)
+        np.subtract(np.multiply(c, alpha, out=t1), np.multiply(s, db, out=t2), out=alpha1)
+        np.add(np.add(p, np.multiply(s, alpha, out=t1), out=t1), np.multiply(c, db, out=t2), out=beta1)
+        z0 = z0 + alpha[:, 0] * dt + 0.5 * f0 * u * dt * dt
+        alpha1[:, 0], beta1[:, 0] = alpha[:, 0] + f0 * u * dt, 0.0
+        alpha, alpha1, beta, beta1 = alpha1, alpha, beta1, beta
+        np.divide(beta, omega, out=zeta)
+        zeta[:, 0] = z0
+        yield _readonly(zeta.view()), _readonly(alpha.view()), _readonly(beta.view())
 
 
 def _blocks(initial: EvolutionState, signal: InputSignal, system: ModeSystem, rows: int):
@@ -253,13 +212,3 @@ def _blocks(initial: EvolutionState, signal: InputSignal, system: ModeSystem, ro
         for i, (z, a, _) in enumerate(itertools.islice(samples, t.size)):
             zeta[i], zeta_t[i] = z[0], a[0]
         yield t, zeta, zeta_t
-
-
-def evolve(initial: EvolutionState, signal: InputSignal, system: ModeSystem) -> Trajectory:
-    """Exact stepping through the whole signal, sampled at t_i = t0 + i dt."""
-    return Trajectory(*next(_blocks(initial, signal, system, signal.n_steps + 1)))
-
-
-def energy(state: EvolutionState) -> float:
-    """E = ||alpha||^2 + ||beta||^2; invariant under zero input."""
-    return float(np.sum(state.alpha.coeffs**2) + np.sum(state.beta.coeffs**2))

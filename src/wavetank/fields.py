@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._writer import grid_rows, write_csv
-from .basis import ModalVector, SpectralParams, _phi, _readonly, _simpson
+from .basis import ModalVector, SpectralParams, _phi, _readonly
 
 __all__ = [
     "FieldGrid",
@@ -42,7 +42,6 @@ __all__ = [
     "dirichlet_extension",
     "neumann_values",
     "neumann_extension",
-    "verify_harmonic",
     "write_field_csv",
 ]
 
@@ -89,11 +88,6 @@ class FieldGrid:
             raise ValueError("grid needs nx, ny >= 2")
         return cls(np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny))
 
-    @classmethod
-    def interior(cls, nx: int, ny: int) -> "FieldGrid":
-        """nx-by-ny uniform grid strictly inside the rectangle."""
-        return cls(np.linspace(0.0, math.pi, nx + 2)[1:-1], np.linspace(-1.0, 0.0, ny + 2)[1:-1])
-
 
 @dataclass(frozen=True, eq=False)
 class LateralProfile:
@@ -112,31 +106,10 @@ class LateralProfile:
         return self.coeffs.size
 
     @classmethod
-    def single_mode(cls, k: int, n_modes: Optional[int] = None) -> "LateralProfile":
-        n = k if n_modes is None else n_modes
-        if not 1 <= k <= n:
-            raise ValueError(f"lateral mode index {k} outside 1..{n}")
-        c = np.zeros(n)
-        c[k - 1] = 1.0
-        return cls(c)
-
-    @classmethod
     def constant(cls, amplitude: float, n_modes: int) -> "LateralProfile":
         """v = amplitude on [-1, 0]: <v, psi_k> = 2 sqrt(2) (-1)^(k+1) amplitude / ((2k-1) pi)."""
         k = np.arange(1, n_modes + 1)
         return cls(2.0 * math.sqrt(2.0) * (-1.0) ** (k + 1) * float(amplitude) / ((2 * k - 1) * math.pi))
-
-    @classmethod
-    def from_function(cls, fn, n_modes: int, n_panels: int = 2048) -> "LateralProfile":
-        """Project a function on [-1, 0] by composite Simpson quadrature."""
-        y, w = _simpson(-1.0, 0.0, 2 * n_panels)
-        vy = np.array([float(fn(yi)) for yi in y])
-        if not np.all(np.isfinite(vy)):
-            raise ValueError("profile samples must be finite")
-        return cls((w * vy) @ _psi(n_modes, y))
-
-    def evaluate(self, y) -> np.ndarray:
-        return _psi(self.n_modes, np.atleast_1d(np.asarray(y, dtype=float))) @ self.coeffs
 
 
 def _psi(n: int, y: np.ndarray) -> np.ndarray:
@@ -182,31 +155,6 @@ def neumann_values(profile: LateralProfile, params: SpectralParams, x, y) -> np.
 
 def neumann_extension(profile: LateralProfile, params: SpectralParams, grid: FieldGrid) -> FieldGrid:
     return FieldGrid(grid.x, grid.y, neumann_values(profile, params, grid.x, grid.y))
-
-
-def verify_harmonic(
-    values_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    params: SpectralParams,
-    x,
-    y,
-    h: float = 1e-3,
-) -> float:
-    """Max |mu d2/dx2 + d2/dy2| residual over the tensor points, by 5-point stencils.
-
-    values_fn(x, y) must return the field on the tensor grid.  The residual of
-    an exact separated solution is O(h^2); points must keep distance h from
-    the boundary so the stencil stays inside the rectangle.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    if h <= 0:
-        raise ValueError("stencil step h must be positive")
-    if np.any(xa - h < 0) or np.any(xa + h > math.pi) or np.any(ya - h < -1) or np.any(ya + h > 0):
-        raise ValueError("stencil points must lie strictly inside the rectangle (margin h)")
-    f0 = values_fn(xa, ya)
-    d2x = (values_fn(xa + h, ya) - 2.0 * f0 + values_fn(xa - h, ya)) / h**2
-    d2y = (values_fn(xa, ya + h) - 2.0 * f0 + values_fn(xa, ya - h)) / h**2
-    return float(np.abs(params.mu * d2x + d2y).max())
 
 
 def write_field_csv(grid: FieldGrid, path) -> None:

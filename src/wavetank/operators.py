@@ -19,10 +19,10 @@ lateral series exactly,
     h(x) = tanh(x)/x,
 
 so production code uses the closed forms (`lateral_sum`,
-`wave_maker_forcing`).  The truncated series (`ntn_forcing`, `kernel_H_sum`)
-is kept as an independent oracle: it takes the lateral truncation l_modes and
-returns the sum with its certified tail (`SeriesSum`); the kernel audit checks
-the closed form against it.  The comparison kernels F, G, I, J
+`wave_maker_forcing`).  The truncated series `kernel_H_sum` is kept as an
+independent oracle: it takes the lateral truncation l_modes and returns the
+sum with its certified tail (`SeriesSum`); the kernel audit checks the closed
+form against it.  The comparison kernels F, G, I, J
 quantify, mode by mode, how far the tank's resolvents, square roots and
 forcing sit from their limits; the convergence lab audits their proven
 envelopes.
@@ -39,8 +39,6 @@ from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, SpectralParams, norm
 
 __all__ = [
     "SeriesSum",
-    "dtn_eigenvalue",
-    "ntn_forcing",
     "limit_forcing",
     "kernel_F",
     "kernel_G",
@@ -52,10 +50,6 @@ __all__ = [
     "bmu_dual_norm_gap",
 ]
 
-# f_k = -_FORCING_TAIL_CONST * _odd_sums(mu, k, inf) for k >= 1; dropping the
-# lateral modes l > L changes f_k by at most _FORCING_TAIL_CONST/(2L-1)
-_FORCING_TAIL_CONST = 8.0 * math.sqrt(2.0) / (SQRT_PI * math.pi**2)
-
 
 def _h(x):
     """tanh(x)/x extended continuously by h(0) = 1.  Decreasing on [0, inf)."""
@@ -64,16 +58,6 @@ def _h(x):
     nz = x != 0.0
     np.divide(np.tanh(x, where=nz, out=np.zeros_like(x)), x, where=nz, out=out)
     return out
-
-
-def dtn_eigenvalue(params: SpectralParams, k):
-    """lambda_k = sqrt(mu) k tanh(sqrt(mu) k); exactly zero at k = 0."""
-    ka = np.asarray(k, dtype=float)
-    if np.any(ka < 0):
-        raise ValueError("mode index must be nonnegative")
-    a = math.sqrt(params.mu) * ka
-    out = a * np.tanh(a)
-    return float(out) if np.isscalar(k) else out
 
 
 class SeriesSum(NamedTuple):
@@ -103,19 +87,6 @@ def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
         blk = np.add(odd2, y2[i : i + rows, None], out=block[: min(rows, y2.size - i)])
         np.reciprocal(blk, out=blk).sum(axis=1, out=out[i : i + rows])
     return out
-
-
-def ntn_forcing(params: SpectralParams, l_modes: int) -> SeriesSum:
-    """Forcing coefficients f_k = <(1/mu) B 1, phi_k> for modes 0..K by the lateral series.
-
-    This is the oracle for `wave_maker_forcing`.  Mode 0 uses the exact closed
-    form -1/sqrt(pi) (termwise integration of the lateral series,
-    sum 1/(2l-1)^2 = pi^2/8); modes k >= 1 sum the first l_modes lateral terms.
-    tail_bound bounds the sup-over-k error of the truncation.
-    """
-    f = -_FORCING_TAIL_CONST * _odd_sums(params.mu, np.arange(params.K + 1), l_modes)
-    f[0] = -1.0 / SQRT_PI
-    return SeriesSum(f, _FORCING_TAIL_CONST / (2.0 * l_modes - 1.0))
 
 
 def limit_forcing(K: int) -> np.ndarray:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from wavetank import cli
 from wavetank.basis import ModalVector, SpectralParams
 from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_initial_spec
-from wavetank.evolution import evolve, make_initial, water_system
+from wavetank.evolution import make_initial, water_system
 from wavetank.lab import KernelAudit, KernelAuditRow
+
+from oracles import evolve
 
 
 def test_defaults_for_verify():
@@ -196,8 +198,8 @@ def test_simulate_streams_the_rows_of_evolve(tmp_path):
     assert main(args) == 0
     system = water_system(SpectralParams(mu=0.01, K=2000))
     initial = make_initial(parse_initial_spec("smooth8", 2000), ModalVector.zeros(2000), system)
-    traj = evolve(initial, make_signal("pulse:0:0.2:1", 0.01, 50), system)
-    expected = [",".join(f"{v:.17g}" for v in row) for row in np.column_stack([traj.times, traj.zeta, traj.zeta_t])]
+    rows = np.column_stack(evolve(initial, make_signal("pulse:0:0.2:1", 0.01, 50), system))
+    expected = [",".join(f"{v:.17g}" for v in row) for row in rows]
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == expected
 
 
@@ -380,3 +382,21 @@ def test_verify_quick_grid(tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("signal", ["pulse:1:0:1", "pulse:1:1:1", "pulse:nan:1:1", "pulse:0:inf:1", "pulse:0:1:nan"])
+def test_empty_or_non_finite_pulse_is_a_config_error(tmp_path, capsys, signal):
+    assert main(["simulate", "--out", str(tmp_path), "--tau", "10", "--signal", signal]) == 1
+    assert capsys.readouterr().err.startswith(f"wavetank: config error: signal '{signal}': ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("window", ["20:30", "0.001:0.002"])
+def test_pulse_holding_no_step_start_exits_1_naming_window_and_grid(tmp_path, capsys, command, window):
+    # past the horizon, or between two step starts, the pulse would be u = 0; amplitude 0 itself is allowed
+    args = [command, "--out", str(tmp_path), "--k-modes", "4", "--tau", "10", "--k-max", "10", "--l-modes", "10"]
+    assert main([*args, "--signal", f"pulse:{window}:1"]) == 1
+    window_text = f"the window [{window.replace(':', ', ')}) holds no step start m*dt of the grid dt=0.01, m < 1000"
+    assert capsys.readouterr().err == f"wavetank: {command}: signal 'pulse:{window}:1': {window_text}\n"
+    assert not any(tmp_path.iterdir())
+    assert main([*args, "--signal", "pulse:0:1:0"]) == 0

@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from wavetank.basis import ModalVector, SpectralParams, eval_basis, quadrature_nodes
+from wavetank.basis import ModalVector, SpectralParams
 from wavetank.fields import (
     FieldGrid,
     LateralProfile,
+    _psi,
     dirichlet_extension,
     dirichlet_values,
     neumann_extension,
     neumann_values,
-    verify_harmonic,
     write_field_csv,
 )
-from wavetank.operators import dtn_eigenvalue, ntn_forcing
+
+from oracles import (_simpson, eval_basis, interior, lateral_projection, lateral_unit, ntn_forcing,
+                     quadrature_nodes, verify_harmonic)
 
 MU = 0.25
 PARAMS = SpectralParams(mu=MU, K=8)
@@ -45,7 +47,7 @@ class TestGridAndProfile:
             FieldGrid(np.array([0.1, 0.2]), np.array([-0.5, 0.5]))
         with pytest.raises(ValueError, match=">= 2"):
             FieldGrid(np.array([0.1]), np.array([-0.5, 0.0]))
-        g = FieldGrid.interior(50, 50)
+        g = interior(50, 50)
         assert g.nx == g.ny == 50
         assert g.x[0] > 0 and g.x[-1] < math.pi
         with pytest.raises(ValueError, match="shape"):
@@ -58,7 +60,7 @@ class TestGridAndProfile:
         np.testing.assert_allclose(prof.coeffs, expected, rtol=1e-15)
 
     def test_profile_projection_roundtrip(self):
-        prof = LateralProfile.from_function(
+        prof = lateral_projection(
             lambda y: math.sqrt(2) * math.cos(3 * (math.pi / 2) * (y + 1)), 4
         )
         expected = np.zeros(4)
@@ -66,9 +68,10 @@ class TestGridAndProfile:
         np.testing.assert_allclose(prof.coeffs, expected, atol=1e-10)
 
     def test_profile_evaluate(self):
-        prof = LateralProfile.single_mode(1, 3)
+        prof = lateral_unit(1, 3)
         y = np.linspace(-1, 0, 5)
-        np.testing.assert_allclose(prof.evaluate(y), math.sqrt(2) * np.cos((math.pi / 2) * (y + 1)), rtol=1e-14)
+        expected = math.sqrt(2) * np.cos((math.pi / 2) * (y + 1))
+        np.testing.assert_allclose(_psi(prof.n_modes, y) @ prof.coeffs, expected, rtol=1e-14)
 
 
 class TestDirichletExtension:
@@ -103,7 +106,7 @@ class TestDirichletExtension:
         xq, wq = quadrature_nodes(64)
         dy = one_sided_dy(lambda xx, yy: dirichlet_values(eta, PARAMS, xx, yy), xq, 0.0, 1e-4, -1)
         proj = float((dy * np.asarray(eval_basis(1, xq)) * wq).sum())
-        assert proj == pytest.approx(dtn_eigenvalue(PARAMS, 1), abs=1e-8)
+        assert proj == pytest.approx(math.sqrt(MU) * math.tanh(math.sqrt(MU)), abs=1e-8)
 
 
 class TestNeumannExtension:
@@ -118,13 +121,13 @@ class TestNeumannExtension:
         assert np.abs(vals).max() < 1e-15
 
     def test_wavemaker_flux_reconstructs_profile(self):
-        prof = LateralProfile.single_mode(1, 1)
+        prof = lateral_unit(1, 1)
         y = np.linspace(-0.95, -0.05, 11)
         dx = one_sided_dx(lambda xx, yy: neumann_values(prof, PARAMS, xx, yy), 0.0, y, 1e-4, +1)
-        np.testing.assert_allclose(dx, -prof.evaluate(y), atol=1e-6)
+        np.testing.assert_allclose(dx, -_psi(prof.n_modes, y) @ prof.coeffs, atol=1e-6)
 
     def test_far_wall_flux_vanishes(self):
-        prof = LateralProfile.single_mode(1, 1)
+        prof = lateral_unit(1, 1)
         y = np.linspace(-0.9, -0.1, 7)
         dx = one_sided_dx(lambda xx, yy: neumann_values(prof, PARAMS, xx, yy), math.pi, y, 1e-4, -1)
         assert np.abs(dx).max() < 1e-10
@@ -135,12 +138,7 @@ class TestNeumannExtension:
         wave-maker boundary layers of every retained lateral mode."""
         L = 64
         prof = LateralProfile.constant(1.0, L)
-        n = 20001
-        xq = np.linspace(0.0, math.pi, n)
-        wq = np.ones(n)
-        wq[1:-1:2] = 4.0
-        wq[2:-1:2] = 2.0
-        wq *= (math.pi / (n - 1)) / 3.0
+        xq, wq = _simpson(0.0, math.pi, 20000)
         dy = one_sided_dy(lambda xx, yy: neumann_values(prof, PARAMS, xx, yy), xq, 0.0, 1e-4, -1)
         matched = ntn_forcing(SpectralParams(mu=MU, K=8), L)
         full = ntn_forcing(SpectralParams(mu=MU, K=8), 10_000)
@@ -158,7 +156,7 @@ class TestNeumannExtension:
     def test_boundary_layer_decay(self):
         # for small mu the field is confined near the wave maker
         params = SpectralParams(mu=1e-4, K=2)
-        prof = LateralProfile.single_mode(1, 1)
+        prof = lateral_unit(1, 1)
         vals = neumann_values(prof, params, np.array([0.0, 0.5, 1.0]), np.array([-0.5]))
         assert abs(vals[1, 0]) < abs(vals[0, 0]) * 1e-30
         assert abs(vals[2, 0]) < abs(vals[0, 0]) * 1e-60
@@ -176,15 +174,15 @@ class TestHarmonicity:
     def test_dirichlet_residual_second_order(self):
         eta = ModalVector.unit(1, 2)
         params = SpectralParams(mu=MU, K=2)
-        g = FieldGrid.interior(20, 20)
+        g = interior(20, 20)
         fn = lambda x, y: dirichlet_values(eta, params, x, y)
         r1 = verify_harmonic(fn, params, g.x, g.y, h=2e-3)
         r2 = verify_harmonic(fn, params, g.x, g.y, h=1e-3)
         assert 3.5 < r1 / r2 < 4.5
 
     def test_neumann_residual_small(self):
-        prof = LateralProfile.single_mode(1, 1)
-        g = FieldGrid.interior(50, 50)
+        prof = lateral_unit(1, 1)
+        g = interior(50, 50)
         fn = lambda x, y: neumann_values(prof, PARAMS, x, y)
         assert verify_harmonic(fn, PARAMS, g.x, g.y, h=1e-3) < 1e-6
 
@@ -197,7 +195,7 @@ class TestOverflowSafety:
         ys = np.array([-1.0, -0.5, -1e-3, 0.0])
         vals = dirichlet_values(eta, params, xs, ys)
         assert np.all(np.isfinite(vals))
-        prof = LateralProfile.single_mode(10_000, 10_000)
+        prof = lateral_unit(10_000, 10_000)
         vals = neumann_values(prof, params, xs, ys)
         assert np.all(np.isfinite(vals))
 

@@ -21,7 +21,7 @@ from wavetank.lab import (
     sweep_summary,
     write_sweep_csv,
 )
-from wavetank.operators import dtn_eigenvalue, kernel_G
+from wavetank.operators import kernel_G
 
 from reference_stepper import reference_advance
 
@@ -196,7 +196,8 @@ def _probe_gaps(mu, K, probes):
     """Resolvent gaps of each probe row, as the per-probe audit computed them: plain and sqrt channel."""
     params = SpectralParams(mu=mu, K=K)
     k = np.arange(K + 1, dtype=float)
-    plain = probes / (1.0 + dtn_eigenvalue(params, k) / mu) - probes / (1.0 + k**2)
+    a = math.sqrt(mu) * k
+    plain = probes / (1.0 + a * np.tanh(a) / mu) - probes / (1.0 + k**2)
     sqrt_channel = kernel_G(params, k[1:]) * probes[:, 1:]
     return np.linalg.norm(plain, axis=1), np.linalg.norm(sqrt_channel, axis=1)
 

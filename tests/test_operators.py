@@ -12,7 +12,6 @@ from wavetank.lab import PROVEN_TOL
 from wavetank.operators import (
     _odd_sums,
     bmu_dual_norm_gap,
-    dtn_eigenvalue,
     kernel_F,
     kernel_G,
     kernel_H_sum,
@@ -20,11 +19,17 @@ from wavetank.operators import (
     kernel_J,
     lateral_sum,
     limit_forcing,
-    ntn_forcing,
     wave_maker_forcing,
 )
 
+from oracles import ntn_forcing
+
 SQ2PI = math.sqrt(2.0 / math.pi)
+
+
+def dtn_eigenvalue(params, k):
+    """lambda_k = mu omega_k^2: the tank's frequencies are the roots of its scaled DtN eigenvalues."""
+    return params.mu * water_system(SpectralParams(mu=params.mu, K=max(1, int(np.max(k))))).omega[k] ** 2
 
 
 def closed_form_forcing(mu, k):

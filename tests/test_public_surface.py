@@ -1,5 +1,5 @@
 """Each module's __all__ names what it defines; the package root holds only __version__; src imports only numpy;
-_writer alone writes files and holds the CSV row format."""
+_writer alone writes files and holds the CSV row format; every function in src runs under some command."""
 
 import ast
 import importlib
@@ -53,3 +53,58 @@ def test_only_writer_opens_files_or_holds_the_row_format():
             if call in ("open", "os.replace") or call.endswith(".open") or row_format:
                 found.setdefault(path.name, []).append(f"line {node.lineno}: {ast.unparse(node)}")
     assert found == {}
+
+
+
+def _src_functions():
+    """(file, name, first line of the def or its first decorator) -> module-qualified name, for every def in src."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    line = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                    found[(path, child.name, line)] = f"{path.stem}.{name}"
+                visit(child, path, f"{name}.")
+
+    for path in sorted(Path(wavetank.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    return found
+
+
+# every def in src that no command runs, with the reason it stays
+NOT_RUN_BY_A_COMMAND = {
+    "cli.RunConfig.to_text": "the config round trip property proves that a resolved config reproduces the run",
+    "fields.FieldGrid.nx": "perfbench/spans.py counts a traced field's point-modes from it",
+    "fields.FieldGrid.ny": "perfbench/spans.py counts a traced field's point-modes from it",
+}
+
+
+def test_every_src_function_runs_under_a_command(tmp_path):
+    from wavetank.cli import main
+
+    small = ["--k-modes", "4", "--tau", "0.1", "--dt", "0.05", "--k-max", "10", "--l-modes", "10"]
+    runs = [
+        ["simulate", *small],
+        ["simulate", *small, "--system", "limit", "--init", "cos1", "--init1", "zero", "--signal", "zero"],
+        ["simulate", *small, "--init", "mode:1:0.5+mode:2:1", "--init1", "smooth8", "--signal", "const:1"],
+        ["sweep", *small, "--mu-list", "1e-1,1e-2,1e-3"],
+        ["verify", *small],
+        ["field", *small, "--grid", "3,3"],
+        ["simulate", "--mu", "0"],  # a config error
+        ["simulate", *small, "--system", "limit", "--init", "mode:2:1e308"],  # a run error
+        ["sweep", *small, "--mu-list", "1e-1"],  # an output error: summary.txt is a directory
+    ]
+    (tmp_path / "8" / "summary.txt").mkdir(parents=True)
+    called = set()
+    sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+    try:
+        exits = [main([*argv, "--out", str(tmp_path / str(i))]) for i, argv in enumerate(runs)]
+    finally:
+        sys.setprofile(None)
+    assert exits == [0, 0, 0, 0, 0, 0, 1, 1, 1]
+    entered = {(Path(code.co_filename).resolve(), code.co_name, code.co_firstlineno) for code in called}
+    never_run = {name for key, name in _src_functions().items() if key not in entered}
+    assert sorted(never_run) == sorted(NOT_RUN_BY_A_COMMAND)
