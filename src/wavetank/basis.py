@@ -11,8 +11,8 @@ convergence is measured; a scale space is named by its exponent alpha, a
 plain float.
 
 The package's one cosine evaluator is `_phi` (the points-by-modes matrix
-phi_k(x_i)), which `fields` uses, and `_readonly` freezes the arrays of every
-frozen dataclass and the samples of the stepping kernel.
+phi_k(x_i)), which `fields` uses, and `_readonly` gives the read-only views
+that every frozen dataclass holds and the stepping kernel yields.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """Mark a read-only in place (no copy) and return it."""
-    a.flags.writeable = False
-    return a
+    """A read-only view of a (no copy); a itself stays writeable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _phi(k, x) -> np.ndarray:

@@ -183,7 +183,7 @@ def _propagate(states, systems, values, dt):
     z0 = np.array([state.zeta0 for state in states])
     np.divide(beta, omega, out=zeta)
     zeta[:, 0] = z0
-    yield _readonly(zeta.view()), _readonly(alpha.view()), _readonly(beta.view())
+    yield _readonly(zeta), _readonly(alpha), _readonly(beta)
     values = np.asarray(values, dtype=float)
     last = None
     for u, bits in zip(values, values.view(np.uint64)):
@@ -198,7 +198,7 @@ def _propagate(states, systems, values, dt):
         alpha, alpha1, beta, beta1 = alpha1, alpha, beta1, beta
         np.divide(beta, omega, out=zeta)
         zeta[:, 0] = z0
-        yield _readonly(zeta.view()), _readonly(alpha.view()), _readonly(beta.view())
+        yield _readonly(zeta), _readonly(alpha), _readonly(beta)
 
 
 def _blocks(initial: EvolutionState, signal: InputSignal, system: ModeSystem, rows: int):

@@ -20,8 +20,8 @@ or the lateral ratios) times the coefficient-scaled y factors (the depth
 ratios, or `_psi`, the one evaluator of the lateral family psi_k).
 
 `write_field_csv` writes a field as x,y,value rows through `_writer.grid_rows`,
-which formats each of the nx + ny grid coordinates once per file and each
-field value once, in blocks of bounded size.
+which formats each of the nx + ny grid coordinates once per file and the field
+values with the writer's vectorized number format, a bounded block at a time.
 """
 
 from __future__ import annotations

@@ -142,3 +142,17 @@ def test_spectral_params_validation():
 def test_sobolev_scale_validation():
     with pytest.raises(ValueError, match="alpha"):
         norm(ModalVector.zeros(2), float("inf"))
+
+
+def test_constructors_leave_the_callers_arrays_writeable():
+    from wavetank.evolution import ModeSystem
+    from wavetank.fields import FieldGrid
+
+    x, y, v = np.linspace(0.0, math.pi, 3), np.linspace(-1.0, 0.0, 2), np.zeros((3, 2))
+    omega, forcing = np.arange(4.0), np.ones(4)
+    grid, system = FieldGrid(x, y, v), ModeSystem(omega, forcing)
+    assert all(a.flags.writeable for a in (x, y, v, omega, forcing))
+    held = (grid.x, grid.y, grid.values, system.omega, system.forcing)
+    assert not any(a.flags.writeable for a in held)
+    # read-only views, not copies
+    assert all(np.shares_memory(a, b) for a, b in zip(held, (x, y, v, omega, forcing)))

@@ -83,8 +83,10 @@ NOT_RUN_BY_A_COMMAND = {
 
 
 def test_every_src_function_runs_under_a_command(tmp_path):
+    from wavetank._writer import _tables
     from wavetank.cli import main
 
+    _tables.cache_clear()  # built once per process: let the traced commands build it
     small = ["--k-modes", "4", "--tau", "0.1", "--dt", "0.05", "--k-max", "10", "--l-modes", "10"]
     runs = [
         ["simulate", *small],

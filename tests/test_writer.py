@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,3 +94,57 @@ def test_grid_rows_equal_row_blocks_of_repeated_coordinates(grid):
             blocks = list(grid_rows(x, y, values))
         assert "".join(blocks) == expected
         assert all(b.count("\n") <= max(1, chunk // 3) for b in blocks)
+
+
+_POWERS = np.array([10.0**k for k in range(-323, 309)])
+_TIES = 2.0**50 + np.arange(-4.0, 4.0)
+_EXACT_EXAMPLES = np.concatenate(
+    [
+        _POWERS,
+        np.nextafter(_POWERS, -np.inf),
+        np.nextafter(_POWERS, np.inf),
+        [1e-6],
+        _TIES + 0.25,
+        _TIES + 0.75,
+        [1e16, 1e17, 2.0**60, 1.7976931348623157e308, -1.7976931348623157e308, 5e-324, 0.0, -0.0],
+        [np.inf, -np.inf, np.nan],
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64), elements=_finite))
+@example(_EXACT_EXAMPLES)
+def test_every_float_is_laid_out_as_17g_by_both_formatters(v):
+    # st.floats draws subnormals too; the example adds non-finite values
+    expected = ["%.17g" % f for f in v.tolist()]
+    assert "".join(row_blocks(v)).splitlines() == expected
+    head = expected[0]
+    # v as the x column, then as the y column, of a grid whose values are v again
+    assert "".join(grid_rows(v, v[:1], v[:, None])).splitlines() == [f"{e},{head},{e}" for e in expected]
+    assert "".join(grid_rows(v[:1], v, v[None, :])).splitlines() == [f"{head},{e},{e}" for e in expected]
+
+
+def _peak_bytes(blocks):
+    tracemalloc.start()
+    try:
+        for _ in blocks:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_is_independent_of_the_row_count():
+    # O(block): the same peak at 1000 and 4000 rows, a few times one block's text
+    rows = np.random.default_rng(5).standard_normal((4000, 515))
+    block_text = len(next(row_blocks(rows)))
+    peaks = [_peak_bytes(row_blocks(rows[:n])) for n in (1000, 4000)]
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) < 16 * block_text
+    x, y = np.linspace(0.0, np.pi, 600), np.linspace(-1.0, 0.0, 600)
+    values = np.add.outer(np.sin(x), y)
+    block_text = len(next(grid_rows(x, y, values)))
+    peaks = [_peak_bytes(grid_rows(x[:n], y, values[:n])) for n in (150, 600)]
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) < 16 * block_text
