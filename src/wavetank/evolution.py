@@ -163,8 +163,9 @@ def _propagate(states, systems, values, dt):
     pair, and the pairs swap.  Mode 0 rides in column 0 with a stand-in
     frequency 1 and forcing 0, so the rotation needs no slicing, and its exact
     values (alpha_0 + f_0 u dt, beta_0 = 0, the quadratic zeta_0) overwrite
-    the column.  The fixed point p = f u / omega is recomputed only when the
-    bits of u change (0.0 and -0.0 give differently signed zeros).  Every
+    the column.  The fixed point p = f u / omega and the mode-0 increments
+    f_0 u dt and f_0 u dt^2 / 2 are recomputed only when the bits of u change
+    (0.0 and -0.0 give differently signed zeros).  Every
     sample is bit-identical to the plain per-step formula a1 = c da - s db,
     b1 = p + s da + c db.
     """
@@ -189,12 +190,13 @@ def _propagate(states, systems, values, dt):
     for u, bits in zip(values, values.view(np.uint64)):
         if bits != last:
             np.divide(np.multiply(forcing, u, out=p), omega, out=p)
+            dalpha0, dzeta0 = f0 * u * dt, 0.5 * f0 * u * dt * dt
             last = bits
         np.subtract(beta, p, out=db)
         np.subtract(np.multiply(c, alpha, out=t1), np.multiply(s, db, out=t2), out=alpha1)
         np.add(np.add(p, np.multiply(s, alpha, out=t1), out=t1), np.multiply(c, db, out=t2), out=beta1)
-        z0 = z0 + alpha[:, 0] * dt + 0.5 * f0 * u * dt * dt
-        alpha1[:, 0], beta1[:, 0] = alpha[:, 0] + f0 * u * dt, 0.0
+        z0 = z0 + alpha[:, 0] * dt + dzeta0
+        alpha1[:, 0], beta1[:, 0] = alpha[:, 0] + dalpha0, 0.0
         alpha, alpha1, beta, beta1 = alpha1, alpha, beta1, beta
         np.divide(beta, omega, out=zeta)
         zeta[:, 0] = z0

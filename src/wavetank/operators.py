@@ -18,14 +18,14 @@ lateral series exactly,
     sum_l H(k, l) = (mu/2) h(sqrt(mu) k),    f_k = -phi_k(0) h(sqrt(mu) k),
     h(x) = tanh(x)/x,
 
-so production code uses the closed forms (`lateral_sum`,
-`wave_maker_forcing`).  The truncated series `kernel_H_sum` is kept as an
-independent oracle: it takes the lateral truncation l_modes and returns the
-sum with its certified tail (`SeriesSum`); the kernel audit checks the closed
-form against it.  The comparison kernels F, G, I, J
-quantify, mode by mode, how far the tank's resolvents, square roots and
-forcing sit from their limits; the convergence lab audits their proven
-envelopes.
+so production code uses the closed forms (`wave_maker_forcing`, and the
+`H_sum` field of `comparison_kernels`).  The truncated series `kernel_H_sum`
+is kept as an independent oracle: it takes the lateral truncation l_modes and
+returns the sum with its certified tail (`SeriesSum`); the kernel audit
+checks the closed form against it.  The comparison kernels F, G, I, J, all
+built by `comparison_kernels` from one evaluation of h, quantify, mode by
+mode, how far the tank's resolvents, square roots and forcing sit from their
+limits; the convergence lab audits their proven envelopes.
 """
 
 from __future__ import annotations
@@ -40,12 +40,8 @@ from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, SpectralParams, norm
 __all__ = [
     "SeriesSum",
     "limit_forcing",
-    "kernel_F",
-    "kernel_G",
-    "kernel_I",
-    "kernel_J",
+    "comparison_kernels",
     "kernel_H_sum",
-    "lateral_sum",
     "wave_maker_forcing",
     "bmu_dual_norm_gap",
 ]
@@ -105,58 +101,53 @@ def _check_kernel_args(params: SpectralParams, k):
     return ka
 
 
-def kernel_F(params: SpectralParams, k):
-    """Resolvent gap kernel 1/(1+k^2) - 1/(1 + k^2 h(sqrt(mu) k)).  |F| <= sqrt(mu)/k."""
+class _Kernels(NamedTuple):
+    """The comparison kernels and the closed-form lateral sum at an array of modes k >= 1."""
+
+    F: np.ndarray
+    G: np.ndarray
+    I: np.ndarray
+    J: np.ndarray
+    H_sum: np.ndarray
+
+
+def comparison_kernels(params: SpectralParams, k) -> _Kernels:
+    """Every comparison kernel at modes k >= 1, all from one evaluation of h(sqrt(mu) k).
+
+    With s = k^2 h(sqrt(mu) k):
+      F = 1/(1+k^2) - 1/(1+s)                  resolvent gap,     |F| <= sqrt(mu)/k
+      G = k/(1+k^2) - sqrt(s)/(1+s)            square-root gap
+      I = sqrt(h) - 1                          frequency gap,     |I| <= sqrt(mu) k
+      J = (1+k)/(1 + k sqrt(h)) - 1            graph-norm gap
+      H_sum = (mu/2) h = sum_{l>=1} H(k, l)    the full lateral sum in closed form
+    H_sum obeys the envelopes mu/2 and sqrt(mu)/(2k), so the audited 2 sqrt(mu)/k
+    holds with a factor 4 to spare.
+    """
     ka = _check_kernel_args(params, k)
-    sig = ka**2 * _h(math.sqrt(params.mu) * ka)
-    out = 1.0 / (1.0 + ka**2) - 1.0 / (1.0 + sig)
-    return float(out) if np.isscalar(k) else out
-
-
-def kernel_G(params: SpectralParams, k):
-    """Square-root-resolvent gap kernel k/(1+k^2) - sqrt(s)/(1+s), s = k^2 h(sqrt(mu) k)."""
-    ka = _check_kernel_args(params, k)
-    sig = ka**2 * _h(math.sqrt(params.mu) * ka)
-    out = ka / (1.0 + ka**2) - np.sqrt(sig) / (1.0 + sig)
-    return float(out) if np.isscalar(k) else out
-
-
-def kernel_I(params: SpectralParams, k):
-    """Frequency gap kernel sqrt(h(sqrt(mu) k)) - 1.  |I| <= sqrt(mu) k."""
-    ka = _check_kernel_args(params, k)
-    out = np.sqrt(_h(math.sqrt(params.mu) * ka)) - 1.0
-    return float(out) if np.isscalar(k) else out
-
-
-def kernel_J(params: SpectralParams, k):
-    """Graph-norm gap kernel (1+k)/(1 + k sqrt(h(sqrt(mu) k))) - 1."""
-    ka = _check_kernel_args(params, k)
-    out = (1.0 + ka) / (1.0 + ka * np.sqrt(_h(math.sqrt(params.mu) * ka))) - 1.0
-    return float(out) if np.isscalar(k) else out
+    h = _h(math.sqrt(params.mu) * ka)
+    sig = ka**2 * h
+    root_h = np.sqrt(h)
+    return _Kernels(
+        F=1.0 / (1.0 + ka**2) - 1.0 / (1.0 + sig),
+        G=ka / (1.0 + ka**2) - np.sqrt(sig) / (1.0 + sig),
+        I=root_h - 1.0,
+        J=(1.0 + ka) / (1.0 + ka * root_h) - 1.0,
+        H_sum=0.5 * params.mu * h,
+    )
 
 
 def kernel_H_sum(params: SpectralParams, k, l_modes: int) -> SeriesSum:
     """Truncated lateral sum sum_{l<=l_modes} H(k, l) with its certified tail bound.
 
-    This is the oracle for `lateral_sum`: the full sum lies in
-    [value, value + tail_bound], with tail_bound = 4 mu / (pi^2 (2 l_modes - 1)).
+    This is the oracle for the closed form, the H_sum field of
+    `comparison_kernels`: the full sum lies in [value, value + tail_bound],
+    with tail_bound = 4 mu / (pi^2 (2 l_modes - 1)).
     """
     ka = _check_kernel_args(params, k)
     scale = 4.0 * params.mu / math.pi**2
     val = scale * _odd_sums(params.mu, np.atleast_1d(ka), l_modes)
     tail = scale / (2.0 * l_modes - 1.0)
     return SeriesSum(float(val[0]) if np.isscalar(k) else val, tail)
-
-
-def lateral_sum(params: SpectralParams, k):
-    """Full lateral sum sum_{l>=1} H(k, l) = (mu/2) h(sqrt(mu) k), in closed form.
-
-    It obeys the envelopes mu/2 and sqrt(mu)/(2k), so the audited 2 sqrt(mu)/k
-    holds with a factor 4 to spare.
-    """
-    ka = _check_kernel_args(params, k)
-    out = 0.5 * params.mu * _h(math.sqrt(params.mu) * ka)
-    return float(out) if np.isscalar(k) else out
 
 
 def wave_maker_forcing(params: SpectralParams) -> np.ndarray:

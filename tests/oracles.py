@@ -1,6 +1,7 @@
 """References the tests compare the package against, and builders that no command needs: pointwise basis
 evaluation and Simpson projection, one-system stepping over the package's kernel, interior grids and lateral
-profiles, the 5-point harmonicity residual, and the lateral-series forcing with its certified tail."""
+profiles, the 5-point harmonicity residual, the lateral-series forcing with its certified tail, and one-line
+formulas of the comparison kernels, each evaluating h on its own."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 from wavetank.basis import ModalVector, _phi
 from wavetank.evolution import EvolutionState, _blocks, _propagate
 from wavetank.fields import FieldGrid, LateralProfile, _psi
-from wavetank.operators import SeriesSum, _odd_sums
+from wavetank.operators import SeriesSum, _h, _odd_sums
 
 # f_k = -FORCING_TAIL_CONST * _odd_sums(mu, k, inf) for k >= 1; dropping the
 # lateral modes l > L changes f_k by at most FORCING_TAIL_CONST/(2L-1)
@@ -126,3 +127,18 @@ def ntn_forcing(params, l_modes: int) -> SeriesSum:
     f = -FORCING_TAIL_CONST * _odd_sums(params.mu, np.arange(params.K + 1), l_modes)
     f[0] = -1.0 / math.sqrt(math.pi)
     return SeriesSum(f, FORCING_TAIL_CONST / (2.0 * l_modes - 1.0))
+
+
+def _h_at(mu: float, k: np.ndarray) -> np.ndarray:
+    return _h(math.sqrt(mu) * k)
+
+
+# the comparison kernels at an array of modes k >= 1, one formula each: the
+# references of the fields of `comparison_kernels`
+KERNEL_FORMULAS = {
+    "F": lambda mu, k: 1.0 / (1.0 + k**2) - 1.0 / (1.0 + k**2 * _h_at(mu, k)),
+    "G": lambda mu, k: k / (1.0 + k**2) - np.sqrt(k**2 * _h_at(mu, k)) / (1.0 + k**2 * _h_at(mu, k)),
+    "I": lambda mu, k: np.sqrt(_h_at(mu, k)) - 1.0,
+    "J": lambda mu, k: (1.0 + k) / (1.0 + k * np.sqrt(_h_at(mu, k))) - 1.0,
+    "H_sum": lambda mu, k: 0.5 * mu * _h_at(mu, k),
+}

@@ -11,7 +11,9 @@ from wavetank.basis import ModalVector, SpectralParams, sobolev_weights
 from wavetank.evolution import InputSignal, limit_system, make_initial, water_system
 from wavetank.lab import (
     DEFAULT_MU_GRID,
+    ORACLE_K_SAMPLES,
     KernelAudit,
+    _oracle_modes,
     SweepConfig,
     audit_kernels,
     audit_resolvents,
@@ -21,7 +23,7 @@ from wavetank.lab import (
     sweep_summary,
     write_sweep_csv,
 )
-from wavetank.operators import kernel_G
+from wavetank.operators import comparison_kernels
 
 from reference_stepper import reference_advance
 
@@ -180,6 +182,13 @@ def test_kernel_audit_small_grid():
     assert "PASS" in table and "FAIL" not in table
 
 
+@given(k_max=st.integers(1, 10**6))
+def test_oracle_modes_equal_unique_of_the_rounded_grid(k_max):
+    expected = np.unique(np.round(np.geomspace(1, k_max, ORACLE_K_SAMPLES)))
+    got = _oracle_modes(k_max)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_kernel_audit_rejects_empty():
     with pytest.raises(ValueError):
         audit_kernels(mu_grid=(), k_max=10)
@@ -198,7 +207,7 @@ def _probe_gaps(mu, K, probes):
     k = np.arange(K + 1, dtype=float)
     a = math.sqrt(mu) * k
     plain = probes / (1.0 + a * np.tanh(a) / mu) - probes / (1.0 + k**2)
-    sqrt_channel = kernel_G(params, k[1:]) * probes[:, 1:]
+    sqrt_channel = comparison_kernels(params, k[1:]).G * probes[:, 1:]
     return np.linalg.norm(plain, axis=1), np.linalg.norm(sqrt_channel, axis=1)
 
 

@@ -12,17 +12,13 @@ from wavetank.lab import PROVEN_TOL
 from wavetank.operators import (
     _odd_sums,
     bmu_dual_norm_gap,
-    kernel_F,
-    kernel_G,
+    comparison_kernels,
     kernel_H_sum,
-    kernel_I,
-    kernel_J,
-    lateral_sum,
     limit_forcing,
     wave_maker_forcing,
 )
 
-from oracles import ntn_forcing
+from oracles import KERNEL_FORMULAS, ntn_forcing
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -133,12 +129,12 @@ class TestKernels:
     def test_F_value(self):
         params = SpectralParams(mu=1.0)
         expected = 0.5 - 1.0 / (1.0 + math.tanh(1.0))
-        assert kernel_F(params, 1) == pytest.approx(expected, rel=1e-15)
+        assert comparison_kernels(params, 1).F == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(-0.0676676416183064, rel=1e-12)
 
     def test_I_taylor(self):
         mu = 1e-8
-        val = kernel_I(SpectralParams(mu=mu), 1)
+        val = comparison_kernels(SpectralParams(mu=mu), 1).I
         assert val == pytest.approx(-mu / 6.0, rel=1e-6)
 
     def test_H_sum_bounds_and_certificate(self):
@@ -163,22 +159,23 @@ class TestKernels:
 
     def test_kernels_reject_k0(self):
         params = SpectralParams(mu=0.5)
-        for fn in (kernel_F, kernel_G, kernel_I, kernel_J):
+        for k in (0, np.array([1.0, 0.0])):
             with pytest.raises(ValueError):
-                fn(params, 0)
+                comparison_kernels(params, k)
 
     def test_bound_invariants_on_subgrid(self):
         k = np.arange(1, 2001, dtype=float)
         for mu in (1.0, 1e-2, 1e-4, 1e-6):
             params = SpectralParams(mu=mu, K=1)
             rmu = math.sqrt(mu)
-            assert np.all(np.abs(kernel_F(params, k)) <= rmu / k)
-            assert np.all(np.abs(kernel_I(params, k)) <= rmu * k)
-            assert np.all(np.abs(kernel_G(params, k)) <= 2.0 * np.minimum(rmu, mu**0.25 / np.sqrt(k)))
+            kern = comparison_kernels(params, k)
+            assert np.all(np.abs(kern.F) <= rmu / k)
+            assert np.all(np.abs(kern.I) <= rmu * k)
+            assert np.all(np.abs(kern.G) <= 2.0 * np.minimum(rmu, mu**0.25 / np.sqrt(k)))
             s, _ = kernel_H_sum(params, k, 2000)
             assert np.all(s <= mu / 2.0)
             assert np.all(s <= 2.0 * rmu / k)
-            assert np.all(np.isfinite(kernel_J(params, k)))
+            assert np.all(np.isfinite(kern.J))
 
 
 class TestForcingGap:
@@ -216,10 +213,22 @@ class TestForcingGap:
 def test_closed_lateral_sum_within_series_certificate(log_mu, log_k, log_l):
     params = SpectralParams(mu=10.0**log_mu, K=1)
     k = 10.0**log_k
-    closed = lateral_sum(params, k)
+    closed = comparison_kernels(params, k).H_sum
     series = kernel_H_sum(params, k, min(5000, round(10.0**log_l)))
     diff = closed - series.value
     assert -1e-14 * closed <= diff <= series.tail_bound * (1.0 + PROVEN_TOL)
+
+
+@settings(deadline=None)
+@given(
+    mu=st.one_of(st.floats(1e-300, 1.0), st.just(1.0), st.just(5e-324)),
+    k=st.lists(st.floats(1.0, 1e5), min_size=1, max_size=50),
+)
+def test_comparison_kernels_equal_one_line_formulas_bitwise(mu, k):
+    k = np.array(k)
+    kern = comparison_kernels(SpectralParams(mu=mu, K=1), k)
+    for name, formula in KERNEL_FORMULAS.items():
+        np.testing.assert_array_equal(getattr(kern, name).view(np.uint64), formula(mu, k).view(np.uint64), err_msg=name)
 
 
 # the oracle's block holds 2^16 values: max(1, 2^16 // L) rows of L terms

@@ -1,9 +1,12 @@
 """Each module's __all__ names what it defines; the package root holds only __version__; src imports only numpy;
-_writer alone writes files and holds the CSV row format; every function in src runs under some command."""
+_writer alone writes files and holds the CSV row format; every function in src runs under some command; no command
+imports a numpy or wavetank module once wavetank.cli is imported."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -110,3 +113,32 @@ def test_every_src_function_runs_under_a_command(tmp_path):
     entered = {(Path(code.co_filename).resolve(), code.co_name, code.co_firstlineno) for code in called}
     never_run = {name for key, name in _src_functions().items() if key not in entered}
     assert sorted(never_run) == sorted(NOT_RUN_BY_A_COMMAND)
+
+
+# runs one command in a fresh process and prints its exit code, then every numpy or wavetank module it imported
+_IMPORTS_DURING_MAIN = """
+import sys
+import wavetank.cli
+before = set(sys.modules)
+code = wavetank.cli.main(sys.argv[1:])
+print(code, *sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "wavetank")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep", "--mu-list", "1e-1,1e-2,1e-3"], ["verify"], ["field", "--grid", "3,3"]],
+    ids=lambda argv: argv[0],
+)
+def test_commands_import_nothing_after_cli(argv, tmp_path):
+    # the first np.unique of a process imports numpy.ma on numpy 2.x, inside the command's run
+    small = ["--k-modes", "4", "--tau", "0.1", "--dt", "0.05", "--k-max", "10", "--l-modes", "10"]
+    env = {**os.environ, "PYTHONPATH": str(Path(wavetank.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_DURING_MAIN, *argv, *small, "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "0"
