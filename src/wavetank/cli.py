@@ -29,7 +29,7 @@ from ._writer import block_rows, row_blocks, write_csv, write_text
 from .basis import ModalVector, SpectralParams
 from .evolution import InputSignal, _blocks, limit_system, make_initial, water_system
 from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
-from .lab import SweepConfig, audit_kernels, audit_resolvents, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
+from .lab import audit_kernels, audit_resolvents, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dispatch", "main"]
 
@@ -246,13 +246,18 @@ def make_signal(spec: str, dt: float, n_steps: int) -> InputSignal:
     """Signal mini-language: zero | const:AMP | pulse:T0:T1:AMP, a pulse holding a step start m dt < n_steps dt."""
     kind, nums = _signal_spec(spec)
     if kind == "zero":
-        return InputSignal.zero(dt, n_steps)
+        return InputSignal(dt, np.zeros(n_steps))
     if kind == "const":
-        return InputSignal.constant(dt, n_steps, *nums)
-    try:
-        return InputSignal.pulse(dt, n_steps, *nums)
-    except ValueError as exc:
-        raise ConfigError(f"signal {spec.strip()!r}: {exc}") from None
+        return InputSignal(dt, np.full(n_steps, float(nums[0])))
+    t_on, t_off, amplitude = nums
+    t = np.arange(n_steps) * dt
+    on = (t >= t_on) & (t < t_off)
+    if not on.any():
+        raise ConfigError(
+            f"signal {spec.strip()!r}: the window [{t_on:g}, {t_off:g}) holds no step start m*dt "
+            f"of the grid dt={dt:g}, m < {n_steps}"
+        )
+    return InputSignal(dt, np.where(on, float(amplitude), 0.0))
 
 
 class _OutputSet:
@@ -303,7 +308,8 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
     modes = range(cfg.k_modes + 1)
     header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
     rows = block_rows(2 * cfg.k_modes + 3)
-    samples = _blocks(make_initial(zeta0, zeta1, system), make_signal(cfg.signal, dt, n), system, rows)
+    # make_initial checks the data here, before trajectory.csv is registered for discard
+    samples = _blocks(make_initial(zeta0, zeta1, [system]), make_signal(cfg.signal, dt, n), system, rows)
     # overflow surfaces as a non-finite row, rejected per block
     with np.errstate(over="ignore", invalid="ignore"):
         write_csv(out.path("trajectory.csv"), header, _finite_rows(samples))
@@ -323,13 +329,9 @@ def _finite_rows(samples):
 def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
     dt = cfg.effective_dt
     n = _n_steps(cfg)
-    sweep_cfg = SweepConfig(
-        mu_list=cfg.mu_list,
-        zeta0=parse_initial_spec(cfg.init, cfg.k_modes),
-        zeta1=parse_initial_spec(cfg.init1, cfg.k_modes),
-        signal=make_signal(cfg.signal, dt, n),
-    )
-    report = run_sweep(sweep_cfg)
+    zeta0 = parse_initial_spec(cfg.init, cfg.k_modes)
+    zeta1 = parse_initial_spec(cfg.init1, cfg.k_modes)
+    report = run_sweep(cfg.mu_list, zeta0, zeta1, make_signal(cfg.signal, dt, n))
     audit = audit_kernels(k_max=cfg.k_max, l_modes=cfg.l_modes)
     write_sweep_csv(report, out.path("sweep.csv"))
     write_text(out.path("summary.txt"), f"{sweep_summary(report)}\n\n{audit.table()}\n")

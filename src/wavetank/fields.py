@@ -84,8 +84,6 @@ class FieldGrid:
     @classmethod
     def regular(cls, nx: int, ny: int) -> "FieldGrid":
         """nx-by-ny grid including the boundary."""
-        if nx < 2 or ny < 2:
-            raise ValueError("grid needs nx, ny >= 2")
         return cls(np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny))
 
 

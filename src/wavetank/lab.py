@@ -25,13 +25,12 @@ import numpy as np
 
 from ._writer import row_blocks, write_csv
 from .basis import ModalVector, SpectralParams, sobolev_weights
-from .evolution import InputSignal, _propagate, limit_system, make_initial, water_system
+from .evolution import InputSignal, _aligned, _propagate, limit_system, make_initial, water_system
 from .operators import bmu_dual_norm_gap, comparison_kernels, kernel_H_sum
 
 __all__ = [
     "DEFAULT_MU_GRID",
     "GAP_MU_GRID",
-    "SweepConfig",
     "SweepReport",
     "KernelAuditRow",
     "KernelAudit",
@@ -58,40 +57,6 @@ PROVEN_TOL = 1e-12  # relative slack allowed on proven envelopes
 # the forcing-gap spread must stay strictly below 2: the largest float under 2
 # is the limit that `value <= limit` needs for that
 _SPREAD_LIMIT = math.nextafter(2.0, 0.0)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """One convergence experiment: shallowness list, initial data and input.
-
-    The mode count K comes from the data and the step dt from the signal, so
-    the horizon is signal.n_steps * dt.
-    """
-
-    mu_list: Tuple[float, ...]
-    zeta0: ModalVector
-    zeta1: ModalVector
-    signal: InputSignal
-
-    def __post_init__(self):
-        mu = tuple(float(m) for m in self.mu_list)
-        if len(mu) < 1 or any(not (0.0 < m <= 1.0) for m in mu):
-            raise ValueError("mu_list entries must lie in (0, 1]")
-        if any(b >= a for a, b in zip(mu, mu[1:])):
-            raise ValueError("mu_list must be strictly decreasing")
-        object.__setattr__(self, "mu_list", mu)
-        if self.zeta1.K != self.zeta0.K:
-            raise ValueError(f"mode count mismatch: zeta0 K={self.zeta0.K}, zeta1 K={self.zeta1.K}")
-        if self.signal.n_steps < 1:
-            raise ValueError("the signal must hold at least one step")
-
-    @property
-    def K(self) -> int:
-        return self.zeta0.K
-
-    @property
-    def dt(self) -> float:
-        return self.signal.dt
 
 
 @dataclass(frozen=True)
@@ -132,23 +97,25 @@ def fit_rate(mu: Sequence[float], err: Sequence[float], skip_largest: int = 1) -
     return float(np.sum(x * (y - y.mean())) / sxx) if sxx > 0 else float("nan")
 
 
-def run_sweep(cfg: SweepConfig) -> SweepReport:
+def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, signal: InputSignal) -> SweepReport:
     """Evolve the limit and every tank as one batch from identical data, reducing the errors as it goes.
 
-    K, dt and the horizon come from the data and the signal.  At each step the
-    error norms of every tank against the limit update their running sup and
-    the largest step-to-step change; no trajectory is kept.  The rates skip
-    the largest mu, as fit_rate does, and are nan below three mu.
+    K comes from the data, and dt and the horizon from the signal.  At each
+    step the error norms of every tank against the limit update their running
+    sup and the largest step-to-step change; no trajectory is kept.  The rates
+    skip the largest mu, as fit_rate does, and are nan below three mu.
     """
-    systems = [limit_system(cfg.K)] + [water_system(SpectralParams(mu=mu, K=cfg.K)) for mu in cfg.mu_list]
-    initial = [make_initial(cfg.zeta0, cfg.zeta1, system) for system in systems]
+    mu_list = tuple(float(mu) for mu in mu_list)
+    K = zeta0.K
+    systems = [limit_system(K)] + [water_system(SpectralParams(mu=mu, K=K)) for mu in mu_list]
+    initial = make_initial(zeta0, zeta1, systems)
     # one weight row per mu: a same-shape product is about twice as fast as a broadcast row
-    w = np.tile(sobolev_weights(cfg.K, 0.5), (len(cfg.mu_list), 1))
-    diff = np.empty((len(cfg.mu_list), cfg.K + 1))
-    norms, prev = np.empty((2, len(cfg.mu_list))), None
+    w, diff = _aligned((len(mu_list), K + 1)), _aligned((len(mu_list), K + 1))
+    w[...] = sobolev_weights(K, 0.5)
+    norms, prev = np.empty((2, len(mu_list))), None
     # overflow surfaces as a non-finite norm, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for zeta, alpha, _ in _propagate(initial, systems, cfg.signal.values, cfg.dt):
+        for zeta, alpha, _ in _propagate(initial, systems, signal.values, signal.dt):
             np.subtract(zeta[1:], zeta[0], out=diff)
             np.multiply(np.square(diff, out=diff), w, out=diff)
             diff.sum(axis=1, out=norms[0])
@@ -163,14 +130,14 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             norms, prev = prev, norms
     bad = np.flatnonzero(~np.all(np.isfinite(sup) & np.isfinite(slack), axis=0))
     if bad.size:
-        mu = cfg.mu_list[bad[0]]
+        mu = mu_list[bad[0]]
         raise ValueError(f"error norms at mu={mu:g} are not finite: the data or input overflow float64")
     (eh, ed), (sh, sd) = sup, slack
-    fits = len(cfg.mu_list) >= 3
-    rate_h = fit_rate(cfg.mu_list, eh) if fits else float("nan")
-    rate_d = fit_rate(cfg.mu_list, ed) if fits else float("nan")
+    fits = len(mu_list) >= 3
+    rate_h = fit_rate(mu_list, eh) if fits else float("nan")
+    rate_d = fit_rate(mu_list, ed) if fits else float("nan")
     return SweepReport(
-        mu_list=cfg.mu_list,
+        mu_list=mu_list,
         err_half=eh,
         err_deriv=ed,
         rate_half=rate_h,

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from wavetank.basis import ModalVector, _phi
-from wavetank.evolution import EvolutionState, _blocks, _propagate
+from wavetank.evolution import _blocks, _propagate
 from wavetank.fields import FieldGrid, LateralProfile, _psi
 from wavetank.operators import SeriesSum, _h, _odd_sums
 
@@ -69,20 +69,22 @@ def project(f, params) -> ModalVector:
     return ModalVector((w * fx) @ _phi(np.arange(params.K + 1), x))
 
 
-def step(state: EvolutionState, u: float, dt: float, system) -> EvolutionState:
-    """Advance one state one step of length dt with the input held at u."""
-    *_, (zeta, alpha, beta) = _propagate([state], [system], [float(u)], float(dt))
-    return EvolutionState(ModalVector(alpha[0]), ModalVector(beta[0]), float(zeta[0, 0]), state.t + dt)
+def step(state, u: float, dt: float, system):
+    """Advance one system's (alpha, beta, z0), as make_initial(zeta0, zeta1, [system]) returns them, one step
+    of length dt with the input held at u."""
+    *_, (zeta, alpha, beta) = _propagate(state, [system], [float(u)], float(dt))
+    return alpha.copy(), beta.copy(), zeta[:, 0].copy()
 
 
-def evolve(initial: EvolutionState, signal, system):
-    """(times, zeta, zeta_t) through the whole signal, sampled at t_i = t0 + i dt: what `simulate` streams."""
+def evolve(initial, signal, system):
+    """(times, zeta, zeta_t) through the whole signal, sampled at t_i = i dt: what `simulate` streams."""
     return next(_blocks(initial, signal, system, signal.n_steps + 1))
 
 
-def energy(state: EvolutionState) -> float:
-    """E = ||alpha||^2 + ||beta||^2; invariant under zero input."""
-    return float(np.sum(state.alpha.coeffs**2) + np.sum(state.beta.coeffs**2))
+def energy(state) -> float:
+    """E = ||alpha||^2 + ||beta||^2 of (alpha, beta, z0); invariant under zero input."""
+    alpha, beta, _ = state
+    return float(np.sum(alpha**2) + np.sum(beta**2))
 
 
 def interior(nx: int, ny: int) -> FieldGrid:

@@ -11,10 +11,10 @@ import time
 import numpy as np
 
 from wavetank.basis import ModalVector, SpectralParams
+from wavetank.cli import make_signal
 from wavetank.evolution import InputSignal, limit_system, make_initial, water_system
 from wavetank.fields import dirichlet_values, neumann_values
 from wavetank.lab import (
-    SweepConfig,
     audit_kernels,
     audit_resolvents,
     bmu_rate_table,
@@ -103,13 +103,8 @@ def test_criterion_4_shallow_limit_convergence():
     dt = 1e-3
     c = np.zeros(K + 1)
     c[1:9] = 1.0 / np.arange(1, 9) ** 2
-    cfg = SweepConfig(
-        mu_list=(1e-1, 1e-2, 1e-3, 1e-4),
-        zeta0=ModalVector(c),
-        zeta1=ModalVector.zeros(K),
-        signal=InputSignal.pulse(dt, 10_000, 0.0, 1.0, 1.0),
-    )
-    report = run_sweep(cfg)
+    signal = make_signal("pulse:0:1:1", dt, 10_000)
+    report = run_sweep((1e-1, 1e-2, 1e-3, 1e-4), ModalVector(c), ModalVector.zeros(K), signal)
     elapsed = time.time() - t0
     decreasing = bool(np.all(np.diff(report.err_half) < 0) and np.all(np.diff(report.err_deriv) < 0))
     rates_ok = report.rate_half >= 0.20 and report.rate_deriv >= 0.20
@@ -131,13 +126,8 @@ def test_criterion_5_single_mode_analytic_check():
     mu = 1e-2
     K = 8
     dt = 1e-2  # default dt = 1e-3 * tau
-    cfg = SweepConfig(
-        mu_list=(mu,),
-        zeta0=ModalVector.unit(1, K),
-        zeta1=ModalVector.zeros(K),
-        signal=InputSignal.zero(dt, 1000),
-    )
-    measured = run_sweep(cfg).err_deriv[0]
+    signal = InputSignal(dt, np.zeros(1000))
+    measured = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), signal).err_deriv[0]
     # independent oracle: both velocity signals in closed form, densely sampled
     w1 = math.sqrt(math.tanh(math.sqrt(mu)) / math.sqrt(mu))
     td = np.linspace(0.0, 10.0, 2_000_001)
@@ -174,9 +164,9 @@ def test_criterion_6_unitarity():
     ]
     worst = 0.0
     for system in systems:
-        st = make_initial(z0, z1, system)
+        st = make_initial(z0, z1, [system])
         e0 = energy(st)
-        _, zeta, zeta_t = evolve(st, InputSignal.zero(1e-3, 10_000), system)
+        _, zeta, zeta_t = evolve(st, InputSignal(1e-3, np.zeros(10_000)), system)
         e_t = (zeta_t**2).sum(axis=1) + ((system.omega * zeta) ** 2)[:, 1:].sum(axis=1)
         worst = max(worst, float(np.abs(e_t - e0).max() / e0))
     elapsed = time.time() - t0
@@ -246,8 +236,8 @@ def test_criterion_8_mode0_exactness():
     K = 4
     limit = limit_system(K)
     dt = 1e-2
-    st = make_initial(ModalVector.zeros(K), ModalVector.zeros(K), limit)
-    times, zeta, _ = evolve(st, InputSignal.constant(dt, 1000, 1.0), limit)
+    st = make_initial(ModalVector.zeros(K), ModalVector.zeros(K), [limit])
+    times, zeta, _ = evolve(st, InputSignal(dt, np.ones(1000)), limit)
     exact = -times**2 / (2.0 * math.sqrt(math.pi))
     worst = float(np.max(np.abs(zeta[:, 0] - exact) / np.maximum(1.0, np.abs(exact))))
     proj = ntn_forcing(SpectralParams(mu=0.3, K=K), 10_000)

@@ -35,6 +35,15 @@ def test_mu_list_parsing():
     assert cfg.mu_list == (0.1, 0.01, 0.001)
     with pytest.raises(ConfigError, match="decreasing"):
         parse_config("sweep", "mu_list=1e-3,1e-2\n")
+    for bad in ("2,1e-2", "1e-1,0", "1e-1,-1e-2", ""):
+        with pytest.raises(ConfigError, match=r"mu_list must (be in \(0, 1\]|contain at least one value)"):
+            parse_config("sweep", overrides={"mu_list": bad})
+
+
+def test_grid_below_two_points_is_a_config_error():
+    for bad in ("1,5", "5,1", "0,0"):
+        with pytest.raises(ConfigError, match="grid must be >= 2"):
+            parse_config("field", overrides={"grid": bad})
 
 
 def test_unknown_key_and_syntax_errors():
@@ -197,7 +206,7 @@ def test_simulate_streams_the_rows_of_evolve(tmp_path):
             "--signal", "pulse:0:0.2:1"]
     assert main(args) == 0
     system = water_system(SpectralParams(mu=0.01, K=2000))
-    initial = make_initial(parse_initial_spec("smooth8", 2000), ModalVector.zeros(2000), system)
+    initial = make_initial(parse_initial_spec("smooth8", 2000), ModalVector.zeros(2000), [system])
     rows = np.column_stack(evolve(initial, make_signal("pulse:0:0.2:1", 0.01, 50), system))
     expected = [",".join(f"{v:.17g}" for v in row) for row in rows]
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == expected
@@ -279,6 +288,17 @@ def test_initial_elevation_overflow_exits_1_naming_the_mode(tmp_path, capsys, co
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"wavetank: {command}: init mode 2:"), err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, output", [("simulate", "trajectory.csv"), ("sweep", "sweep.csv")])
+def test_initial_overflow_keeps_a_previous_runs_output(tmp_path, command, output):
+    # the initial data are checked before the output is registered, so a failing run removes nothing it did not write
+    (tmp_path / output).write_bytes(b"previous run\n")
+    args = [command, "--out", str(tmp_path), "--system", "limit", "--k-modes", "2", "--init", "mode:2:1e308",
+            "--tau", "0.1", "--dt", "0.05", "--mu-list", "1e-1,1e-2", "--k-max", "10"]
+    assert main(args) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [output]
+    assert (tmp_path / output).read_bytes() == b"previous run\n"
 
 
 def test_sweep_error_norm_overflow_exits_1(tmp_path, capsys):

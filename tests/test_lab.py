@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetank.basis import ModalVector, SpectralParams, sobolev_weights
+from wavetank.cli import make_signal
 from wavetank.evolution import InputSignal, limit_system, make_initial, water_system
 from wavetank.lab import (
     DEFAULT_MU_GRID,
     ORACLE_K_SAMPLES,
     KernelAudit,
     _oracle_modes,
-    SweepConfig,
     audit_kernels,
     audit_resolvents,
     bmu_rate_table,
@@ -50,32 +50,11 @@ def test_fit_rate_of_coincident_logs_is_nan():
     assert math.isnan(fit_rate(mu, [1.0, 2.0], skip_largest=0))
 
 
-def test_sweep_config_validation():
-    K = 8
-    kw = dict(zeta0=smooth8(K), zeta1=ModalVector.zeros(K), signal=InputSignal.zero(0.1, 50))
-    cfg = SweepConfig(mu_list=(1e-1, 1e-2), **kw)
-    assert (cfg.K, cfg.dt) == (K, 0.1)
-    with pytest.raises(ValueError, match="decreasing"):
-        SweepConfig(mu_list=(1e-2, 1e-1), **kw)
-    with pytest.raises(ValueError, match="\\(0, 1\\]"):
-        SweepConfig(mu_list=(2.0, 1e-2), **kw)
-    with pytest.raises(ValueError, match="mode count mismatch"):
-        SweepConfig(mu_list=(1e-1,), **{**kw, "zeta1": ModalVector.zeros(K + 1)})
-    with pytest.raises(ValueError, match="at least one step"):
-        SweepConfig(mu_list=(1e-1,), **{**kw, "signal": InputSignal(0.1, [])})
-
-
 def test_sweep_errors_decrease_and_rate():
     K = 32
     dt = 0.01
     n = 500
-    cfg = SweepConfig(
-        mu_list=(1e-1, 1e-2, 1e-3, 1e-4),
-        zeta0=smooth8(K),
-        zeta1=ModalVector.zeros(K),
-        signal=InputSignal.pulse(dt, n, 0.0, 1.0, 1.0),
-    )
-    report = run_sweep(cfg)
+    report = run_sweep((1e-1, 1e-2, 1e-3, 1e-4), smooth8(K), ModalVector.zeros(K), make_signal("pulse:0:1:1", dt, n))
     assert np.all(np.diff(report.err_half) < 0)
     assert np.all(np.diff(report.err_deriv) < 0)
     assert report.rate_half > 0.2
@@ -91,41 +70,34 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
     K = 4
     dt = 1e-2
     n = 1000
-    cfg = SweepConfig(
-        mu_list=(mu,),
-        zeta0=ModalVector.unit(1, K),
-        zeta1=ModalVector.zeros(K),
-        signal=InputSignal.zero(dt, n),
-    )
-    report = run_sweep(cfg)
+    report = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), InputSignal(dt, np.zeros(n)))
     w1 = math.sqrt(math.tanh(math.sqrt(mu)) / math.sqrt(mu))
     td = np.linspace(0.0, 10.0, 400001)
     oracle = np.abs(w1 * np.sin(w1 * td) - np.sin(td)).max()
     assert report.err_deriv[0] == pytest.approx(oracle, rel=1e-3)
 
 
-def _reference_trajectory(cfg, system):
+def _reference_trajectory(zeta0, zeta1, signal, system):
     """(zeta, zeta_t) rows at every step, one system stepped on its own."""
-    state = make_initial(cfg.zeta0, cfg.zeta1, system)
-    alpha, beta, z0 = state.alpha.coeffs, state.beta.coeffs, state.zeta0
+    alpha, beta, z0 = (a[0] for a in make_initial(zeta0, zeta1, [system]))
     zeta, zeta_t = [], []
-    for m in range(cfg.signal.n_steps + 1):
+    for m in range(signal.n_steps + 1):
         if m:
             alpha, beta, z0 = reference_advance(
-                alpha, beta, z0, cfg.signal.values[m - 1], cfg.dt, system.omega, system.forcing
+                alpha, beta, z0, signal.values[m - 1], signal.dt, system.omega, system.forcing
             )
         zeta.append(np.concatenate([[z0], beta[1:] / system.omega[1:]]))
         zeta_t.append(alpha)
     return np.array(zeta), np.array(zeta_t)
 
 
-def _reference_errors(cfg):
+def _reference_errors(mu_list, zeta0, zeta1, signal):
     """(err_half, err_deriv, grid_slack_half, grid_slack_deriv) per shallowness from full trajectories."""
-    zeta_lim, zeta_t_lim = _reference_trajectory(cfg, limit_system(cfg.K))
-    w = sobolev_weights(cfg.K, 0.5)
+    zeta_lim, zeta_t_lim = _reference_trajectory(zeta0, zeta1, signal, limit_system(zeta0.K))
+    w = sobolev_weights(zeta0.K, 0.5)
     rows = []
-    for mu in cfg.mu_list:
-        zeta, zeta_t = _reference_trajectory(cfg, water_system(SpectralParams(mu=mu, K=cfg.K)))
+    for mu in mu_list:
+        zeta, zeta_t = _reference_trajectory(zeta0, zeta1, signal, water_system(SpectralParams(mu=mu, K=zeta0.K)))
         half_t = np.sqrt(((zeta - zeta_lim) ** 2 * w).sum(axis=1))
         deriv_t = np.sqrt(((zeta_t - zeta_t_lim) ** 2).sum(axis=1))
         rows.append((half_t.max(), deriv_t.max(), np.abs(np.diff(half_t)).max(), np.abs(np.diff(deriv_t)).max()))
@@ -144,15 +116,15 @@ def test_run_sweep_matches_per_system_reference_bitwise(data, K, n, dt, mu):
     def vector(bound):
         return ModalVector(data.draw(st.lists(st.floats(-bound, bound), min_size=K + 1, max_size=K + 1)))
 
-    cfg = SweepConfig(
-        mu_list=tuple(sorted(mu, reverse=True)),
-        zeta0=vector(1.0),
-        zeta1=vector(1.0),
-        signal=InputSignal(dt, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))),
+    args = (
+        tuple(sorted(mu, reverse=True)),
+        vector(1.0),
+        vector(1.0),
+        InputSignal(dt, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))),
     )
-    report = run_sweep(cfg)
+    report = run_sweep(*args)
     got = np.array([report.err_half, report.err_deriv, report.grid_slack_half, report.grid_slack_deriv])
-    np.testing.assert_array_equal(got, _reference_errors(cfg))
+    np.testing.assert_array_equal(got, _reference_errors(*args))
 
 
 def test_run_sweep_memory_is_independent_of_the_horizon():
@@ -161,10 +133,10 @@ def test_run_sweep_memory_is_independent_of_the_horizon():
     n_sys = 1 + len(mu)
     peaks = []
     for n in (200, 2000):
-        cfg = SweepConfig(mu_list=mu, zeta0=smooth8(K), zeta1=ModalVector.zeros(K), signal=InputSignal.zero(0.01, n))
+        args = (mu, smooth8(K), ModalVector.zeros(K), InputSignal(0.01, np.zeros(n)))
         tracemalloc.start()
         try:
-            run_sweep(cfg)
+            run_sweep(*args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -259,16 +231,12 @@ def test_forcing_gap_spread_of_two_fails():
 def test_sweep_csv_roundtrip(tmp_path):
     K = 8
     dt = 0.05
-    cfg = SweepConfig(
-        mu_list=(1e-1, 1e-2),
-        zeta0=ModalVector.unit(1, K),
-        zeta1=ModalVector.zeros(K),
-        signal=InputSignal.zero(dt, 20),
-    )
-    report = run_sweep(cfg)
+    args = ((1e-1, 1e-2), ModalVector.unit(1, K), ModalVector.zeros(K), InputSignal(dt, np.zeros(20)))
+    report = run_sweep(*args)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_sweep_csv(report, p1)
-    write_sweep_csv(run_sweep(cfg), p2)
+    write_sweep_csv(run_sweep(*args), p2)
+    assert report.mu_list == (1e-1, 1e-2)
     b1 = p1.read_bytes()
     assert b1 == p2.read_bytes()
     lines = b1.decode().splitlines()
