@@ -17,6 +17,7 @@ failure (some row of verify fails).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._writer import block_rows, row_blocks, write_csv, write_text
+from ._writer import block_rows, table_blocks, write_csv, write_text
 from .basis import ModalVector, SpectralParams
 from .evolution import InputSignal, _blocks, limit_system, make_initial, water_system
 from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
@@ -86,6 +87,16 @@ class RunConfig:
     @property
     def effective_dt(self) -> float:
         return self.dt if self.dt is not None else 1e-3 * self.tau
+
+    @functools.cached_property
+    def init_modes(self) -> ModalVector:
+        """The init spec at k_modes, parsed on first use (parse_config uses it first)."""
+        return parse_initial_spec(self.init, self.k_modes)
+
+    @functools.cached_property
+    def init1_modes(self) -> ModalVector:
+        """The init1 spec at k_modes, parsed on first use (parse_config uses it first)."""
+        return parse_initial_spec(self.init1, self.k_modes)
 
     def to_text(self) -> str:
         """Serialize as the key=value format accepted by parse_config."""
@@ -188,9 +199,8 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
         seed=_to_int("seed", raw["seed"], 0),
         k_max=_to_int("k_max", raw["k_max"], 1),
     )
-    # fail early on malformed mini-language specs
-    parse_initial_spec(cfg.init, cfg.k_modes)
-    parse_initial_spec(cfg.init1, cfg.k_modes)
+    # fail early on malformed mini-language specs; the commands reuse the parsed data
+    cfg.init_modes, cfg.init1_modes
     _signal_spec(cfg.signal)
     return cfg
 
@@ -303,35 +313,31 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
         system = water_system(SpectralParams(mu=cfg.mu, K=cfg.k_modes))
     else:
         system = limit_system(cfg.k_modes)
-    zeta0 = parse_initial_spec(cfg.init, cfg.k_modes)
-    zeta1 = parse_initial_spec(cfg.init1, cfg.k_modes)
     modes = range(cfg.k_modes + 1)
     header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
     rows = block_rows(2 * cfg.k_modes + 3)
     # make_initial checks the data here, before trajectory.csv is registered for discard
-    samples = _blocks(make_initial(zeta0, zeta1, [system]), make_signal(cfg.signal, dt, n), system, rows)
+    initial = make_initial(cfg.init_modes, cfg.init1_modes, [system])
+    samples = _blocks(initial, make_signal(cfg.signal, dt, n), system, rows)
     # overflow surfaces as a non-finite row, rejected per block
     with np.errstate(over="ignore", invalid="ignore"):
-        write_csv(out.path("trajectory.csv"), header, _finite_rows(samples))
+        write_csv(out.path("trajectory.csv"), header, table_blocks(_finite_rows(samples)))
     return 0
 
 
 def _finite_rows(samples):
-    """CSV text of each (times, zeta, zeta_t) block; ValueError naming the first time that is not finite."""
-    for block in samples:
-        rows = np.column_stack(block)
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    """Each (times, zeta, zeta_t) block; ValueError naming the first time that is not finite."""
+    for t, zeta, zeta_t in samples:
+        bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(zeta).all(axis=1) & np.isfinite(zeta_t).all(axis=1)))
         if bad.size:
-            raise ValueError(f"the state is not finite at t={rows[bad[0], 0]:g}: the data or input overflow float64")
-        yield from row_blocks(rows)
+            raise ValueError(f"the state is not finite at t={t[bad[0]]:g}: the data or input overflow float64")
+        yield t, zeta, zeta_t
 
 
 def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
     dt = cfg.effective_dt
     n = _n_steps(cfg)
-    zeta0 = parse_initial_spec(cfg.init, cfg.k_modes)
-    zeta1 = parse_initial_spec(cfg.init1, cfg.k_modes)
-    report = run_sweep(cfg.mu_list, zeta0, zeta1, make_signal(cfg.signal, dt, n))
+    report = run_sweep(cfg.mu_list, cfg.init_modes, cfg.init1_modes, make_signal(cfg.signal, dt, n))
     audit = audit_kernels(k_max=cfg.k_max, l_modes=cfg.l_modes)
     write_sweep_csv(report, out.path("sweep.csv"))
     write_text(out.path("summary.txt"), f"{sweep_summary(report)}\n\n{audit.table()}\n")
@@ -351,11 +357,10 @@ def _cmd_verify(cfg: RunConfig, out: _OutputSet) -> int:
 def _cmd_field(cfg: RunConfig, out: _OutputSet) -> int:
     params = SpectralParams(mu=cfg.mu, K=cfg.k_modes)
     grid = FieldGrid.regular(*cfg.grid)
-    eta = parse_initial_spec(cfg.init, cfg.k_modes)
     profile = LateralProfile.constant(1.0, min(cfg.l_modes, _FIELD_L_MODES_CAP))
     # overflow surfaces as non-finite field values, which FieldGrid rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        write_field_csv(dirichlet_extension(eta, params, grid), out.path("field_dirichlet.csv"))
+        write_field_csv(dirichlet_extension(cfg.init_modes, params, grid), out.path("field_dirichlet.csv"))
         write_field_csv(neumann_extension(profile, params, grid), out.path("field_neumann.csv"))
     return 0
 

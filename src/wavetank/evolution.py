@@ -19,7 +19,8 @@ conserved to roundoff regardless of dt.
 All stepping goes through one private generator, `_propagate`.  It copies
 the stacked (alpha, beta, z0) arrays of `make_initial` into (n_sys, K+1)
 buffers, computes cos/sin(omega dt) once, steps in place without allocating
-and yields read-only views of the buffers after every step, so a caller
+and yields read-only views of the buffers after every step (two tuples of
+them, built once, one per parity of the step count), so a caller
 reduces them (the sweep) or streams them (`simulate`, through `_blocks`) in
 O(n_sys K) memory.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModalVector, SpectralParams, _readonly
+from .basis import ModalVector, SpectralParams, _aligned, _readonly
 from .operators import _h, limit_forcing, wave_maker_forcing
 
 __all__ = [
@@ -118,20 +119,6 @@ def make_initial(zeta0: ModalVector, zeta1: ModalVector, systems):
     return alpha, beta, np.full(len(systems), zeta0.coeffs[0])
 
 
-def _aligned(shape) -> np.ndarray:
-    """An empty float64 array that starts on a 64-byte boundary: one cache line, one AVX-512 register.
-
-    malloc promises 16 bytes only.  On an AVX-512 Xeon an elementwise ufunc
-    over 7 x 1025 values runs a fifth to a third slower from a 16-, 32- or
-    48-byte offset, so without this the speed of the stepping loop and the
-    sweep's reduction would depend on what the heap held before.
-    """
-    size = int(np.prod(shape))
-    raw = np.empty(size + 7)
-    first = (-raw.ctypes.data % 64) // 8
-    return raw[first : first + size].reshape(shape)
-
-
 def _propagate(initial, systems, values, dt):
     """The stepping loop: exact steps of a batch of systems under one input.
 
@@ -164,7 +151,9 @@ def _propagate(initial, systems, values, dt):
     np.sin(np.multiply(omega, dt, out=s), out=s)
     np.divide(beta, omega, out=zeta)
     zeta[:, 0] = z0
-    yield _readonly(zeta), _readonly(alpha), _readonly(beta)
+    # the samples after an even and after an odd number of steps
+    views, spare = (tuple(map(_readonly, arrays)) for arrays in ((zeta, alpha, beta), (zeta, alpha1, beta1)))
+    yield views
     values = np.asarray(values, dtype=float)
     last = None
     for u, bits in zip(values, values.view(np.uint64)):
@@ -178,9 +167,10 @@ def _propagate(initial, systems, values, dt):
         z0 = z0 + alpha[:, 0] * dt + dzeta0
         alpha1[:, 0], beta1[:, 0] = alpha[:, 0] + dalpha0, 0.0
         alpha, alpha1, beta, beta1 = alpha1, alpha, beta1, beta
+        views, spare = spare, views
         np.divide(beta, omega, out=zeta)
         zeta[:, 0] = z0
-        yield _readonly(zeta), _readonly(alpha), _readonly(beta)
+        yield views
 
 
 def _blocks(initial, signal: InputSignal, system: ModeSystem, rows: int):

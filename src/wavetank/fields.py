@@ -113,7 +113,17 @@ class LateralProfile:
 def _psi(n: int, y: np.ndarray) -> np.ndarray:
     """psi_k(y_j) for k = 1..n, points along axis 0 and modes along axis 1."""
     k = np.arange(1, n + 1)
-    return math.sqrt(2.0) * np.cos((2 * k - 1) * (math.pi / 2.0) * (y[:, None] + 1.0))
+    psi = np.multiply((2 * k - 1) * (math.pi / 2.0), y[:, None] + 1.0)
+    np.cos(psi, out=psi)
+    psi *= math.sqrt(2.0)
+    return psi
+
+
+def _one_plus_exp(z: np.ndarray) -> np.ndarray:
+    """1 + exp(z), in z's own memory."""
+    np.exp(z, out=z)
+    z += 1.0
+    return z
 
 
 def dirichlet_values(eta: ModalVector, params: SpectralParams, x, y) -> np.ndarray:
@@ -126,8 +136,12 @@ def dirichlet_values(eta: ModalVector, params: SpectralParams, x, y) -> np.ndarr
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     k = np.arange(eta.K + 1)
     a = math.sqrt(params.mu) * k[:, None]
-    depth = np.exp(a * ya) * (1.0 + np.exp(-2.0 * a * (ya + 1.0))) / (1.0 + np.exp(-2.0 * a))
-    return _phi(k, xa) @ (eta.coeffs[:, None] * depth)
+    depth = np.multiply(a, ya)
+    np.exp(depth, out=depth)
+    depth *= _one_plus_exp(np.multiply(-2.0 * a, ya + 1.0))
+    depth /= 1.0 + np.exp(-2.0 * a)
+    depth *= eta.coeffs[:, None]
+    return _phi(k, xa) @ depth
 
 
 def dirichlet_extension(eta: ModalVector, params: SpectralParams, grid: FieldGrid) -> FieldGrid:
@@ -145,10 +159,13 @@ def neumann_values(profile: LateralProfile, params: SpectralParams, x, y) -> np.
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     odd = 2 * np.arange(1, profile.n_modes + 1) - 1
     c = odd * math.pi / (2.0 * math.sqrt(params.mu))
-    ratio = np.exp(-c * xa) * (1.0 + np.exp(-2.0 * c * (math.pi - xa))) / (-np.expm1(-2.0 * c * math.pi))
+    ratio = np.multiply(-c, xa)
+    np.exp(ratio, out=ratio)
+    ratio *= _one_plus_exp(np.multiply(-2.0 * c, math.pi - xa))
+    ratio /= -np.expm1(-2.0 * c * math.pi)
     # a_k psi_k / sqrt(2), a_k = 2 sqrt(2 mu) v_k / ((2k-1) pi)
-    amp = 2.0 * math.sqrt(params.mu) * profile.coeffs / (odd * math.pi)
-    return (ratio * amp) @ _psi(profile.n_modes, ya).T
+    ratio *= 2.0 * math.sqrt(params.mu) * profile.coeffs / (odd * math.pi)
+    return ratio @ _psi(profile.n_modes, ya).T
 
 
 def neumann_extension(profile: LateralProfile, params: SpectralParams, grid: FieldGrid) -> FieldGrid:

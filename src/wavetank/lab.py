@@ -24,8 +24,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._writer import row_blocks, write_csv
-from .basis import ModalVector, SpectralParams, sobolev_weights
-from .evolution import InputSignal, _aligned, _propagate, limit_system, make_initial, water_system
+from .basis import ModalVector, SpectralParams, _aligned, sobolev_weights
+from .evolution import InputSignal, _propagate, limit_system, make_initial, water_system
 from .operators import bmu_dual_norm_gap, comparison_kernels, kernel_H_sum
 
 __all__ = [

@@ -1,13 +1,14 @@
 """References the tests compare the package against, and builders that no command needs: pointwise basis
 evaluation and Simpson projection, one-system stepping over the package's kernel, interior grids and lateral
-profiles, the 5-point harmonicity residual, the lateral-series forcing with its certified tail, and one-line
-formulas of the comparison kernels, each evaluating h on its own."""
+profiles, the 5-point harmonicity residual, the lateral-series forcing with its certified tail, one-line
+formulas of the comparison kernels, each evaluating h on its own, the two field extensions as broadcast
+expressions, and the CSV writer's tables built all at once by exact integer arithmetic."""
 
 import math
 
 import numpy as np
 
-from wavetank.basis import ModalVector, _phi
+from wavetank.basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, _phi
 from wavetank.evolution import _blocks, _propagate
 from wavetank.fields import FieldGrid, LateralProfile, _psi
 from wavetank.operators import SeriesSum, _h, _odd_sums
@@ -144,3 +145,55 @@ KERNEL_FORMULAS = {
     "J": lambda mu, k: (1.0 + k) / (1.0 + k * np.sqrt(_h_at(mu, k))) - 1.0,
     "H_sum": lambda mu, k: 0.5 * mu * _h_at(mu, k),
 }
+
+
+def dirichlet_reference(eta, params, x, y) -> np.ndarray:
+    """`fields.dirichlet_values` as one broadcast expression, each step in a new array: its bitwise reference."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    ya = np.atleast_1d(np.asarray(y, dtype=float))
+    k = np.arange(eta.K + 1)
+    a = math.sqrt(params.mu) * k[:, None]
+    depth = np.exp(a * ya) * (1.0 + np.exp(-2.0 * a * (ya + 1.0))) / (1.0 + np.exp(-2.0 * a))
+    phi = np.where(k == 0, 1.0 / SQRT_PI, SQRT_2_OVER_PI * np.cos(np.multiply.outer(xa, k)))
+    return phi @ (eta.coeffs[:, None] * depth)
+
+
+def neumann_reference(profile, params, x, y) -> np.ndarray:
+    """`fields.neumann_values` as one broadcast expression, each step in a new array: its bitwise reference."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
+    ya = np.atleast_1d(np.asarray(y, dtype=float))
+    odd = 2 * np.arange(1, profile.n_modes + 1) - 1
+    c = odd * math.pi / (2.0 * math.sqrt(params.mu))
+    ratio = np.exp(-c * xa) * (1.0 + np.exp(-2.0 * c * (math.pi - xa))) / (-np.expm1(-2.0 * c * math.pi))
+    amp = 2.0 * math.sqrt(params.mu) * profile.coeffs / (odd * math.pi)
+    psi = math.sqrt(2.0) * np.cos(odd * (math.pi / 2.0) * (ya[:, None] + 1.0))
+    return (ratio * amp) @ psi.T
+
+
+def writer_tables(x0: int):
+    """Per decimal exponent X in x0..-x0: 10**(16 - X) as hi + lo, and the '%.17g' layout at X.
+
+    hi is correctly rounded and lo the correctly rounded rest.  The layout:
+    prefix ('0.' to '0.000'), exponent suffix ('e-07', 'e+300'), each
+    zero-padded to 5 bytes, the slot of '.' among the 18 slots that follow
+    the prefix (18: none), and the digits that an integer part keeps.
+    """
+    n = 1 - 2 * x0
+    hi, lo = np.empty((2, n))
+    pre, suf = np.zeros((2, 5, n), np.uint8)
+    dot, lead = np.empty((2, n), np.uint8)
+    for i, X in enumerate(range(x0, 1 - x0)):
+        num, den = 10 ** max(16 - X, 0), 10 ** max(X - 16, 0)
+        hi[i] = num / den  # int / int is correctly rounded
+        h_num, h_den = hi[i].as_integer_ratio()
+        lo[i] = (num * h_den - h_num * den) / (den * h_den)
+        p, s = b"", b""
+        if X < -4 or X >= 17:
+            s, dot[i], lead[i] = b"e%+03d" % X, 1, 1
+        elif X < 0:
+            p, dot[i], lead[i] = b"0." + b"0" * (-1 - X), 18, 0
+        else:
+            dot[i] = lead[i] = X + 1
+        pre[: len(p), i] = list(p)
+        suf[: len(s), i] = list(s)
+    return hi, lo, pre, suf, dot, lead

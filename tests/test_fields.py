@@ -15,8 +15,8 @@ from wavetank.fields import (
     write_field_csv,
 )
 
-from oracles import (_simpson, eval_basis, interior, lateral_projection, lateral_unit, ntn_forcing,
-                     quadrature_nodes, verify_harmonic)
+from oracles import (_simpson, dirichlet_reference, eval_basis, interior, lateral_projection, lateral_unit,
+                     neumann_reference, ntn_forcing, quadrature_nodes, verify_harmonic)
 
 MU = 0.25
 PARAMS = SpectralParams(mu=MU, K=8)
@@ -250,3 +250,15 @@ def test_matrix_products_match_per_mode_loops(mu, K):
     prof = LateralProfile(rng.standard_normal(K))
     got = neumann_values(prof, params, x, y)
     assert np.abs(got - _neumann_loop(prof, params, x, y)).max() <= 1e-13 * (1.0 + np.abs(prof.coeffs).sum())
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e-2, 1e-6])
+@pytest.mark.parametrize("K, nx, ny", [(8, 41, 23), (1024, 300, 300)])
+def test_fields_equal_their_broadcast_expressions_bitwise(mu, K, nx, ny):
+    rng = np.random.default_rng(K + nx)
+    params = SpectralParams(mu=mu, K=K)
+    x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
+    eta = ModalVector(rng.standard_normal(K + 1))
+    assert dirichlet_values(eta, params, x, y).tobytes() == dirichlet_reference(eta, params, x, y).tobytes()
+    prof = LateralProfile(rng.standard_normal(min(K, 512)))
+    assert neumann_values(prof, params, x, y).tobytes() == neumann_reference(prof, params, x, y).tobytes()

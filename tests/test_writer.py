@@ -1,3 +1,4 @@
+import itertools
 import os
 import tracemalloc
 
@@ -9,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from wavetank import _writer
 from wavetank._writer import grid_rows, row_blocks, write_csv, write_text
+
+from oracles import writer_tables
 
 
 def _failing_source():
@@ -86,12 +89,12 @@ _EDGES = [-0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1e308]
 @example((np.array(_EDGES), np.array(_EDGES), np.array([np.roll(_EDGES, i) for i in range(5)])))
 def test_grid_rows_equal_row_blocks_of_repeated_coordinates(grid):
     x, y, values = grid
-    expected = "".join(row_blocks(np.repeat(x, y.size), np.tile(y, x.size), values.ravel()))
+    expected = b"".join(row_blocks(np.repeat(x, y.size), np.tile(y, x.size), values.ravel())).decode()
     # the default block, one point per block, and one x row plus a point per block (splits rows)
     for chunk in (_writer._CHUNK_VALUES, 5, 3 * (y.size + 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_writer, "_CHUNK_VALUES", chunk)
-            blocks = list(grid_rows(x, y, values))
+            blocks = [b.decode() for b in grid_rows(x, y, values)]
         assert "".join(blocks) == expected
         assert all(b.count("\n") <= max(1, chunk // 3) for b in blocks)
 
@@ -118,11 +121,11 @@ _EXACT_EXAMPLES = np.concatenate(
 def test_every_float_is_laid_out_as_17g_by_both_formatters(v):
     # st.floats draws subnormals too; the example adds non-finite values
     expected = ["%.17g" % f for f in v.tolist()]
-    assert "".join(row_blocks(v)).splitlines() == expected
+    assert b"".join(row_blocks(v)).decode().splitlines() == expected
     head = expected[0]
     # v as the x column, then as the y column, of a grid whose values are v again
-    assert "".join(grid_rows(v, v[:1], v[:, None])).splitlines() == [f"{e},{head},{e}" for e in expected]
-    assert "".join(grid_rows(v[:1], v, v[None, :])).splitlines() == [f"{head},{e},{e}" for e in expected]
+    assert b"".join(grid_rows(v, v[:1], v[:, None])).decode().splitlines() == [f"{e},{head},{e}" for e in expected]
+    assert b"".join(grid_rows(v[:1], v, v[None, :])).decode().splitlines() == [f"{head},{e},{e}" for e in expected]
 
 
 def _peak_bytes(blocks):
@@ -148,3 +151,51 @@ def test_writer_memory_is_independent_of_the_row_count():
     peaks = [_peak_bytes(grid_rows(x[:n], y, values[:n])) for n in (150, 600)]
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
     assert max(peaks) < 16 * block_text
+
+
+def _interleaved(*generators):
+    """The text of each generator, taking one block from each in turn."""
+    texts = [b""] * len(generators)
+    for blocks in itertools.zip_longest(*generators, fillvalue=b""):
+        texts = [t + b for t, b in zip(texts, blocks)]
+    return texts
+
+
+def test_generators_alive_at_once_share_no_workspace(monkeypatch):
+    monkeypatch.setattr(_writer, "_CHUNK_VALUES", 12)  # several blocks per call
+    rng = np.random.default_rng(11)
+    tables = [rng.standard_normal((9, w)) * 10.0 ** rng.integers(-30, 30, (9, w)) for w in (3, 3, 5)]
+    assert _interleaved(*map(row_blocks, tables)) == [b"".join(row_blocks(t)) for t in tables]
+    # two grids of one block shape, and one whose x rows split across blocks
+    grids = [
+        (np.linspace(0.0, 1.0, 7), np.array([-1.0, -0.5]), rng.standard_normal((7, 2))),
+        (np.linspace(1.0, 0.0, 7), np.array([-0.5, -1.0]), rng.standard_normal((7, 2))),
+        (np.array([0.25, 3.0]), -rng.random(9), rng.standard_normal((2, 9)) * 1e-20),
+    ]
+    assert _interleaved(*(grid_rows(*g) for g in grids)) == [b"".join(grid_rows(*g)) for g in grids]
+
+
+def test_tables_equal_the_exact_integer_construction():
+    n = _writer._N_EXP
+    hi, lo, pre, suf, dot, lead = writer_tables(_writer._X0)
+    powers, words = _writer._exponents(np.arange(n))
+    assert powers[0].tobytes() == hi.tobytes()
+    assert powers[1].tobytes() == lo.tobytes()
+    prefix, negative, keep_h, keep_l, dot_h, dot_l, suffix = np.asarray(words, "<u8")[..., None].view(np.uint8)
+    keep, dots = np.hstack([keep_h, keep_l]), np.hstack([dot_h, dot_l])
+    for i in range(n):
+        text = bytes(pre[:, i]).rstrip(b"\0")
+        assert bytes(prefix[i]) == text.rjust(7, b"\0") + b"\0"
+        assert bytes(negative[i]) == (b"-" + text).rjust(7, b"\0") + b"\0"
+        assert bytes(suffix[i]) == b"\0" + bytes(suf[:, i]) + b"\0\0"
+        kept = int(np.count_nonzero(keep[i]))
+        assert bytes(keep[i]) == b"\xff" * kept + b"\0" * (16 - kept)
+        has_dot = dot[i] < 18  # at X = 16 after all 17 digits: no digit can follow it, and S has no byte for it
+        assert bytes(dots[i]) == (b"\0" * kept + b"." if has_dot else b"").ljust(16, b"\0")[:16]
+        assert (dot[i], lead[i]) == ((kept + 1, kept + 1) if has_dot else (18, 0))
+
+
+def test_digit_table_holds_each_4_digit_group():
+    table = np.asarray(_writer._digit_table(), "<u4").view(np.uint8).reshape(-1, 4)
+    groups = [b"%04d" % q for q in range(10**4)]
+    assert [bytes(row) for row in table] == groups + [g.rstrip(b"0").ljust(4, b"\0") for g in groups]
