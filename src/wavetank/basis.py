@@ -6,9 +6,11 @@ Neumann cosine family
     phi_0(x) = 1/sqrt(pi),      phi_k(x) = sqrt(2/pi) cos(k x)   (k >= 1),
 
 which is orthonormal in L^2[0, pi].  This module holds the coefficient
-vector, the resolution parameters and the mode-weighted norms in which
-convergence is measured; a scale space is named by its exponent alpha, a
-plain float.
+vector and the mode-weighted norms in which convergence is measured; a
+scale space is named by its exponent alpha, a plain float.  The two
+resolution inputs are plain values too: the shallowness mu in (0, 1] and
+the number K >= 1 of nonzero-frequency modes kept, checked once by
+`cli.parse_config` where input enters the program.
 
 The package's one cosine evaluator is `_phi` (the points-by-modes matrix
 phi_k(x_i)), which `fields` uses; `_readonly` gives the read-only views
@@ -30,7 +32,6 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 __all__ = [
     "SQRT_PI",
     "SQRT_2_OVER_PI",
-    "SpectralParams",
     "ModalVector",
     "norm",
     "sobolev_weights",
@@ -66,24 +67,6 @@ def _phi(k, x) -> np.ndarray:
     phi *= SQRT_2_OVER_PI
     np.copyto(phi, 1.0 / SQRT_PI, where=k == 0)
     return phi
-
-
-@dataclass(frozen=True)
-class SpectralParams:
-    """Resolution parameters shared by every series in the model.
-
-    mu  -- shallowness parameter (squared depth-to-length ratio), in (0, 1]
-    K   -- number of nonzero-frequency surface modes kept
-    """
-
-    mu: float
-    K: int = 256
-
-    def __post_init__(self):
-        if not (isinstance(self.K, (int, np.integer)) and self.K >= 1):
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
-        if not (np.isfinite(self.mu) and 0.0 < self.mu <= 1.0):
-            raise ValueError(f"mu must be in (0, 1], got {self.mu!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,8 +27,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._writer import block_rows, table_blocks, write_csv, write_text
-from .basis import ModalVector, SpectralParams
-from .evolution import InputSignal, _blocks, limit_system, make_initial, water_system
+from .basis import ModalVector
+from .evolution import _blocks, limit_system, make_initial, water_system
 from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
 from .lab import audit_kernels, audit_resolvents, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
 
@@ -39,26 +39,32 @@ COMMANDS = ("simulate", "sweep", "verify", "field")
 # fast at the default l_modes
 _FIELD_L_MODES_CAP = 512
 
-# key: (default, help). Order fixes the serialized layout.
+# key: (default, flag metavar, help); each key is also the flag --key, with '-' for '_'.
+# Order fixes the serialized layout.
 CONFIG_KEYS = {
-    "out": ("out", "output directory"),
-    "mu": ("0.01", "shallowness parameter, in (0, 1]"),
-    "mu_list": ("1e-1,1e-2,1e-3,1e-4", "comma-separated decreasing shallowness values in (0, 1]"),
-    "k_modes": ("256", "number of nonzero surface modes, >= 1"),
+    "out": ("out", "DIR", "output directory"),
+    "mu": ("0.01", "MU", "shallowness parameter, in (0, 1]"),
+    "mu_list": ("1e-1,1e-2,1e-3,1e-4", "M1,M2,...", "comma-separated decreasing shallowness values in (0, 1]"),
+    "k_modes": ("256", "K", "number of nonzero surface modes, >= 1"),
     "l_modes": (
         "10000",
+        "L",
         "lateral-series truncation, >= 1: verify/sweep oracle; "
         f"field Neumann profile, capped at {_FIELD_L_MODES_CAP}",
     ),
-    "dt": ("", "time step; empty selects 1e-3*tau"),
-    "tau": ("10.0", "time horizon, > 0"),
-    "grid": ("50,50", "field grid resolution NX,NY (>= 2 each)"),
-    "signal": ("pulse:0:1:1", "input signal: zero | const:AMP | pulse:T0:T1:AMP"),
-    "init": ("smooth8", "initial elevation: zero | cos1 | smooth8 | mode:K:AMP[+...]"),
-    "init1": ("zero", "initial velocity, same mini-language as init"),
-    "system": ("water", "simulate target: water | limit"),
-    "seed": ("20260809", "no effect; accepted because the benchmark's verify workload passes --seed (ROADMAP item 1)"),
-    "k_max": ("10000", "largest mode index in the kernel audit, >= 1"),
+    "dt": ("", "DT", "time step; empty selects 1e-3*tau"),
+    "tau": ("10.0", "TAU", "time horizon, > 0"),
+    "grid": ("50,50", "NX,NY", "field grid resolution NX,NY (>= 2 each)"),
+    "signal": ("pulse:0:1:1", "SPEC", "input signal: zero | const:AMP | pulse:T0:T1:AMP"),
+    "init": ("smooth8", "SPEC", "initial elevation: zero | cos1 | smooth8 | mode:K:AMP[+...]"),
+    "init1": ("zero", "INIT1", "initial velocity, same mini-language as init"),
+    "system": ("water", "SYSTEM", "simulate target: water | limit"),
+    "seed": (
+        "20260809",
+        "SEED",
+        "no effect; accepted because the benchmark's verify workload passes --seed (ROADMAP item 1)",
+    ),
+    "k_max": ("10000", "K_MAX", "largest mode index in the kernel audit, >= 1"),
 }
 
 
@@ -97,6 +103,15 @@ class RunConfig:
     def init1_modes(self) -> ModalVector:
         """The init1 spec at k_modes, parsed on first use (parse_config uses it first)."""
         return parse_initial_spec(self.init1, self.k_modes)
+
+    @functools.cached_property
+    def signal_values(self) -> np.ndarray:
+        """The signal's values on the steps of effective_dt up to tau, built on first use.
+
+        parse_config builds them first for simulate and sweep, so a step grid that misses tau or a pulse is a
+        config error there.
+        """
+        return make_signal(self.signal, self.effective_dt, _n_steps(self))
 
     def to_text(self) -> str:
         """Serialize as the key=value format accepted by parse_config."""
@@ -156,7 +171,7 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     """Build a validated RunConfig from file text plus flag overrides."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    raw = {k: v for k, (v, _) in CONFIG_KEYS.items()}
+    raw = {k: v for k, (v, _, _) in CONFIG_KEYS.items()}
     raw.update(_parse_pairs(file_text, source))
     for k, v in (overrides or {}).items():
         if v is not None:
@@ -199,9 +214,13 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
         seed=_to_int("seed", raw["seed"], 0),
         k_max=_to_int("k_max", raw["k_max"], 1),
     )
-    # fail early on malformed mini-language specs; the commands reuse the parsed data
+    # fail early on malformed mini-language specs and on a step grid that misses
+    # tau or a pulse; the commands reuse the parsed data
     cfg.init_modes, cfg.init1_modes
-    _signal_spec(cfg.signal)
+    if command in ("simulate", "sweep"):
+        cfg.signal_values
+    else:
+        _signal_spec(cfg.signal)
     return cfg
 
 
@@ -252,13 +271,16 @@ def _signal_spec(spec: str):
     return kind, nums
 
 
-def make_signal(spec: str, dt: float, n_steps: int) -> InputSignal:
-    """Signal mini-language: zero | const:AMP | pulse:T0:T1:AMP, a pulse holding a step start m dt < n_steps dt."""
+def make_signal(spec: str, dt: float, n_steps: int) -> np.ndarray:
+    """The values u_m on [m dt, (m+1) dt), m < n_steps, of a signal spec.
+
+    Signal mini-language: zero | const:AMP | pulse:T0:T1:AMP, a pulse holding a step start m dt < n_steps dt.
+    """
     kind, nums = _signal_spec(spec)
     if kind == "zero":
-        return InputSignal(dt, np.zeros(n_steps))
+        return np.zeros(n_steps)
     if kind == "const":
-        return InputSignal(dt, np.full(n_steps, float(nums[0])))
+        return np.full(n_steps, float(nums[0]))
     t_on, t_off, amplitude = nums
     t = np.arange(n_steps) * dt
     on = (t >= t_on) & (t < t_off)
@@ -267,7 +289,7 @@ def make_signal(spec: str, dt: float, n_steps: int) -> InputSignal:
             f"signal {spec.strip()!r}: the window [{t_on:g}, {t_off:g}) holds no step start m*dt "
             f"of the grid dt={dt:g}, m < {n_steps}"
         )
-    return InputSignal(dt, np.where(on, float(amplitude), 0.0))
+    return np.where(on, float(amplitude), 0.0)
 
 
 class _OutputSet:
@@ -307,10 +329,8 @@ def _n_steps(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
-    dt = cfg.effective_dt
-    n = _n_steps(cfg)
     if cfg.system == "water":
-        system = water_system(SpectralParams(mu=cfg.mu, K=cfg.k_modes))
+        system = water_system(cfg.mu, cfg.k_modes)
     else:
         system = limit_system(cfg.k_modes)
     modes = range(cfg.k_modes + 1)
@@ -318,7 +338,7 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
     rows = block_rows(2 * cfg.k_modes + 3)
     # make_initial checks the data here, before trajectory.csv is registered for discard
     initial = make_initial(cfg.init_modes, cfg.init1_modes, [system])
-    samples = _blocks(initial, make_signal(cfg.signal, dt, n), system, rows)
+    samples = _blocks(initial, cfg.signal_values, cfg.effective_dt, system, rows)
     # overflow surfaces as a non-finite row, rejected per block
     with np.errstate(over="ignore", invalid="ignore"):
         write_csv(out.path("trajectory.csv"), header, table_blocks(_finite_rows(samples)))
@@ -335,9 +355,7 @@ def _finite_rows(samples):
 
 
 def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
-    dt = cfg.effective_dt
-    n = _n_steps(cfg)
-    report = run_sweep(cfg.mu_list, cfg.init_modes, cfg.init1_modes, make_signal(cfg.signal, dt, n))
+    report = run_sweep(cfg.mu_list, cfg.init_modes, cfg.init1_modes, cfg.signal_values, cfg.effective_dt)
     audit = audit_kernels(k_max=cfg.k_max, l_modes=cfg.l_modes)
     write_sweep_csv(report, out.path("sweep.csv"))
     write_text(out.path("summary.txt"), f"{sweep_summary(report)}\n\n{audit.table()}\n")
@@ -355,13 +373,12 @@ def _cmd_verify(cfg: RunConfig, out: _OutputSet) -> int:
 
 
 def _cmd_field(cfg: RunConfig, out: _OutputSet) -> int:
-    params = SpectralParams(mu=cfg.mu, K=cfg.k_modes)
     grid = FieldGrid.regular(*cfg.grid)
     profile = LateralProfile.constant(1.0, min(cfg.l_modes, _FIELD_L_MODES_CAP))
     # overflow surfaces as non-finite field values, which FieldGrid rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        write_field_csv(dirichlet_extension(cfg.init_modes, params, grid), out.path("field_dirichlet.csv"))
-        write_field_csv(neumann_extension(profile, params, grid), out.path("field_neumann.csv"))
+        write_field_csv(dirichlet_extension(cfg.init_modes, cfg.mu, grid), out.path("field_dirichlet.csv"))
+        write_field_csv(neumann_extension(profile, cfg.mu, grid), out.path("field_neumann.csv"))
     return 0
 
 
@@ -383,7 +400,7 @@ def dispatch(cfg: RunConfig) -> int:
 
 def _config_help() -> str:
     lines = ["configuration keys (file and/or flags; defaults in brackets):"]
-    for key, (default, text) in CONFIG_KEYS.items():
+    for key, (default, _, text) in CONFIG_KEYS.items():
         lines.append(f"  {key:<8} {text}  [{default or '1e-3*tau'}]")
     lines += [
         "",
@@ -405,18 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", metavar="PATH", help="key=value configuration file")
-    parser.add_argument("--out", metavar="DIR")
-    parser.add_argument("--mu", metavar="MU")
-    parser.add_argument("--mu-list", dest="mu_list", metavar="M1,M2,...")
-    parser.add_argument("--k-modes", dest="k_modes", metavar="K")
-    parser.add_argument("--l-modes", dest="l_modes", metavar="L")
-    parser.add_argument("--dt", metavar="DT")
-    parser.add_argument("--tau", metavar="TAU")
-    parser.add_argument("--grid", metavar="NX,NY")
-    parser.add_argument("--signal", metavar="SPEC")
-    parser.add_argument("--init", metavar="SPEC")
-    for key in ("init1", "system", "seed", "k_max"):
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar=key.upper())
+    for key, (_, metavar, _) in CONFIG_KEYS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar=metavar)
     return parser
 
 

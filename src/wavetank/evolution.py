@@ -16,6 +16,10 @@ because the rotation variables do not determine it.
 With u = 0 each step is a pure rotation, so E = ||alpha||^2 + ||beta||^2 is
 conserved to roundoff regardless of dt.
 
+A system is the pair (omega, forcing) of (K+1)-arrays that `water_system`
+and `limit_system` return, and an input is the array of values u_m held on
+[m dt, (m+1) dt) together with dt.
+
 All stepping goes through one private generator, `_propagate`.  It copies
 the stacked (alpha, beta, z0) arrays of `make_initial` into (n_sys, K+1)
 buffers, computes cos/sin(omega dt) once, steps in place without allocating
@@ -28,71 +32,32 @@ O(n_sys K) memory.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModalVector, SpectralParams, _aligned, _readonly
+from .basis import ModalVector, _aligned, _readonly
 from .operators import _h, limit_forcing, wave_maker_forcing
 
 __all__ = [
-    "InputSignal",
-    "ModeSystem",
     "water_system",
     "limit_system",
     "make_initial",
 ]
 
 
-@dataclass(frozen=True)
-class InputSignal:
-    """Piecewise-constant wave-maker acceleration: u(t) = values[m] on [m dt, (m+1) dt)."""
+def water_system(mu: float, K: int):
+    """(omega, forcing) of the tank at shallowness mu, modes 0..K.
 
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal values must be finite")
-        object.__setattr__(self, "values", _readonly(v.copy()))
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.size
+    omega_k = k sqrt(h(sqrt(mu) k)) and f_k = -phi_k(0) h(sqrt(mu) k).
+    """
+    k = np.arange(K + 1, dtype=float)
+    omega = k * np.sqrt(_h(np.sqrt(mu) * k))
+    return omega, wave_maker_forcing(mu, K)
 
 
-@dataclass(frozen=True)
-class ModeSystem:
-    """Per-mode frequencies and forcing coefficients of one evolution system."""
-
-    omega: np.ndarray
-    forcing: np.ndarray
-
-    def __post_init__(self):
-        for name in ("omega", "forcing"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-        if self.omega.shape != self.forcing.shape:
-            raise ValueError("omega and forcing must have equal length")
-
-    @property
-    def K(self) -> int:
-        return self.omega.size - 1
-
-
-def water_system(params: SpectralParams) -> ModeSystem:
-    """Tank dynamics at shallowness mu: omega_k = k sqrt(h(sqrt(mu) k)), f_k = -phi_k(0) h(sqrt(mu) k)."""
-    k = np.arange(params.K + 1, dtype=float)
-    omega = k * np.sqrt(_h(np.sqrt(params.mu) * k))
-    forcing = wave_maker_forcing(params)
-    return ModeSystem(omega=omega, forcing=forcing)
-
-
-def limit_system(K: int) -> ModeSystem:
-    """Zero-depth limit: the string with omega_k = k and point-mass forcing."""
-    return ModeSystem(omega=np.arange(K + 1, dtype=float), forcing=limit_forcing(K))
+def limit_system(K: int):
+    """(omega, forcing) of the zero-depth limit: the string with omega_k = k and point-mass forcing."""
+    return np.arange(K + 1, dtype=float), limit_forcing(K)
 
 
 def make_initial(zeta0: ModalVector, zeta1: ModalVector, systems):
@@ -102,10 +67,10 @@ def make_initial(zeta0: ModalVector, zeta1: ModalVector, systems):
     rotation variables do not determine.  An overflowing beta_k is rejected,
     naming the first system in batch order that overflows.
     """
-    for system in systems:
-        if not zeta0.K == zeta1.K == system.K:
-            raise ValueError(f"mode count mismatch: zeta0 K={zeta0.K}, zeta1 K={zeta1.K}, system K={system.K}")
-    omega = np.stack([system.omega for system in systems])
+    for w, _ in systems:
+        if not zeta0.K == zeta1.K == w.size - 1:
+            raise ValueError(f"mode count mismatch: zeta0 K={zeta0.K}, zeta1 K={zeta1.K}, system K={w.size - 1}")
+    omega = np.stack([w for w, _ in systems])
     with np.errstate(over="ignore"):  # an overflowing mode is rejected below
         beta = omega * zeta0.coeffs
     bad = np.argwhere(~np.isfinite(beta))
@@ -139,10 +104,10 @@ def _propagate(initial, systems, values, dt):
     sample is bit-identical to the plain per-step formula a1 = c da - s db,
     b1 = p + s da + c db.
     """
-    shape = (len(systems), systems[0].omega.size)
+    shape = (len(systems), systems[0][0].size)
     omega, forcing, alpha, beta, alpha1, beta1, zeta, p, db, t1, t2, c, s = (_aligned(shape) for _ in range(13))
-    np.stack([system.omega for system in systems], out=omega)
-    np.stack([system.forcing for system in systems], out=forcing)
+    np.stack([w for w, _ in systems], out=omega)
+    np.stack([f for _, f in systems], out=forcing)
     f0 = forcing[:, 0].copy()
     omega[:, 0], forcing[:, 0] = 1.0, 0.0
     alpha[...], beta[...] = initial[0], initial[1]
@@ -173,16 +138,16 @@ def _propagate(initial, systems, values, dt):
         yield views
 
 
-def _blocks(initial, signal: InputSignal, system: ModeSystem, rows: int):
-    """(times, zeta, zeta_t) of one system's trajectory, in consecutive blocks of at most `rows` samples.
+def _blocks(initial, values, dt: float, system, rows: int):
+    """(times, zeta, zeta_t) of one system's trajectory under the input values, in blocks of at most `rows` samples.
 
     initial is make_initial(zeta0, zeta1, [system]).
     """
-    times = signal.dt * np.arange(signal.n_steps + 1)
-    samples = _propagate(initial, [system], signal.values, signal.dt)
+    times = dt * np.arange(len(values) + 1)
+    samples = _propagate(initial, [system], values, dt)
     for start in range(0, times.size, rows):
         t = times[start : start + rows]
-        zeta = np.empty((t.size, system.K + 1))
+        zeta = np.empty((t.size, system[0].size))
         zeta_t = np.empty_like(zeta)
         for i, (z, a, _) in enumerate(itertools.islice(samples, t.size)):
             zeta[i], zeta_t[i] = z[0], a[0]

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ._writer import grid_rows, write_csv
-from .basis import ModalVector, SpectralParams, _phi, _readonly
+from .basis import ModalVector, _phi, _readonly
 
 __all__ = [
     "FieldGrid",
@@ -126,7 +126,7 @@ def _one_plus_exp(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def dirichlet_values(eta: ModalVector, params: SpectralParams, x, y) -> np.ndarray:
+def dirichlet_values(eta: ModalVector, mu: float, x, y) -> np.ndarray:
     """Surface extension field at the tensor points (x_i, y_j), shape (nx, ny).
 
     Per mode the depth factor cosh[a(y+1)]/cosh(a), a = sqrt(mu) k, is computed
@@ -135,7 +135,7 @@ def dirichlet_values(eta: ModalVector, params: SpectralParams, x, y) -> np.ndarr
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     k = np.arange(eta.K + 1)
-    a = math.sqrt(params.mu) * k[:, None]
+    a = math.sqrt(mu) * k[:, None]
     depth = np.multiply(a, ya)
     np.exp(depth, out=depth)
     depth *= _one_plus_exp(np.multiply(-2.0 * a, ya + 1.0))
@@ -144,11 +144,11 @@ def dirichlet_values(eta: ModalVector, params: SpectralParams, x, y) -> np.ndarr
     return _phi(k, xa) @ depth
 
 
-def dirichlet_extension(eta: ModalVector, params: SpectralParams, grid: FieldGrid) -> FieldGrid:
-    return FieldGrid(grid.x, grid.y, dirichlet_values(eta, params, grid.x, grid.y))
+def dirichlet_extension(eta: ModalVector, mu: float, grid: FieldGrid) -> FieldGrid:
+    return FieldGrid(grid.x, grid.y, dirichlet_values(eta, mu, grid.x, grid.y))
 
 
-def neumann_values(profile: LateralProfile, params: SpectralParams, x, y) -> np.ndarray:
+def neumann_values(profile: LateralProfile, mu: float, x, y) -> np.ndarray:
     """Wave-maker extension field at the tensor points (x_i, y_j), shape (nx, ny).
 
     Per lateral mode the ratio cosh[c(x-pi)]/sinh(c pi) is computed as
@@ -158,18 +158,18 @@ def neumann_values(profile: LateralProfile, params: SpectralParams, x, y) -> np.
     xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     odd = 2 * np.arange(1, profile.n_modes + 1) - 1
-    c = odd * math.pi / (2.0 * math.sqrt(params.mu))
+    c = odd * math.pi / (2.0 * math.sqrt(mu))
     ratio = np.multiply(-c, xa)
     np.exp(ratio, out=ratio)
     ratio *= _one_plus_exp(np.multiply(-2.0 * c, math.pi - xa))
     ratio /= -np.expm1(-2.0 * c * math.pi)
     # a_k psi_k / sqrt(2), a_k = 2 sqrt(2 mu) v_k / ((2k-1) pi)
-    ratio *= 2.0 * math.sqrt(params.mu) * profile.coeffs / (odd * math.pi)
+    ratio *= 2.0 * math.sqrt(mu) * profile.coeffs / (odd * math.pi)
     return ratio @ _psi(profile.n_modes, ya).T
 
 
-def neumann_extension(profile: LateralProfile, params: SpectralParams, grid: FieldGrid) -> FieldGrid:
-    return FieldGrid(grid.x, grid.y, neumann_values(profile, params, grid.x, grid.y))
+def neumann_extension(profile: LateralProfile, mu: float, grid: FieldGrid) -> FieldGrid:
+    return FieldGrid(grid.x, grid.y, neumann_values(profile, mu, grid.x, grid.y))
 
 
 def write_field_csv(grid: FieldGrid, path) -> None:

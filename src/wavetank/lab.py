@@ -24,8 +24,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._writer import row_blocks, write_csv
-from .basis import ModalVector, SpectralParams, _aligned, sobolev_weights
-from .evolution import InputSignal, _propagate, limit_system, make_initial, water_system
+from .basis import ModalVector, _aligned, sobolev_weights
+from .evolution import _propagate, limit_system, make_initial, water_system
 from .operators import bmu_dual_norm_gap, comparison_kernels, kernel_H_sum
 
 __all__ = [
@@ -97,17 +97,18 @@ def fit_rate(mu: Sequence[float], err: Sequence[float], skip_largest: int = 1) -
     return float(np.sum(x * (y - y.mean())) / sxx) if sxx > 0 else float("nan")
 
 
-def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, signal: InputSignal) -> SweepReport:
+def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, values, dt: float) -> SweepReport:
     """Evolve the limit and every tank as one batch from identical data, reducing the errors as it goes.
 
-    K comes from the data, and dt and the horizon from the signal.  At each
-    step the error norms of every tank against the limit update their running
-    sup and the largest step-to-step change; no trajectory is kept.  The rates
-    skip the largest mu, as fit_rate does, and are nan below three mu.
+    K comes from the data; the input holds u = values[m] on [m dt, (m+1) dt),
+    so the horizon is len(values) dt.  At each step the error norms of every
+    tank against the limit update their running sup and the largest
+    step-to-step change; no trajectory is kept.  The rates skip the largest
+    mu, as fit_rate does, and are nan below three mu.
     """
     mu_list = tuple(float(mu) for mu in mu_list)
     K = zeta0.K
-    systems = [limit_system(K)] + [water_system(SpectralParams(mu=mu, K=K)) for mu in mu_list]
+    systems = [limit_system(K)] + [water_system(mu, K) for mu in mu_list]
     initial = make_initial(zeta0, zeta1, systems)
     # one weight row per mu: a same-shape product is about twice as fast as a broadcast row
     w, diff = _aligned((len(mu_list), K + 1)), _aligned((len(mu_list), K + 1))
@@ -115,7 +116,7 @@ def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, 
     norms, prev = np.empty((2, len(mu_list))), None
     # overflow surfaces as a non-finite norm, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for zeta, alpha, _ in _propagate(initial, systems, signal.values, signal.dt):
+        for zeta, alpha, _ in _propagate(initial, systems, values, dt):
             np.subtract(zeta[1:], zeta[0], out=diff)
             np.multiply(np.square(diff, out=diff), w, out=diff)
             diff.sum(axis=1, out=norms[0])
@@ -224,15 +225,14 @@ def audit_kernels(
     ratio_f, ratio_i, ratio_h1, ratio_h2, ratio_oracle = [], [], [], [], []
     fit_g, fit_j = [], []
     for mu in mu_grid:
-        params = SpectralParams(mu=mu, K=1)
         rmu = math.sqrt(mu)
-        kern = comparison_kernels(params, k)
+        kern = comparison_kernels(mu, k)
         ratio_f.append(np.max(np.abs(kern.F) * k / rmu))
         ratio_i.append(np.max(np.abs(kern.I) / (rmu * k)))
         ratio_h1.append(np.max(kern.H_sum / (mu / 2.0)))
         ratio_h2.append(np.max(kern.H_sum * k / (2.0 * rmu)))
-        series = kernel_H_sum(params, k_oracle, l_modes)
-        ratio_oracle.append(np.max(np.abs(kern.H_sum[i_oracle] - series.value)) / series.tail_bound)
+        series, tail = kernel_H_sum(mu, k_oracle, l_modes)
+        ratio_oracle.append(np.max(np.abs(kern.H_sum[i_oracle] - series)) / tail)
         g_env = np.minimum(rmu, mu**0.25 / np.sqrt(k))
         fit_g.append(np.max(np.abs(kern.G) / g_env))
         fit_j.append(np.max(np.abs(kern.J) / (mu**0.25 * np.sqrt(k))))
@@ -267,8 +267,7 @@ def audit_resolvents(mu_grid: Sequence[float] = DEFAULT_MU_GRID, K: int = 256) -
     k = np.arange(1, K + 1, dtype=float)
     gap_f, gap_g = [], []
     for mu in mu_grid:
-        params = SpectralParams(mu=mu, K=1)
-        kern = comparison_kernels(params, k)
+        kern = comparison_kernels(mu, k)
         gap_f.append(np.max(np.abs(kern.F)) / math.sqrt(mu))
         gap_g.append(np.max(np.abs(kern.G)) / math.sqrt(mu))
     rows = (
@@ -285,7 +284,7 @@ def bmu_rate_table(mu_grid: Sequence[float] = GAP_MU_GRID, K: int = GAP_K) -> Ke
     spread (largest over smallest) must stay strictly below 2.
     """
     mu_grid = _grid(mu_grid, K)
-    scaled = [bmu_dual_norm_gap(SpectralParams(mu=mu, K=K)) * mu ** (-0.25) for mu in mu_grid]
+    scaled = [bmu_dual_norm_gap(mu, K) * mu ** (-0.25) for mu in mu_grid]
     rows = tuple(KernelAuditRow("gap", f"gap mu^(-1/4) at mu={mu:.1e}", sc, None) for mu, sc in zip(mu_grid, scaled))
     spread = KernelAuditRow("gap", "scaled spread max/min, strictly below 2", max(scaled) / min(scaled), _SPREAD_LIMIT)
     return KernelAudit(f"forcing gap rate audit (dual norm) over mu in {list(mu_grid)}, K = {K}", rows + (spread,))

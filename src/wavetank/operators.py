@@ -21,24 +21,25 @@ lateral series exactly,
 so production code uses the closed forms (`wave_maker_forcing`, and the
 `H_sum` field of `comparison_kernels`).  The truncated series `kernel_H_sum`
 is kept as an independent oracle: it takes the lateral truncation l_modes and
-returns the sum with its certified tail (`SeriesSum`); the kernel audit
-checks the closed form against it.  The comparison kernels F, G, I, J, all
-built by `comparison_kernels` from one evaluation of h, quantify, mode by
-mode, how far the tank's resolvents, square roots and forcing sit from their
-limits; the convergence lab audits their proven envelopes.
+returns the pair (sum, certified tail bound); the kernel audit checks the
+closed form against it.  The comparison kernels F, G, I, J, all built by
+`comparison_kernels` from one evaluation of h, quantify, mode by mode, how
+far the tank's resolvents, square roots and forcing sit from their limits;
+the convergence lab audits their proven envelopes.  Every function takes the
+shallowness mu, and those that build modes 0..K the mode count K, as plain
+numbers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
-from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, SpectralParams, norm
+from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, norm
 
 __all__ = [
-    "SeriesSum",
     "limit_forcing",
     "comparison_kernels",
     "kernel_H_sum",
@@ -54,13 +55,6 @@ def _h(x):
     nz = x != 0.0
     np.divide(np.tanh(x, where=nz, out=np.zeros_like(x)), x, where=nz, out=out)
     return out
-
-
-class SeriesSum(NamedTuple):
-    """A truncated lateral series: the full sum lies within tail_bound of value."""
-
-    value: Union[float, np.ndarray]
-    tail_bound: float
 
 
 def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
@@ -94,7 +88,7 @@ def limit_forcing(K: int) -> np.ndarray:
     return b0
 
 
-def _check_kernel_args(params: SpectralParams, k):
+def _check_kernel_args(k):
     ka = np.asarray(k, dtype=float)
     if np.any(ka < 1):
         raise ValueError("comparison kernels are defined for k >= 1")
@@ -111,7 +105,7 @@ class _Kernels(NamedTuple):
     H_sum: np.ndarray
 
 
-def comparison_kernels(params: SpectralParams, k) -> _Kernels:
+def comparison_kernels(mu: float, k) -> _Kernels:
     """Every comparison kernel at modes k >= 1, all from one evaluation of h(sqrt(mu) k).
 
     With s = k^2 h(sqrt(mu) k):
@@ -123,8 +117,8 @@ def comparison_kernels(params: SpectralParams, k) -> _Kernels:
     H_sum obeys the envelopes mu/2 and sqrt(mu)/(2k), so the audited 2 sqrt(mu)/k
     holds with a factor 4 to spare.
     """
-    ka = _check_kernel_args(params, k)
-    h = _h(math.sqrt(params.mu) * ka)
+    ka = _check_kernel_args(k)
+    h = _h(math.sqrt(mu) * ka)
     sig = ka**2 * h
     root_h = np.sqrt(h)
     return _Kernels(
@@ -132,34 +126,32 @@ def comparison_kernels(params: SpectralParams, k) -> _Kernels:
         G=ka / (1.0 + ka**2) - np.sqrt(sig) / (1.0 + sig),
         I=root_h - 1.0,
         J=(1.0 + ka) / (1.0 + ka * root_h) - 1.0,
-        H_sum=0.5 * params.mu * h,
+        H_sum=0.5 * mu * h,
     )
 
 
-def kernel_H_sum(params: SpectralParams, k, l_modes: int) -> SeriesSum:
-    """Truncated lateral sum sum_{l<=l_modes} H(k, l) with its certified tail bound.
+def kernel_H_sum(mu: float, k, l_modes: int):
+    """(value, tail_bound): the truncated lateral sums sum_{l<=l_modes} H(k, l) at an array of modes k >= 1.
 
     This is the oracle for the closed form, the H_sum field of
-    `comparison_kernels`: the full sum lies in [value, value + tail_bound],
+    `comparison_kernels`: each full sum lies in [value, value + tail_bound],
     with tail_bound = 4 mu / (pi^2 (2 l_modes - 1)).
     """
-    ka = _check_kernel_args(params, k)
-    scale = 4.0 * params.mu / math.pi**2
-    val = scale * _odd_sums(params.mu, np.atleast_1d(ka), l_modes)
-    tail = scale / (2.0 * l_modes - 1.0)
-    return SeriesSum(float(val[0]) if np.isscalar(k) else val, tail)
+    ka = _check_kernel_args(k)
+    scale = 4.0 * mu / math.pi**2
+    return scale * _odd_sums(mu, ka, l_modes), scale / (2.0 * l_modes - 1.0)
 
 
-def wave_maker_forcing(params: SpectralParams) -> np.ndarray:
+def wave_maker_forcing(mu: float, K: int) -> np.ndarray:
     """Forcing coefficients f_k = -phi_k(0) h(sqrt(mu) k) for modes 0..K, in closed form.
 
     h(0) = 1 gives the exact mode-0 value -1/sqrt(pi).
     """
-    k = np.arange(params.K + 1, dtype=float)
-    return limit_forcing(params.K) * _h(math.sqrt(params.mu) * k)
+    k = np.arange(K + 1, dtype=float)
+    return limit_forcing(K) * _h(math.sqrt(mu) * k)
 
 
-def bmu_dual_norm_gap(params: SpectralParams) -> float:
+def bmu_dual_norm_gap(mu: float, K: int) -> float:
     """Distance of the unit-input forcing from its zero-depth limit.
 
     Measured in the dual of the first-order scale space, realized with mode
@@ -167,6 +159,6 @@ def bmu_dual_norm_gap(params: SpectralParams) -> float:
     Fourier realization of the dual norm in which the forcing convergence is
     proved.  Mode 0 cancels exactly.
     """
-    f = wave_maker_forcing(params)
-    b0 = limit_forcing(params.K)
+    f = wave_maker_forcing(mu, K)
+    b0 = limit_forcing(K)
     return norm(ModalVector(f - b0), -1.0)

@@ -11,7 +11,7 @@ import numpy as np
 from wavetank.basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, _phi
 from wavetank.evolution import _blocks, _propagate
 from wavetank.fields import FieldGrid, LateralProfile, _psi
-from wavetank.operators import SeriesSum, _h, _odd_sums
+from wavetank.operators import _h, _odd_sums
 
 # f_k = -FORCING_TAIL_CONST * _odd_sums(mu, k, inf) for k >= 1; dropping the
 # lateral modes l > L changes f_k by at most FORCING_TAIL_CONST/(2L-1)
@@ -56,9 +56,9 @@ def quadrature_nodes(K: int):
     return _simpson(0.0, math.pi, 4 * K)
 
 
-def project(f, params) -> ModalVector:
+def project(f, K: int) -> ModalVector:
     """Project a function on [0, pi] onto modes 0..K by Simpson quadrature; f may accept scalars only."""
-    x, w = quadrature_nodes(params.K)
+    x, w = quadrature_nodes(K)
     try:
         fx = np.asarray(f(x), dtype=float)
         if fx.shape != x.shape:
@@ -67,7 +67,7 @@ def project(f, params) -> ModalVector:
         fx = np.array([float(f(xi)) for xi in x])
     if not np.all(np.isfinite(fx)):
         raise ValueError("function samples must be finite")
-    return ModalVector((w * fx) @ _phi(np.arange(params.K + 1), x))
+    return ModalVector((w * fx) @ _phi(np.arange(K + 1), x))
 
 
 def step(state, u: float, dt: float, system):
@@ -77,9 +77,9 @@ def step(state, u: float, dt: float, system):
     return alpha.copy(), beta.copy(), zeta[:, 0].copy()
 
 
-def evolve(initial, signal, system):
-    """(times, zeta, zeta_t) through the whole signal, sampled at t_i = i dt: what `simulate` streams."""
-    return next(_blocks(initial, signal, system, signal.n_steps + 1))
+def evolve(initial, values, dt, system):
+    """(times, zeta, zeta_t) through the whole input, sampled at t_i = i dt: what `simulate` streams."""
+    return next(_blocks(initial, values, dt, system, len(values) + 1))
 
 
 def energy(state) -> float:
@@ -104,7 +104,7 @@ def lateral_projection(fn, n_modes: int) -> LateralProfile:
     return LateralProfile((w * np.array([float(fn(yi)) for yi in y])) @ _psi(n_modes, y))
 
 
-def verify_harmonic(values_fn, params, x, y, h: float = 1e-3) -> float:
+def verify_harmonic(values_fn, mu, x, y, h: float = 1e-3) -> float:
     """Max |mu d2/dx2 + d2/dy2| residual of values_fn(x, y) over the tensor points, by 5-point stencils.
 
     The residual of an exact separated solution is O(h^2); points must keep
@@ -117,19 +117,20 @@ def verify_harmonic(values_fn, params, x, y, h: float = 1e-3) -> float:
     f0 = values_fn(xa, ya)
     d2x = (values_fn(xa + h, ya) - 2.0 * f0 + values_fn(xa - h, ya)) / h**2
     d2y = (values_fn(xa, ya + h) - 2.0 * f0 + values_fn(xa, ya - h)) / h**2
-    return float(np.abs(params.mu * d2x + d2y).max())
+    return float(np.abs(mu * d2x + d2y).max())
 
 
-def ntn_forcing(params, l_modes: int) -> SeriesSum:
-    """Forcing coefficients f_k of modes 0..K by the lateral series: the reference of `wave_maker_forcing`.
+def ntn_forcing(mu, K: int, l_modes: int):
+    """(f, tail_bound): forcing coefficients f_k of modes 0..K by the lateral series, the reference of
+    `wave_maker_forcing`.
 
     Mode 0 is the exact -1/sqrt(pi) (termwise integration, sum 1/(2l-1)^2 =
     pi^2/8); modes k >= 1 sum l_modes lateral terms, and tail_bound bounds the
     sup-over-k truncation error.
     """
-    f = -FORCING_TAIL_CONST * _odd_sums(params.mu, np.arange(params.K + 1), l_modes)
+    f = -FORCING_TAIL_CONST * _odd_sums(mu, np.arange(K + 1), l_modes)
     f[0] = -1.0 / math.sqrt(math.pi)
-    return SeriesSum(f, FORCING_TAIL_CONST / (2.0 * l_modes - 1.0))
+    return f, FORCING_TAIL_CONST / (2.0 * l_modes - 1.0)
 
 
 def _h_at(mu: float, k: np.ndarray) -> np.ndarray:
@@ -147,25 +148,25 @@ KERNEL_FORMULAS = {
 }
 
 
-def dirichlet_reference(eta, params, x, y) -> np.ndarray:
+def dirichlet_reference(eta, mu, x, y) -> np.ndarray:
     """`fields.dirichlet_values` as one broadcast expression, each step in a new array: its bitwise reference."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     k = np.arange(eta.K + 1)
-    a = math.sqrt(params.mu) * k[:, None]
+    a = math.sqrt(mu) * k[:, None]
     depth = np.exp(a * ya) * (1.0 + np.exp(-2.0 * a * (ya + 1.0))) / (1.0 + np.exp(-2.0 * a))
     phi = np.where(k == 0, 1.0 / SQRT_PI, SQRT_2_OVER_PI * np.cos(np.multiply.outer(xa, k)))
     return phi @ (eta.coeffs[:, None] * depth)
 
 
-def neumann_reference(profile, params, x, y) -> np.ndarray:
+def neumann_reference(profile, mu, x, y) -> np.ndarray:
     """`fields.neumann_values` as one broadcast expression, each step in a new array: its bitwise reference."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     odd = 2 * np.arange(1, profile.n_modes + 1) - 1
-    c = odd * math.pi / (2.0 * math.sqrt(params.mu))
+    c = odd * math.pi / (2.0 * math.sqrt(mu))
     ratio = np.exp(-c * xa) * (1.0 + np.exp(-2.0 * c * (math.pi - xa))) / (-np.expm1(-2.0 * c * math.pi))
-    amp = 2.0 * math.sqrt(params.mu) * profile.coeffs / (odd * math.pi)
+    amp = 2.0 * math.sqrt(mu) * profile.coeffs / (odd * math.pi)
     psi = math.sqrt(2.0) * np.cos(odd * (math.pi / 2.0) * (ya[:, None] + 1.0))
     return (ratio * amp) @ psi.T
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wavetank.basis import ModalVector, SpectralParams, norm, sobolev_weights
+from wavetank.basis import ModalVector, norm, sobolev_weights
 
 from oracles import eval_basis, eval_function, project, quadrature_nodes
 
@@ -37,33 +37,29 @@ def test_eval_function_values():
 
 
 def test_project_zero_and_constants():
-    params = SpectralParams(mu=1.0, K=8)
-    z = project(lambda x: np.zeros_like(x), params)
+    z = project(lambda x: np.zeros_like(x), 8)
     assert np.all(z.coeffs == 0.0)
-    one = project(lambda x: np.ones_like(x), params)
+    one = project(lambda x: np.ones_like(x), 8)
     expected = np.zeros(9)
     expected[0] = math.sqrt(math.pi)
     np.testing.assert_allclose(one.coeffs, expected, atol=1e-13)
 
 
 def test_project_cosine():
-    params = SpectralParams(mu=1.0, K=8)
-    v = project(np.cos, params)
+    v = project(np.cos, 8)
     expected = np.zeros(9)
     expected[1] = math.sqrt(math.pi / 2.0)
     np.testing.assert_allclose(v.coeffs, expected, atol=1e-12)
 
 
 def test_project_scalar_only_callable():
-    params = SpectralParams(mu=1.0, K=4)
-    v = project(lambda x: float(np.cos(x)), params)
+    v = project(lambda x: float(np.cos(x)), 4)
     assert v.coeffs[1] == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
 
 
 def test_project_rejects_nonfinite():
-    params = SpectralParams(mu=1.0, K=4)
     with pytest.raises(ValueError, match="finite"):
-        project(lambda x: np.where(x > 1, np.inf, 1.0), params)
+        project(lambda x: np.where(x > 1, np.inf, 1.0), 4)
 
 
 def test_norm_examples():
@@ -102,7 +98,7 @@ def test_projection_round_trip():
     K = 64
     rng = np.random.default_rng(11)
     v = ModalVector(rng.standard_normal(K + 1))
-    back = project(lambda x: eval_function(v, x), SpectralParams(mu=0.5, K=K))
+    back = project(lambda x: eval_function(v, x), K)
     assert np.abs(back.coeffs - v.coeffs).max() < 1e-8
 
 
@@ -130,29 +126,18 @@ def test_modal_vector_validation():
     assert v.K == 2
 
 
-def test_spectral_params_validation():
-    with pytest.raises(ValueError, match="mu"):
-        SpectralParams(mu=0.0)
-    with pytest.raises(ValueError, match="mu"):
-        SpectralParams(mu=1.5)
-    with pytest.raises(ValueError, match="K"):
-        SpectralParams(mu=0.5, K=0)
-
-
 def test_sobolev_scale_validation():
     with pytest.raises(ValueError, match="alpha"):
         norm(ModalVector.zeros(2), float("inf"))
 
 
 def test_constructors_leave_the_callers_arrays_writeable():
-    from wavetank.evolution import ModeSystem
     from wavetank.fields import FieldGrid
 
     x, y, v = np.linspace(0.0, math.pi, 3), np.linspace(-1.0, 0.0, 2), np.zeros((3, 2))
-    omega, forcing = np.arange(4.0), np.ones(4)
-    grid, system = FieldGrid(x, y, v), ModeSystem(omega, forcing)
-    assert all(a.flags.writeable for a in (x, y, v, omega, forcing))
-    held = (grid.x, grid.y, grid.values, system.omega, system.forcing)
+    grid = FieldGrid(x, y, v)
+    assert all(a.flags.writeable for a in (x, y, v))
+    held = (grid.x, grid.y, grid.values)
     assert not any(a.flags.writeable for a in held)
     # read-only views, not copies
-    assert all(np.shares_memory(a, b) for a, b in zip(held, (x, y, v, omega, forcing)))
+    assert all(np.shares_memory(a, b) for a, b in zip(held, (x, y, v)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetank import cli
-from wavetank.basis import ModalVector, SpectralParams
+from wavetank.basis import ModalVector
 from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_initial_spec
 from wavetank.evolution import make_initial, water_system
 from wavetank.lab import KernelAudit, KernelAuditRow
@@ -44,6 +44,14 @@ def test_grid_below_two_points_is_a_config_error():
     for bad in ("1,5", "5,1", "0,0"):
         with pytest.raises(ConfigError, match="grid must be >= 2"):
             parse_config("field", overrides={"grid": bad})
+
+
+def test_mode_count_and_step_below_range_are_config_errors():
+    with pytest.raises(ConfigError, match="k_modes must be >= 1, got 0"):
+        parse_config("simulate", overrides={"k_modes": "0"})
+    for bad in ("0", "-0.1", "nan"):
+        with pytest.raises(ConfigError, match=r"dt must be in \(0, inf\]"):
+            parse_config("simulate", overrides={"dt": bad})
 
 
 def test_unknown_key_and_syntax_errors():
@@ -133,12 +141,12 @@ def test_initial_spec_language():
 
 
 def test_signal_spec_language():
-    sig = make_signal("zero", 0.1, 5)
-    assert np.all(sig.values == 0.0)
-    sig = make_signal("const:2.5", 0.1, 4)
-    assert np.all(sig.values == 2.5)
-    sig = make_signal("pulse:0:0.2:1", 0.1, 5)
-    np.testing.assert_allclose(sig.values, [1, 1, 0, 0, 0])
+    values = make_signal("zero", 0.1, 5)
+    assert values.shape == (5,) and np.all(values == 0.0)
+    values = make_signal("const:2.5", 0.1, 4)
+    assert values.shape == (4,) and np.all(values == 2.5)
+    values = make_signal("pulse:0:0.2:1", 0.1, 5)
+    np.testing.assert_array_equal(values, [1, 1, 0, 0, 0])
     with pytest.raises(ConfigError, match="signal"):
         make_signal("sine:1", 0.1, 5)
 
@@ -205,9 +213,9 @@ def test_simulate_streams_the_rows_of_evolve(tmp_path):
     args = ["simulate", "--out", str(tmp_path), "--k-modes", "2000", "--tau", "0.5", "--dt", "0.01",
             "--signal", "pulse:0:0.2:1"]
     assert main(args) == 0
-    system = water_system(SpectralParams(mu=0.01, K=2000))
+    system = water_system(0.01, 2000)
     initial = make_initial(parse_initial_spec("smooth8", 2000), ModalVector.zeros(2000), [system])
-    rows = np.column_stack(evolve(initial, make_signal("pulse:0:0.2:1", 0.01, 50), system))
+    rows = np.column_stack(evolve(initial, make_signal("pulse:0:0.2:1", 0.01, 50), 0.01, system))
     expected = [",".join(f"{v:.17g}" for v in row) for row in rows]
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == expected
 
@@ -251,22 +259,22 @@ def test_horizon_not_whole_number_of_steps_exits_1(tmp_path, capsys, command, dt
     # 0.3 would stop at t = 0.9, 0.35 overshoot to t = 1.05, 5 take no step
     rc = main([command, "--out", str(tmp_path), "--k-modes", "4", "--tau", "1", "--dt", dt, "--k-max", "10"])
     assert rc == 1
-    assert "tau=1 is not a whole number of steps" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("wavetank: config error: tau=1 is not a whole number of steps")
     assert not any(tmp_path.iterdir())
 
 
 def test_horizon_too_large_to_count_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path), "--k-modes", "4", "--tau", "1e308", "--dt", "1e-300"])
     assert rc == 1
-    assert "too many steps" in capsys.readouterr().err
+    assert capsys.readouterr().err == "wavetank: config error: tau=1e+308 holds too many steps of dt=1e-300 to count\n"
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
     "args, stage",
     [
-        (["simulate", "--k-modes", "4", "--tau", "1e6", "--dt", "1e-9"], "simulate"),
-        (["sweep", "--k-modes", "4", "--tau", "1e6", "--dt", "1e-9"], "sweep"),
+        (["simulate", "--k-modes", "4", "--tau", "1e6", "--dt", "1e-9"], "config error"),
+        (["sweep", "--k-modes", "4", "--tau", "1e6", "--dt", "1e-9"], "config error"),
         (["verify", "--k-modes", "1000000000000000000"], "config error"),
     ],
 )
@@ -400,8 +408,28 @@ def test_verify_quick_grid(tmp_path):
     assert "FAIL" not in text
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+    # every config key is a flag, and help lists it
+    text = capsys.readouterr().out
+    for key, (_, metavar, _) in cli.CONFIG_KEYS.items():
+        flag = f"--{key.replace('_', '-')}"
+        assert f"{flag} {metavar}" in text
+        assert getattr(cli._build_parser().parse_args(["verify", flag, "x"]), key) == "x"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_commands_reuse_the_signal_that_parse_config_built(tmp_path, monkeypatch, command):
+    built = []
+    make = cli.make_signal
+    monkeypatch.setattr(cli, "make_signal", lambda *args: built.append(args) or make(*args))
+    args = [command, "--out", str(tmp_path), "--k-modes", "4", "--tau", "0.1", "--dt", "0.05", "--k-max", "10",
+            "--l-modes", "10", "--mu-list", "1e-1,1e-2", "--signal", "pulse:0:0.05:2"]
+    assert main(args) == 0
+    assert built == [("pulse:0:0.05:2", 0.05, 2)]
+    cfg = parse_config(command, overrides={"tau": "0.1", "dt": "0.05", "signal": "pulse:0:0.05:2"})
+    assert cfg.signal_values is cfg.signal_values
+    np.testing.assert_array_equal(cfg.signal_values, [2.0, 0.0])
 
 
 @pytest.mark.parametrize("signal", ["pulse:1:0:1", "pulse:1:1:1", "pulse:nan:1:1", "pulse:0:inf:1", "pulse:0:1:nan"])
@@ -417,6 +445,6 @@ def test_pulse_holding_no_step_start_exits_1_naming_window_and_grid(tmp_path, ca
     args = [command, "--out", str(tmp_path), "--k-modes", "4", "--tau", "10", "--k-max", "10", "--l-modes", "10"]
     assert main([*args, "--signal", f"pulse:{window}:1"]) == 1
     window_text = f"the window [{window.replace(':', ', ')}) holds no step start m*dt of the grid dt=0.01, m < 1000"
-    assert capsys.readouterr().err == f"wavetank: {command}: signal 'pulse:{window}:1': {window_text}\n"
+    assert capsys.readouterr().err == f"wavetank: config error: signal 'pulse:{window}:1': {window_text}\n"
     assert not any(tmp_path.iterdir())
     assert main([*args, "--signal", "pulse:0:1:0"]) == 0

@@ -5,23 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavetank.basis import ModalVector, SpectralParams
-from wavetank.cli import make_signal
-from wavetank.evolution import InputSignal, ModeSystem, _propagate, limit_system, make_initial
-from wavetank.evolution import water_system
+from wavetank.basis import ModalVector
+from wavetank.cli import ConfigError, make_signal
+from wavetank.evolution import _propagate, limit_system, make_initial, water_system
 
 from oracles import energy, evolve, step
 from reference_stepper import reference_advance
 
 
 def test_signal_validation_and_builders():
-    with pytest.raises(ValueError):
-        InputSignal(0.0, [1.0])
-    with pytest.raises(ValueError):
-        InputSignal(0.1, [np.inf])
-    sig = make_signal("pulse:1:2:3", 0.5, 6)
-    np.testing.assert_allclose(sig.values, [0, 0, 3, 3, 0, 0])
-    assert sig.n_steps * sig.dt == 3.0
+    with pytest.raises(ConfigError, match="finite"):
+        make_signal("const:inf", 0.1, 1)
+    values = make_signal("pulse:1:2:3", 0.5, 6)
+    np.testing.assert_array_equal(values, [0, 0, 3, 3, 0, 0])
 
 
 def test_make_initial_cases():
@@ -31,7 +27,7 @@ def test_make_initial_cases():
     alpha, beta, _ = make_initial(ModalVector.unit(1, 4), ModalVector.zeros(4), [limit])
     np.testing.assert_allclose(beta[0], ModalVector.unit(1, 4).coeffs)
     assert np.all(alpha == 0.0)
-    water = water_system(SpectralParams(mu=1.0, K=4))
+    water = water_system(1.0, 4)
     _, betaw, _ = make_initial(ModalVector.unit(1, 4), ModalVector.zeros(4), [water])
     assert betaw[0, 1] == pytest.approx(math.sqrt(math.tanh(1.0)), rel=1e-14)
     # one row per system; beta_0 is zero whatever zeta0_0 is, and z0 keeps it
@@ -39,7 +35,7 @@ def test_make_initial_cases():
     alpha, beta, z0 = make_initial(zeta0, zeta1, [limit, water])
     assert alpha.shape == beta.shape == (2, 5) and z0.tolist() == [2.0, 2.0]
     assert np.all(alpha == zeta1.coeffs) and np.all(beta[:, 0] == 0.0)
-    np.testing.assert_array_equal(beta[:, 1:], np.stack([limit.omega, water.omega])[:, 1:] * zeta0.coeffs[1:])
+    np.testing.assert_array_equal(beta[:, 1:], np.stack([limit[0], water[0]])[:, 1:] * zeta0.coeffs[1:])
 
 
 def test_make_initial_shape_errors():
@@ -54,7 +50,7 @@ def test_make_initial_shape_errors():
 
 def test_make_initial_overflow_names_the_first_system_in_batch_order():
     # the first system overflows only at mode 2, the second already at mode 1
-    systems = [ModeSystem(np.array([0.0, 1.0, 3.0]), np.zeros(3)), ModeSystem(np.array([0.0, 3.0, 3.0]), np.zeros(3))]
+    systems = [(np.array([0.0, 1.0, 3.0]), np.zeros(3)), (np.array([0.0, 3.0, 3.0]), np.zeros(3))]
     zeta0 = ModalVector(np.array([0.0, 1e308, 1e308]))
     with pytest.raises(ValueError) as exc:
         make_initial(zeta0, ModalVector.zeros(2), systems)
@@ -63,10 +59,10 @@ def test_make_initial_overflow_names_the_first_system_in_batch_order():
 
 def test_full_period_rotation_returns_to_start():
     K = 6
-    water = water_system(SpectralParams(mu=0.3, K=K))
+    water = water_system(0.3, K)
     for k in (1, 3, 6):
         st = make_initial(ModalVector.unit(k, K), ModalVector.zeros(K), [water])
-        period = 2.0 * math.pi / water.omega[k]
+        period = 2.0 * math.pi / water[0][k]
         alpha, beta, _ = step(st, 0.0, period, water)
         assert abs(beta[0, k] - st[1][0, k]) < 1e-12
         assert abs(alpha[0, k]) < 1e-12
@@ -90,10 +86,10 @@ def test_single_mode_closed_form_any_dt():
 def test_water_single_mode_closed_form():
     K = 2
     mu = 0.04
-    water = water_system(SpectralParams(mu=mu, K=K))
+    water = water_system(mu, K)
     st = make_initial(ModalVector.unit(1, K), ModalVector.zeros(K), [water])
-    times, zeta, zeta_t = evolve(st, InputSignal(0.01, np.zeros(500)), water)
-    w1 = water.omega[1]
+    times, zeta, zeta_t = evolve(st, np.zeros(500), 0.01, water)
+    w1 = water[0][1]
     np.testing.assert_allclose(zeta[:, 1], np.cos(w1 * times), atol=1e-12)
     np.testing.assert_allclose(zeta_t[:, 1], -w1 * np.sin(w1 * times), atol=1e-12)
 
@@ -101,7 +97,7 @@ def test_water_single_mode_closed_form():
 def test_energy_conserved_per_step():
     K = 32
     rng = np.random.default_rng(2)
-    for system in (limit_system(K), water_system(SpectralParams(mu=1e-3, K=K))):
+    for system in (limit_system(K), water_system(1e-3, K)):
         st = make_initial(ModalVector(rng.standard_normal(K + 1)), ModalVector(rng.standard_normal(K + 1)), [system])
         e0 = energy(st)
         for _ in range(50):
@@ -114,12 +110,12 @@ def test_unitarity_long_run():
     rng = np.random.default_rng(42)
     z0 = ModalVector(rng.standard_normal(K + 1))
     z1 = ModalVector(rng.standard_normal(K + 1))
-    for system in (limit_system(K), water_system(SpectralParams(mu=1.0, K=K))):
+    for system in (limit_system(K), water_system(1.0, K)):
         st = make_initial(z0, z1, [system])
         e0 = energy(st)
-        _, zeta, zeta_t = evolve(st, InputSignal(1e-3, np.zeros(1000)), system)
+        _, zeta, zeta_t = evolve(st, np.zeros(1000), 1e-3, system)
         e_end = np.sum(zeta_t[-1] ** 2) + np.sum(
-            (system.omega[1:] * zeta[-1, 1:]) ** 2
+            (system[0][1:] * zeta[-1, 1:]) ** 2
         )
         assert abs(e_end - e0) / e0 < 1e-10
 
@@ -128,7 +124,7 @@ def test_evolve_zero_everything():
     K = 4
     limit = limit_system(K)
     initial = make_initial(ModalVector.zeros(K), ModalVector.zeros(K), [limit])
-    _, zeta, zeta_t = evolve(initial, InputSignal(0.1, np.zeros(10)), limit)
+    _, zeta, zeta_t = evolve(initial, np.zeros(10), 0.1, limit)
     assert np.all(zeta == 0.0) and np.all(zeta_t == 0.0)
 
 
@@ -136,7 +132,7 @@ def test_mode0_quadratic_under_constant_input():
     K = 2
     limit = limit_system(K)
     st = make_initial(ModalVector.zeros(K), ModalVector.zeros(K), [limit])
-    times, zeta, _ = evolve(st, InputSignal(0.01, np.ones(1000)), limit)
+    times, zeta, _ = evolve(st, np.ones(1000), 0.01, limit)
     expected = -times**2 / (2.0 * math.sqrt(math.pi))
     err = np.abs(zeta[:, 0] - expected) / np.maximum(1.0, np.abs(expected))
     assert err.max() < 1e-12
@@ -146,12 +142,12 @@ def test_truncation_consistency_shared_modes():
     mu = 0.05
     dt, n = 0.01, 300
     sig_small = make_signal("pulse:0:1:1", dt, n)
-    w_small = water_system(SpectralParams(mu=mu, K=16))
-    w_big = water_system(SpectralParams(mu=mu, K=32))
+    w_small = water_system(mu, 16)
+    w_big = water_system(mu, 32)
     z0s = ModalVector(np.exp(-np.arange(17.0)))
     z0b = ModalVector(np.concatenate([z0s.coeffs, np.zeros(16)]))
-    _, zeta_small, zeta_t_small = evolve(make_initial(z0s, ModalVector.zeros(16), [w_small]), sig_small, w_small)
-    _, zeta_big, zeta_t_big = evolve(make_initial(z0b, ModalVector.zeros(32), [w_big]), sig_small, w_big)
+    _, zeta_small, zeta_t_small = evolve(make_initial(z0s, ModalVector.zeros(16), [w_small]), sig_small, dt, w_small)
+    _, zeta_big, zeta_t_big = evolve(make_initial(z0b, ModalVector.zeros(32), [w_big]), sig_small, dt, w_big)
     assert np.abs(zeta_big[:, :17] - zeta_small).max() < 1e-10
     assert np.abs(zeta_t_big[:, :17] - zeta_t_small).max() < 1e-10
 
@@ -161,7 +157,7 @@ def test_water_frequency_approaches_mode_number_from_below():
         prev = 0.0
         for mu in (1e-1, 1e-3, 1e-5, 1e-7):
             # omega_k = k sqrt(tanh(a)/a) with a = sqrt(mu) k
-            w = water_system(SpectralParams(mu=mu, K=k)).omega[k] if mu <= 1 else None
+            w = water_system(mu, k)[0][k]
             assert w < k
             assert w > prev
             prev = w
@@ -179,12 +175,12 @@ def test_weak_form_identity_second_order_in_dt():
     for dt in (0.02, 0.01):
         n = int(round(4.0 / dt))
         sig = make_signal("pulse:0:1:1", dt, n)
-        _, zeta, zeta_t = evolve(make_initial(z0, ModalVector.zeros(K), [limit]), sig, limit)
+        _, zeta, zeta_t = evolve(make_initial(z0, ModalVector.zeros(K), [limit]), sig, dt, limit)
         worst = 0.0
-        u_int = np.concatenate([[0.0], np.cumsum(sig.values) * dt])  # exact for pcw-constant u
+        u_int = np.concatenate([[0.0], np.cumsum(sig) * dt])  # exact for pcw-constant u
         for j in range(K + 1):
             zeta_int = np.concatenate([[0.0], np.cumsum((zeta[1:, j] + zeta[:-1, j]) / 2.0) * dt])
-            lhs = zeta_t[:, j] - zeta_t[0, j] + j**2 * zeta_int - limit.forcing[j] * u_int
+            lhs = zeta_t[:, j] - zeta_t[0, j] + j**2 * zeta_int - limit[1][j] * u_int
             worst = max(worst, np.abs(lhs).max())
         residuals.append(worst)
     assert residuals[0] < 1e-3
@@ -198,7 +194,7 @@ def test_weak_form_identity_second_order_in_dt():
 def _systems(draw, K):
     omega = draw(st.lists(st.floats(0.1, 100.0), min_size=K, max_size=K))
     forcing = draw(st.lists(st.floats(-1.0, 1.0), min_size=K + 1, max_size=K + 1))
-    return ModeSystem(np.array([0.0, *omega]), np.array(forcing))
+    return np.array([0.0, *omega]), np.array(forcing)
 
 
 def _vectors(K, bound=10.0):
@@ -231,10 +227,10 @@ def test_superposition_in_data_and_input(data, K, dt, n):
         u = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array))
         runs.append((z0, z1, u))
     (a0, a1, ua), (b0, b1, ub) = runs
-    _, za, za_t = evolve(make_initial(a0, a1, [system]), InputSignal(dt, ua), system)
-    _, zb, zb_t = evolve(make_initial(b0, b1, [system]), InputSignal(dt, ub), system)
+    _, za, za_t = evolve(make_initial(a0, a1, [system]), ua, dt, system)
+    _, zb, zb_t = evolve(make_initial(b0, b1, [system]), ub, dt, system)
     both = make_initial(ModalVector(a0.coeffs + b0.coeffs), ModalVector(a1.coeffs + b1.coeffs), [system])
-    _, z, z_t = evolve(both, InputSignal(dt, ua + ub), system)
+    _, z, z_t = evolve(both, ua + ub, dt, system)
     # magnitudes stay below about 1e4 (|f u / omega^2| <= 1e3, mode 0 quadratic
     # in t <= 20), so 1e-9 is a few thousand roundings, far below any wrong term
     np.testing.assert_allclose(z, za + zb, rtol=0, atol=1e-9)
@@ -246,16 +242,16 @@ def test_superposition_in_data_and_input(data, K, dt, n):
 def test_step_evolve_and_batched_kernel_agree_bitwise(data, K, n_sys, dt, n):
     systems = [data.draw(_systems(K)) for _ in range(n_sys)]
     z0, z1 = ModalVector(data.draw(_vectors(K))), ModalVector(data.draw(_vectors(K)))
-    signal = InputSignal(dt, data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    values = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
     initial = make_initial(z0, z1, systems)
-    batch = [tuple(a.copy() for a in sample) for sample in _propagate(initial, systems, signal.values, dt)]
+    batch = [tuple(a.copy() for a in sample) for sample in _propagate(initial, systems, values, dt)]
     assert len(batch) == n + 1
     for i, system in enumerate(systems):
         state = make_initial(z0, z1, [system])
-        _, traj_zeta, traj_zeta_t = evolve(state, signal, system)
+        _, traj_zeta, traj_zeta_t = evolve(state, values, dt, system)
         np.testing.assert_array_equal(_bits(traj_zeta), _bits([zeta[i] for zeta, _, _ in batch]))
         np.testing.assert_array_equal(_bits(traj_zeta_t), _bits([alpha[i] for _, alpha, _ in batch]))
-        for m, u in enumerate(signal.values):
+        for m, u in enumerate(values):
             state = step(state, u, dt, system)
             zeta, alpha, beta = batch[m + 1]
             np.testing.assert_array_equal(_bits(state[0][0]), _bits(alpha[i]))
@@ -277,8 +273,8 @@ def _batches(draw):
 # reusing the p of 0.0 at -0.0 flips signed zeros in alpha and beta
 _SIGNED_ZEROS = (
     [
-        ModeSystem(np.array([0.0, 2.0, 20.0]), np.array([0.5, -1.0, 1.0])),
-        ModeSystem(np.array([0.0, 40.0, 20.0]), np.array([-0.5, 1.0, -1.0])),
+        (np.array([0.0, 2.0, 20.0]), np.array([0.5, -1.0, 1.0])),
+        (np.array([0.0, 40.0, 20.0]), np.array([-0.5, 1.0, -1.0])),
     ],
     np.array([1.0, -0.0, 0.0]),
     np.array([-0.0, -0.0, 0.0]),
@@ -295,8 +291,7 @@ def test_propagate_matches_per_step_reference_bitwise(batch):
     initial = make_initial(ModalVector(z0), ModalVector(z1), systems)
     samples = [tuple(a.copy() for a in sample) for sample in _propagate(initial, systems, values, dt)]
     assert len(samples) == len(values) + 1
-    for i, system in enumerate(systems):
-        omega, forcing = system.omega, system.forcing
+    for i, (omega, forcing) in enumerate(systems):
         alpha, beta, zeta0 = (a[i] for a in initial)
         for m, (zeta, a, b) in enumerate(samples):
             if m:

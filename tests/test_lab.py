@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetank.basis import ModalVector, SpectralParams, sobolev_weights
+from wavetank.basis import ModalVector, sobolev_weights
 from wavetank.cli import make_signal
-from wavetank.evolution import InputSignal, limit_system, make_initial, water_system
+from wavetank.evolution import limit_system, make_initial, water_system
 from wavetank.lab import (
     DEFAULT_MU_GRID,
     ORACLE_K_SAMPLES,
@@ -54,7 +54,8 @@ def test_sweep_errors_decrease_and_rate():
     K = 32
     dt = 0.01
     n = 500
-    report = run_sweep((1e-1, 1e-2, 1e-3, 1e-4), smooth8(K), ModalVector.zeros(K), make_signal("pulse:0:1:1", dt, n))
+    signal = make_signal("pulse:0:1:1", dt, n)
+    report = run_sweep((1e-1, 1e-2, 1e-3, 1e-4), smooth8(K), ModalVector.zeros(K), signal, dt)
     assert np.all(np.diff(report.err_half) < 0)
     assert np.all(np.diff(report.err_deriv) < 0)
     assert report.rate_half > 0.2
@@ -70,34 +71,33 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
     K = 4
     dt = 1e-2
     n = 1000
-    report = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), InputSignal(dt, np.zeros(n)))
+    report = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), np.zeros(n), dt)
     w1 = math.sqrt(math.tanh(math.sqrt(mu)) / math.sqrt(mu))
     td = np.linspace(0.0, 10.0, 400001)
     oracle = np.abs(w1 * np.sin(w1 * td) - np.sin(td)).max()
     assert report.err_deriv[0] == pytest.approx(oracle, rel=1e-3)
 
 
-def _reference_trajectory(zeta0, zeta1, signal, system):
+def _reference_trajectory(zeta0, zeta1, values, dt, system):
     """(zeta, zeta_t) rows at every step, one system stepped on its own."""
     alpha, beta, z0 = (a[0] for a in make_initial(zeta0, zeta1, [system]))
+    omega, forcing = system
     zeta, zeta_t = [], []
-    for m in range(signal.n_steps + 1):
+    for m in range(len(values) + 1):
         if m:
-            alpha, beta, z0 = reference_advance(
-                alpha, beta, z0, signal.values[m - 1], signal.dt, system.omega, system.forcing
-            )
-        zeta.append(np.concatenate([[z0], beta[1:] / system.omega[1:]]))
+            alpha, beta, z0 = reference_advance(alpha, beta, z0, values[m - 1], dt, omega, forcing)
+        zeta.append(np.concatenate([[z0], beta[1:] / omega[1:]]))
         zeta_t.append(alpha)
     return np.array(zeta), np.array(zeta_t)
 
 
-def _reference_errors(mu_list, zeta0, zeta1, signal):
+def _reference_errors(mu_list, zeta0, zeta1, values, dt):
     """(err_half, err_deriv, grid_slack_half, grid_slack_deriv) per shallowness from full trajectories."""
-    zeta_lim, zeta_t_lim = _reference_trajectory(zeta0, zeta1, signal, limit_system(zeta0.K))
+    zeta_lim, zeta_t_lim = _reference_trajectory(zeta0, zeta1, values, dt, limit_system(zeta0.K))
     w = sobolev_weights(zeta0.K, 0.5)
     rows = []
     for mu in mu_list:
-        zeta, zeta_t = _reference_trajectory(zeta0, zeta1, signal, water_system(SpectralParams(mu=mu, K=zeta0.K)))
+        zeta, zeta_t = _reference_trajectory(zeta0, zeta1, values, dt, water_system(mu, zeta0.K))
         half_t = np.sqrt(((zeta - zeta_lim) ** 2 * w).sum(axis=1))
         deriv_t = np.sqrt(((zeta_t - zeta_t_lim) ** 2).sum(axis=1))
         rows.append((half_t.max(), deriv_t.max(), np.abs(np.diff(half_t)).max(), np.abs(np.diff(deriv_t)).max()))
@@ -120,7 +120,8 @@ def test_run_sweep_matches_per_system_reference_bitwise(data, K, n, dt, mu):
         tuple(sorted(mu, reverse=True)),
         vector(1.0),
         vector(1.0),
-        InputSignal(dt, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))),
+        np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))),
+        dt,
     )
     report = run_sweep(*args)
     got = np.array([report.err_half, report.err_deriv, report.grid_slack_half, report.grid_slack_deriv])
@@ -133,7 +134,7 @@ def test_run_sweep_memory_is_independent_of_the_horizon():
     n_sys = 1 + len(mu)
     peaks = []
     for n in (200, 2000):
-        args = (mu, smooth8(K), ModalVector.zeros(K), InputSignal(0.01, np.zeros(n)))
+        args = (mu, smooth8(K), ModalVector.zeros(K), np.zeros(n), 0.01)
         tracemalloc.start()
         try:
             run_sweep(*args)
@@ -175,11 +176,10 @@ def test_resolvent_audit_rejects_empty():
 
 def _probe_gaps(mu, K, probes):
     """Resolvent gaps of each probe row, as the per-probe audit computed them: plain and sqrt channel."""
-    params = SpectralParams(mu=mu, K=K)
     k = np.arange(K + 1, dtype=float)
     a = math.sqrt(mu) * k
     plain = probes / (1.0 + a * np.tanh(a) / mu) - probes / (1.0 + k**2)
-    sqrt_channel = comparison_kernels(params, k[1:]).G * probes[:, 1:]
+    sqrt_channel = comparison_kernels(mu, k[1:]).G * probes[:, 1:]
     return np.linalg.norm(plain, axis=1), np.linalg.norm(sqrt_channel, axis=1)
 
 
@@ -231,7 +231,7 @@ def test_forcing_gap_spread_of_two_fails():
 def test_sweep_csv_roundtrip(tmp_path):
     K = 8
     dt = 0.05
-    args = ((1e-1, 1e-2), ModalVector.unit(1, K), ModalVector.zeros(K), InputSignal(dt, np.zeros(20)))
+    args = ((1e-1, 1e-2), ModalVector.unit(1, K), ModalVector.zeros(K), np.zeros(20), dt)
     report = run_sweep(*args)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_sweep_csv(report, p1)

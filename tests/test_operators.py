@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetank.basis import ModalVector, SpectralParams
+from wavetank.basis import ModalVector, _phi
 from wavetank.evolution import water_system
 from wavetank.lab import PROVEN_TOL
 from wavetank.operators import (
@@ -23,9 +23,10 @@ from oracles import KERNEL_FORMULAS, ntn_forcing
 SQ2PI = math.sqrt(2.0 / math.pi)
 
 
-def dtn_eigenvalue(params, k):
+def dtn_eigenvalue(mu, k):
     """lambda_k = mu omega_k^2: the tank's frequencies are the roots of its scaled DtN eigenvalues."""
-    return params.mu * water_system(SpectralParams(mu=params.mu, K=max(1, int(np.max(k))))).omega[k] ** 2
+    omega, _ = water_system(mu, max(1, int(np.max(k))))
+    return mu * omega[k] ** 2
 
 
 def closed_form_forcing(mu, k):
@@ -39,30 +40,30 @@ def closed_form_forcing(mu, k):
 class TestDtN:
     def test_mode0_exactly_zero(self):
         for mu in (1.0, 1e-3, 1e-6):
-            assert dtn_eigenvalue(SpectralParams(mu=mu), 0) == 0.0
+            assert dtn_eigenvalue(mu, 0) == 0.0
 
     def test_mu_one(self):
-        assert dtn_eigenvalue(SpectralParams(mu=1.0), 1) == pytest.approx(math.tanh(1.0), rel=1e-15)
+        assert dtn_eigenvalue(1.0, 1) == pytest.approx(math.tanh(1.0), rel=1e-15)
 
     def test_shallow_limit_of_scaled_eigenvalue(self):
         mu = 1e-6
-        lam = dtn_eigenvalue(SpectralParams(mu=mu), 3)
+        lam = dtn_eigenvalue(mu, 3)
         assert lam / mu == pytest.approx(9.0, rel=1e-5)
         assert lam / mu < 9.0  # tanh x < x
 
     def test_scaled_eigenvalue_below_k_squared(self):
-        params = SpectralParams(mu=0.3)
+        mu = 0.3
         k = np.arange(1, 2000)
-        lam = dtn_eigenvalue(params, k)
-        assert np.all(lam / params.mu <= k**2)
+        lam = dtn_eigenvalue(mu, k)
+        assert np.all(lam / mu <= k**2)
         assert np.all(np.diff(lam) > 0)
 
 
 class TestForcing:
     def test_mode0_closed_form(self):
         for mu in (1.0, 1e-2, 1e-6):
-            proj = ntn_forcing(SpectralParams(mu=mu, K=4), 10_000)
-            assert proj.value[0] == -1.0 / math.sqrt(math.pi)
+            f, _ = ntn_forcing(mu, 4, 10_000)
+            assert f[0] == -1.0 / math.sqrt(math.pi)
 
     def test_mode0_against_big_lateral_sum(self):
         # brute-force oracle: projecting the forcing series on the constant
@@ -73,39 +74,37 @@ class TestForcing:
         assert brute == pytest.approx(-1.0 / math.sqrt(math.pi), abs=1e-6)
 
     def test_shallow_limit_mode1(self):
-        proj = ntn_forcing(SpectralParams(mu=1e-6, K=2), 10_000)
-        assert proj.value[1] == pytest.approx(-SQ2PI, abs=1e-3)
+        f, _ = ntn_forcing(1e-6, 2, 10_000)
+        assert f[1] == pytest.approx(-SQ2PI, abs=1e-3)
 
     def test_against_closed_form_oracle_within_certified_tail(self):
         for mu in (1.0, 1e-1, 1e-3, 1e-5):
-            proj = ntn_forcing(SpectralParams(mu=mu, K=64), 5000)
+            f, tail = ntn_forcing(mu, 64, 5000)
             for k in (1, 2, 7, 64):
-                diff = abs(proj.value[k] - closed_form_forcing(mu, k))
-                assert diff <= proj.tail_bound
+                diff = abs(f[k] - closed_form_forcing(mu, k))
+                assert diff <= tail
         # the truncated sum undershoots in magnitude, never overshoots
-        proj = ntn_forcing(SpectralParams(mu=1e-2, K=8), 100)
-        assert all(proj.value[k] >= closed_form_forcing(1e-2, k) for k in range(1, 9))
+        f, _ = ntn_forcing(1e-2, 8, 100)
+        assert all(f[k] >= closed_form_forcing(1e-2, k) for k in range(1, 9))
 
     def test_series_oracle_certified_at_every_shallowness(self):
         # the lateral frequencies (2l-1) pi / (2 sqrt(mu)) overflow when squared
         # at mu = 1e-300; the series must stay within its certificate anyway
         for mu in (1.0, 1e-6, 1e-200, 1e-300):
-            params = SpectralParams(mu=mu, K=64)
-            proj = ntn_forcing(params, 10_000)
-            assert np.abs(proj.value - wave_maker_forcing(params)).max() <= proj.tail_bound
-        water = water_system(SpectralParams(mu=1e-300, K=64))
-        np.testing.assert_allclose(water.forcing[1:], -SQ2PI, rtol=0.0, atol=1e-15)
+            f, tail = ntn_forcing(mu, 64, 10_000)
+            assert np.abs(f - wave_maker_forcing(mu, 64)).max() <= tail
+        _, forcing = water_system(1e-300, 64)
+        np.testing.assert_allclose(forcing[1:], -SQ2PI, rtol=0.0, atol=1e-15)
 
     def test_linearity_scaling(self):
-        proj = ntn_forcing(SpectralParams(mu=0.5, K=4), 10_000)
-        assert np.all(proj.value * 0.0 == 0.0)
+        f, _ = ntn_forcing(0.5, 4, 10_000)
+        assert np.all(f * 0.0 == 0.0)
 
     def test_oracles_reject_l_modes_below_one(self):
-        params = SpectralParams(mu=0.5, K=4)
         with pytest.raises(ValueError, match="l_modes"):
-            ntn_forcing(params, 0)
+            ntn_forcing(0.5, 4, 0)
         with pytest.raises(ValueError, match="l_modes"):
-            kernel_H_sum(params, 1, 0)
+            kernel_H_sum(0.5, np.ones(1), 0)
 
 
 class TestLimitOperators:
@@ -114,11 +113,18 @@ class TestLimitOperators:
         assert b0[0] == -1.0 / math.sqrt(math.pi)
         assert b0[5] == -SQ2PI
 
+    @pytest.mark.parametrize("K", [1, 4, 1024, 65536])
+    def test_equals_the_cosine_evaluator_at_the_wave_maker_bitwise(self, K):
+        assert limit_forcing(K).tobytes() == (-_phi(np.arange(K + 1), 0.0)).tobytes()
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            limit_forcing(0)
+
     def test_forcing_converges_to_limit(self):
         b0 = limit_forcing(8)
         prev = None
         for mu in (1e-2, 1e-4, 1e-6):
-            gap = np.abs(ntn_forcing(SpectralParams(mu=mu, K=8), 10_000).value - b0).max()
+            f, _ = ntn_forcing(mu, 8, 10_000)
+            gap = np.abs(f - b0).max()
             if prev is not None:
                 assert gap < prev
             prev = gap
@@ -127,52 +133,51 @@ class TestLimitOperators:
 
 class TestKernels:
     def test_F_value(self):
-        params = SpectralParams(mu=1.0)
         expected = 0.5 - 1.0 / (1.0 + math.tanh(1.0))
-        assert comparison_kernels(params, 1).F == pytest.approx(expected, rel=1e-15)
+        assert comparison_kernels(1.0, 1).F == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(-0.0676676416183064, rel=1e-12)
 
     def test_I_taylor(self):
         mu = 1e-8
-        val = comparison_kernels(SpectralParams(mu=mu), 1).I
+        val = comparison_kernels(mu, 1).I
         assert val == pytest.approx(-mu / 6.0, rel=1e-6)
 
     def test_H_sum_bounds_and_certificate(self):
-        params = SpectralParams(mu=1e-4, K=1)
-        s, tail = kernel_H_sum(params, 1, 10_000)
-        assert s <= params.mu / 2.0
-        assert s <= 2.0 * math.sqrt(params.mu)
+        mu = 1e-4
+        (s,), tail = kernel_H_sum(mu, np.array([1.0]), 10_000)
+        assert s <= mu / 2.0
+        assert s <= 2.0 * math.sqrt(mu)
         # independent identity oracle: the full sum equals mu*h(a)/2 exactly,
         # so the truncated value plus its certificate must bracket it
-        a = math.sqrt(params.mu)
-        full = params.mu * math.tanh(a) / (2.0 * a)
+        a = math.sqrt(mu)
+        full = mu * math.tanh(a) / (2.0 * a)
         assert s <= full <= s + tail
 
     def test_H_sum_vectorized_brackets_identity(self):
-        params = SpectralParams(mu=1e-2, K=1)
+        mu = 1e-2
         k = np.array([1.0, 5.0, 60.0, 700.0])
-        s, tail = kernel_H_sum(params, k, 3000)
-        a = math.sqrt(params.mu) * k
-        full = params.mu * np.tanh(a) / (2.0 * a)
+        s, tail = kernel_H_sum(mu, k, 3000)
+        a = math.sqrt(mu) * k
+        full = mu * np.tanh(a) / (2.0 * a)
         assert np.all(s <= full)
         assert np.all(full <= s + tail)
 
     def test_kernels_reject_k0(self):
-        params = SpectralParams(mu=0.5)
         for k in (0, np.array([1.0, 0.0])):
             with pytest.raises(ValueError):
-                comparison_kernels(params, k)
+                comparison_kernels(0.5, k)
+            with pytest.raises(ValueError):
+                kernel_H_sum(0.5, np.atleast_1d(k), 10)
 
     def test_bound_invariants_on_subgrid(self):
         k = np.arange(1, 2001, dtype=float)
         for mu in (1.0, 1e-2, 1e-4, 1e-6):
-            params = SpectralParams(mu=mu, K=1)
             rmu = math.sqrt(mu)
-            kern = comparison_kernels(params, k)
+            kern = comparison_kernels(mu, k)
             assert np.all(np.abs(kern.F) <= rmu / k)
             assert np.all(np.abs(kern.I) <= rmu * k)
             assert np.all(np.abs(kern.G) <= 2.0 * np.minimum(rmu, mu**0.25 / np.sqrt(k)))
-            s, _ = kernel_H_sum(params, k, 2000)
+            s, _ = kernel_H_sum(mu, k, 2000)
             assert np.all(s <= mu / 2.0)
             assert np.all(s <= 2.0 * rmu / k)
             assert np.all(np.isfinite(kern.J))
@@ -180,14 +185,14 @@ class TestKernels:
 
 class TestForcingGap:
     def test_nonnegative(self):
-        assert bmu_dual_norm_gap(SpectralParams(mu=0.5, K=32)) >= 0.0
+        assert bmu_dual_norm_gap(0.5, 32) >= 0.0
 
     def test_monotone_decreasing_and_frozen(self):
         # frozen from the closed-form forcing
         expected = {1e-2: 0.14322321193994964, 1e-3: 0.07346478958006918, 1e-4: 0.028232961988608023}
         gaps = []
         for mu in (1e-2, 1e-3, 1e-4):
-            g = bmu_dual_norm_gap(SpectralParams(mu=mu, K=256))
+            g = bmu_dual_norm_gap(mu, 256)
             gaps.append(g)
             assert g == pytest.approx(expected[mu], rel=1e-6)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -196,12 +201,11 @@ class TestForcingGap:
         from wavetank.basis import norm
 
         for mu in (1e-2, 1e-4):
-            params = SpectralParams(mu=mu, K=256)
             k = np.arange(257)
             f_oracle = np.array([closed_form_forcing(mu, kk) if kk else -1 / math.sqrt(math.pi) for kk in k])
             b0 = limit_forcing(256)
             oracle = norm(ModalVector(f_oracle - b0), -1.0)
-            assert bmu_dual_norm_gap(params) == pytest.approx(oracle, rel=1e-12)
+            assert bmu_dual_norm_gap(mu, 256) == pytest.approx(oracle, rel=1e-12)
 
 
 @settings(deadline=None)
@@ -211,12 +215,12 @@ class TestForcingGap:
     log_l=st.floats(0.0, math.log10(5000.0)),
 )
 def test_closed_lateral_sum_within_series_certificate(log_mu, log_k, log_l):
-    params = SpectralParams(mu=10.0**log_mu, K=1)
-    k = 10.0**log_k
-    closed = comparison_kernels(params, k).H_sum
-    series = kernel_H_sum(params, k, min(5000, round(10.0**log_l)))
-    diff = closed - series.value
-    assert -1e-14 * closed <= diff <= series.tail_bound * (1.0 + PROVEN_TOL)
+    mu = 10.0**log_mu
+    k = np.array([10.0**log_k])
+    (closed,) = comparison_kernels(mu, k).H_sum
+    (series,), tail = kernel_H_sum(mu, k, min(5000, round(10.0**log_l)))
+    diff = closed - series
+    assert -1e-14 * closed <= diff <= tail * (1.0 + PROVEN_TOL)
 
 
 @settings(deadline=None)
@@ -226,7 +230,7 @@ def test_closed_lateral_sum_within_series_certificate(log_mu, log_k, log_l):
 )
 def test_comparison_kernels_equal_one_line_formulas_bitwise(mu, k):
     k = np.array(k)
-    kern = comparison_kernels(SpectralParams(mu=mu, K=1), k)
+    kern = comparison_kernels(mu, k)
     for name, formula in KERNEL_FORMULAS.items():
         np.testing.assert_array_equal(getattr(kern, name).view(np.uint64), formula(mu, k).view(np.uint64), err_msg=name)
 
@@ -263,7 +267,6 @@ def _peak_bytes(fn):
 
 def test_series_oracles_need_one_block_not_k_times_l():
     # O(l_modes) plus one block: a (64, 10^5) or (1025, 10^4) temporary would be 51 or 82 MB
-    params = SpectralParams(mu=1e-3, K=1024)
     k = np.geomspace(1.0, 1e4, 64)
-    assert _peak_bytes(lambda: kernel_H_sum(params, k, 100_000)) < 4e6
-    assert _peak_bytes(lambda: ntn_forcing(params, 10_000)) < 2e6
+    assert _peak_bytes(lambda: kernel_H_sum(1e-3, k, 100_000)) < 4e6
+    assert _peak_bytes(lambda: ntn_forcing(1e-3, 1024, 10_000)) < 2e6

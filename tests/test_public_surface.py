@@ -1,6 +1,7 @@
-"""Each module's __all__ names what it defines; the package root holds only __version__; src imports only numpy;
-_writer alone writes files and holds the CSV row format; every function in src runs under some command; no command
-imports a numpy or wavetank module once wavetank.cli is imported."""
+"""Each module's __all__ names what it defines, and together they hold the pinned public names; the package root
+holds only __version__; src imports only numpy; _writer alone writes files and holds the CSV row format; every
+function in src runs under some command; no command imports a numpy or wavetank module once wavetank.cli is
+imported."""
 
 import ast
 import importlib
@@ -21,6 +22,22 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(wavetank.__path__))
 def test_module_all_names_exist(name):
     mod = importlib.import_module(f"wavetank.{name}")
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+# every public name of the package, the modules' __all__ together; a change to the public surface shows here
+PUBLIC_NAMES = [
+    "ConfigError", "DEFAULT_MU_GRID", "FieldGrid", "GAP_MU_GRID", "KernelAudit", "KernelAuditRow",
+    "LateralProfile", "ModalVector", "RunConfig", "SQRT_2_OVER_PI", "SQRT_PI", "SweepReport", "audit_kernels",
+    "audit_resolvents", "bmu_dual_norm_gap", "bmu_rate_table", "comparison_kernels", "dirichlet_extension",
+    "dirichlet_values", "dispatch", "fit_rate", "kernel_H_sum", "limit_forcing", "limit_system", "main",
+    "make_initial", "neumann_extension", "neumann_values", "norm", "parse_config", "run_sweep", "sobolev_weights",
+    "sweep_summary", "water_system", "wave_maker_forcing", "write_field_csv", "write_sweep_csv",
+]
+
+
+def test_public_names_are_the_pinned_list():
+    names = [n for name in MODULES for n in getattr(importlib.import_module(f"wavetank.{name}"), "__all__", ())]
+    assert sorted(names) == PUBLIC_NAMES
 
 
 def test_package_root_binds_only_version():
