@@ -5,8 +5,9 @@ sets its mode) and moved over the target by `os.replace` once complete.  On
 any exception the sibling is removed and an existing target is left as it was.
 
 CSV text comes from two formatters, each yielding bounded blocks of rows as
-bytes: `table_blocks` formats a stream of chunks of columns side by side
-(`row_blocks` cuts whole columns into such chunks); `grid_rows` formats the
+bytes: `table_blocks` formats a stream of 2-d float blocks, one line per row
+(`row_blocks` stacks slices of whole columns into such blocks, and `simulate`
+hands it the one reused block of `evolution._rows`); `grid_rows` formats the
 x,y,value rows of a tensor grid, each of its nx + ny coordinates once per
 file, and its text equals that of `row_blocks` over the repeated coordinates.
 Each call allocates one 64-byte-aligned `_Workspace`, sized for one block,
@@ -137,7 +138,7 @@ def _digit_table():
 
 
 class _Workspace:
-    """The scratch arrays of `_layout` for up to n values, a value row and a zeroed text buffer, in one allocation.
+    """The scratch arrays of `_layout` for up to n values and a zeroed text buffer, in one allocation.
 
     `f`, `i` and `u` are the same _ROWS rows of 8-byte slots, as float64,
     int64 and uint64: each stage of `_layout` reuses the rows an earlier one
@@ -146,10 +147,9 @@ class _Workspace:
 
     def __init__(self, n: int, text_shape):
         m = -(-n // 64) * 64
-        rows, flags = 8 * m * (_ROWS + 1), m * _FLAGS
+        rows, flags = 8 * m * _ROWS, m * _FLAGS
         buf = _aligned(rows + flags + int(np.prod(text_shape)), np.uint8)
-        f = buf[:rows].view(np.float64).reshape(_ROWS + 1, m)
-        self.values, self.f = f[0], f[1:]
+        self.f = buf[:rows].view(np.float64).reshape(_ROWS, m)
         self.i, self.u = self.f.view(np.int64), self.f.view(np.uint64)
         self.flags = buf[rows : rows + flags].view(bool).reshape(_FLAGS, m)
         self.text = buf[rows + flags :].reshape(text_shape)
@@ -292,36 +292,29 @@ def _cells(v):
     return cells.view(f"V{cells.itemsize}")
 
 
-def table_blocks(chunks):
-    """Yield the CSV text of each chunk: a sequence of 1-d (one column) and 2-d columns side by side.
+def table_blocks(blocks):
+    """Yield the CSV text of each 2-d float block, one line per row.
 
-    One workspace, sized by the first chunk, serves every chunk: each later
-    chunk has the same width and at most as many rows.
+    One workspace, sized by the first block, serves every block: each later
+    block has the same width and at most as many rows.
     """
     ws = None
-    for columns in chunks:
-        cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-        rows, width = cols[0].shape[0], sum(c.shape[1] for c in cols)
+    for block in blocks:
         if ws is None:
-            ws = _Workspace(rows * width, (rows * width, _SLOT))
-            seps = np.full((rows, width), ord(","), _WORD)
+            ws = _Workspace(block.size, (block.size, _SLOT))
+            seps = np.full(block.shape, ord(","), _WORD)
             seps[:, -1] = ord("\n")
             seps = (seps << 48).ravel()
             slots = ws.text.view(_WORD)
-        block = ws.values[: rows * width].reshape(rows, width)
-        at = 0
-        for c in cols:
-            block[:, at : at + c.shape[1]] = c
-            at += c.shape[1]
         _layout(block.ravel(), seps[: block.size], slots[: block.size], ws)
         yield _text(ws.text[: block.size])
 
 
 def row_blocks(*columns):
     """Yield the CSV text of 1-d (one column) and 2-d columns side by side, a bounded block at a time."""
-    cols = [np.asarray(c) for c in columns]
+    cols = [np.asarray(c, dtype=float) for c in columns]
     step = block_rows(sum(1 if c.ndim == 1 else c.shape[1] for c in cols))
-    return table_blocks([c[start : start + step] for c in cols] for start in range(0, len(cols[0]), step))
+    return table_blocks(np.column_stack([c[i : i + step] for c in cols]) for i in range(0, len(cols[0]), step))
 
 
 def grid_rows(x, y, values):

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._writer import block_rows, table_blocks, write_csv, write_text
 from .basis import ModalVector
-from .evolution import _blocks, limit_system, make_initial, water_system
+from .evolution import _rows, limit_system, make_initial, water_system
 from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
 from .lab import audit_kernels, audit_resolvents, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
 
@@ -67,6 +67,8 @@ CONFIG_KEYS = {
     "k_max": ("10000", "K_MAX", "largest mode index in the kernel audit, >= 1"),
 }
 
+_KNOWN_KEYS = "known keys: " + ", ".join(CONFIG_KEYS)
+
 
 class ConfigError(ValueError):
     pass
@@ -80,7 +82,7 @@ class RunConfig:
     mu_list: Tuple[float, ...]
     k_modes: int
     l_modes: int
-    dt: Optional[float]
+    dt: float
     tau: float
     grid: Tuple[int, int]
     signal: str
@@ -89,10 +91,6 @@ class RunConfig:
     system: str
     seed: int
     k_max: int
-
-    @property
-    def effective_dt(self) -> float:
-        return self.dt if self.dt is not None else 1e-3 * self.tau
 
     @functools.cached_property
     def init_modes(self) -> ModalVector:
@@ -106,12 +104,12 @@ class RunConfig:
 
     @functools.cached_property
     def signal_values(self) -> np.ndarray:
-        """The signal's values on the steps of effective_dt up to tau, built on first use.
+        """The signal's values on the steps of dt up to tau, built on first use: 8 bytes per step.
 
         parse_config builds them first for simulate and sweep, so a step grid that misses tau or a pulse is a
         config error there.
         """
-        return make_signal(self.signal, self.effective_dt, _n_steps(self))
+        return make_signal(self.signal, self.dt, _n_steps(self))
 
     def to_text(self) -> str:
         """Serialize as the key=value format accepted by parse_config."""
@@ -122,8 +120,6 @@ class RunConfig:
                 val = ",".join(f"{m:.17g}" for m in val)
             elif key == "grid":
                 val = f"{val[0]},{val[1]}"
-            elif key == "dt":
-                val = "" if val is None else f"{val:.17g}"
             elif isinstance(val, float):
                 val = f"{val:.17g}"
             parts.append(f"{key}={val}")
@@ -141,7 +137,7 @@ def _parse_pairs(text: str, source: str) -> dict:
         key, val = line.split("=", 1)
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"{source}:{ln}: unknown key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
+            raise ConfigError(f"{source}:{ln}: unknown key {key!r}; {_KNOWN_KEYS}")
         pairs[key] = val.strip()
     return pairs
 
@@ -174,6 +170,8 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     raw = {k: v for k, (v, _, _) in CONFIG_KEYS.items()}
     raw.update(_parse_pairs(file_text, source))
     for k, v in (overrides or {}).items():
+        if k not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key {k!r}; {_KNOWN_KEYS}")
         if v is not None:
             v = str(v)
             # the file format ends a value at `#` or a line break, so such a
@@ -193,7 +191,10 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     if len(grid_items) != 2:
         raise ConfigError(f"grid must be NX,NY, got {raw['grid']!r}")
     grid = (_to_int("grid", grid_items[0], 2), _to_int("grid", grid_items[1], 2))
-    dt = None if raw["dt"] == "" else _to_float("dt", raw["dt"], math.inf)
+    tau = _to_float("tau", raw["tau"], math.inf)
+    dt = _to_float("dt", raw["dt"], math.inf) if raw["dt"] else 1e-3 * tau
+    if dt == 0.0:
+        raise ConfigError(f"the default dt = 1e-3*tau underflows to 0 at tau={tau:g}; give dt")
     system = raw["system"]
     if system not in ("water", "limit"):
         raise ConfigError(f"system must be water or limit, got {system!r}")
@@ -205,7 +206,7 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
         k_modes=_to_int("k_modes", raw["k_modes"], 1),
         l_modes=_to_int("l_modes", raw["l_modes"], 1),
         dt=dt,
-        tau=_to_float("tau", raw["tau"], math.inf),
+        tau=tau,
         grid=grid,
         signal=raw["signal"],
         init=raw["init"],
@@ -315,7 +316,7 @@ class _OutputSet:
 
 def _n_steps(cfg: RunConfig) -> int:
     """Number of steps of length dt that end exactly at tau; ConfigError otherwise."""
-    dt = cfg.effective_dt
+    dt = cfg.dt
     steps = cfg.tau / dt
     if not math.isfinite(steps):
         raise ConfigError(f"tau={cfg.tau:g} holds too many steps of dt={dt:g} to count")
@@ -338,24 +339,15 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
     rows = block_rows(2 * cfg.k_modes + 3)
     # make_initial checks the data here, before trajectory.csv is registered for discard
     initial = make_initial(cfg.init_modes, cfg.init1_modes, [system])
-    samples = _blocks(initial, cfg.signal_values, cfg.effective_dt, system, rows)
-    # overflow surfaces as a non-finite row, rejected per block
+    blocks = _rows(initial, cfg.signal_values, cfg.dt, system, rows)
+    # overflow surfaces as a non-finite row, which _rows rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        write_csv(out.path("trajectory.csv"), header, table_blocks(_finite_rows(samples)))
+        write_csv(out.path("trajectory.csv"), header, table_blocks(blocks))
     return 0
 
 
-def _finite_rows(samples):
-    """Each (times, zeta, zeta_t) block; ValueError naming the first time that is not finite."""
-    for t, zeta, zeta_t in samples:
-        bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(zeta).all(axis=1) & np.isfinite(zeta_t).all(axis=1)))
-        if bad.size:
-            raise ValueError(f"the state is not finite at t={t[bad[0]]:g}: the data or input overflow float64")
-        yield t, zeta, zeta_t
-
-
 def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
-    report = run_sweep(cfg.mu_list, cfg.init_modes, cfg.init1_modes, cfg.signal_values, cfg.effective_dt)
+    report = run_sweep(cfg.mu_list, cfg.init_modes, cfg.init1_modes, cfg.signal_values, cfg.dt)
     audit = audit_kernels(k_max=cfg.k_max, l_modes=cfg.l_modes)
     write_sweep_csv(report, out.path("sweep.csv"))
     write_text(out.path("summary.txt"), f"{sweep_summary(report)}\n\n{audit.table()}\n")

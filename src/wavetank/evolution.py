@@ -24,14 +24,12 @@ All stepping goes through one private generator, `_propagate`.  It copies
 the stacked (alpha, beta, z0) arrays of `make_initial` into (n_sys, K+1)
 buffers, computes cos/sin(omega dt) once, steps in place without allocating
 and yields read-only views of the buffers after every step (two tuples of
-them, built once, one per parity of the step count), so a caller
-reduces them (the sweep) or streams them (`simulate`, through `_blocks`) in
-O(n_sys K) memory.
+them, built once, one per parity of the step count), so a caller reduces
+them in O(n_sys K) memory (the sweep) or copies them into one reused block of
+rows, O(rows K) (`simulate`, through `_rows`).
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -138,17 +136,23 @@ def _propagate(initial, systems, values, dt):
         yield views
 
 
-def _blocks(initial, values, dt: float, system, rows: int):
-    """(times, zeta, zeta_t) of one system's trajectory under the input values, in blocks of at most `rows` samples.
+def _rows(initial, values, dt: float, system, rows: int):
+    """One system's trajectory under the input values, in blocks of at most `rows` samples.
 
-    initial is make_initial(zeta0, zeta1, [system]).
+    initial is make_initial(zeta0, zeta1, [system]).  Every block is a view of
+    one reused (rows, 2K+3) array whose row i is t_i, zeta_0..zeta_K,
+    zeta_t_0..zeta_t_K; the next block overwrites it.  ValueError names the
+    first time at which the state is not finite.
     """
-    times = dt * np.arange(len(values) + 1)
+    n, width = len(values) + 1, system[0].size
+    buf = np.empty((min(rows, n), 2 * width + 1))
     samples = _propagate(initial, [system], values, dt)
-    for start in range(0, times.size, rows):
-        t = times[start : start + rows]
-        zeta = np.empty((t.size, system[0].size))
-        zeta_t = np.empty_like(zeta)
-        for i, (z, a, _) in enumerate(itertools.islice(samples, t.size)):
-            zeta[i], zeta_t[i] = z[0], a[0]
-        yield t, zeta, zeta_t
+    for start in range(0, n, rows):
+        block = buf[: min(rows, n - start)]
+        np.multiply(dt, np.arange(start, start + len(block)), out=block[:, 0])
+        for row, (z, a, _) in zip(block, samples):
+            row[1 : width + 1], row[width + 1 :] = z[0], a[0]
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if bad.size:
+            raise ValueError(f"the state is not finite at t={block[bad[0], 0]:g}: the data or input overflow float64")
+        yield block

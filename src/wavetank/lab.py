@@ -77,15 +77,15 @@ class SweepReport:
     grid_slack_deriv: np.ndarray
 
 
-def fit_rate(mu: Sequence[float], err: Sequence[float], skip_largest: int = 1) -> float:
+def fit_rate(mu: Sequence[float], err: Sequence[float]) -> float:
     """Least-squares slope of log(err) against log(mu).
 
-    The largest skip_largest shallowness values are excluded as pre-asymptotic.
+    The first, largest shallowness value is excluded as pre-asymptotic.
     The slope comes from centred sums, so shallowness values that agree to the
     last bit give a slope (or nan when their logs coincide), never a warning.
     """
-    mu = np.asarray(mu, dtype=float)[skip_largest:]
-    err = np.asarray(err, dtype=float)[skip_largest:]
+    mu = np.asarray(mu, dtype=float)[1:]
+    err = np.asarray(err, dtype=float)[1:]
     if mu.size < 2:
         raise ValueError("need at least two points to fit a rate")
     if np.any(err <= 0):

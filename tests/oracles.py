@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from wavetank.basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, _phi
-from wavetank.evolution import _blocks, _propagate
+from wavetank.evolution import _propagate, _rows
 from wavetank.fields import FieldGrid, LateralProfile, _psi
 from wavetank.operators import _h, _odd_sums
 
@@ -79,7 +79,9 @@ def step(state, u: float, dt: float, system):
 
 def evolve(initial, values, dt, system):
     """(times, zeta, zeta_t) through the whole input, sampled at t_i = i dt: what `simulate` streams."""
-    return next(_blocks(initial, values, dt, system, len(values) + 1))
+    block = next(_rows(initial, values, dt, system, len(values) + 1))
+    width = system[0].size
+    return block[:, 0], block[:, 1 : width + 1], block[:, width + 1 :]
 
 
 def energy(state) -> float:

@@ -20,7 +20,7 @@ def test_defaults_for_verify():
     assert cfg.k_modes == 256
     assert cfg.l_modes == 10_000
     assert cfg.mu_list == (1e-1, 1e-2, 1e-3, 1e-4)
-    assert cfg.effective_dt == pytest.approx(1e-3 * cfg.tau)
+    assert cfg.dt == pytest.approx(1e-3 * cfg.tau)
 
 
 def test_mu_range_error_message():
@@ -59,6 +59,8 @@ def test_unknown_key_and_syntax_errors():
         parse_config("verify", "bogus=1\n")
     with pytest.raises(ConfigError, match="key=value"):
         parse_config("verify", "what is this\n")
+    with pytest.raises(ConfigError, match=r"^unknown key 'mu_lst'; known keys: out, mu, mu_list,"):
+        parse_config("sweep", overrides={"mu_lst": "1e-2"})
 
 
 def test_comments_and_blank_lines():
@@ -343,6 +345,9 @@ def test_default_dt_reaches_horizon():
     for tau in ("0.1", "1", "7.3", "10", "20", "12345.678"):
         cfg = parse_config("simulate", overrides={"tau": tau})
         assert cli._n_steps(cfg) == 1000
+        assert f"\ndt={cfg.dt:.17g}\n" in cfg.to_text()
+    with pytest.raises(ConfigError, match=r"^the default dt = 1e-3\*tau underflows to 0 at tau=9.88131e-323; give dt$"):
+        parse_config("verify", overrides={"tau": "1e-322"})
 
 
 def test_sweep_of_shallowness_one_ulp_apart_exits_0_quietly(tmp_path, capsys):

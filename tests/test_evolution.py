@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from wavetank.basis import ModalVector
 from wavetank.cli import ConfigError, make_signal
-from wavetank.evolution import _propagate, limit_system, make_initial, water_system
+from wavetank.evolution import _propagate, _rows, limit_system, make_initial, water_system
 
 from oracles import energy, evolve, step
 from reference_stepper import reference_advance
@@ -92,6 +93,25 @@ def test_water_single_mode_closed_form():
     w1 = water[0][1]
     np.testing.assert_allclose(zeta[:, 1], np.cos(w1 * times), atol=1e-12)
     np.testing.assert_allclose(zeta_t[:, 1], -w1 * np.sin(w1 * times), atol=1e-12)
+
+
+def test_trajectory_memory_is_independent_of_the_horizon():
+    # O(rows K): the same peak at 1000 and 16000 steps, one reused block of rows
+    K, rows = 256, 31
+    water = water_system(1e-2, K)
+    initial = make_initial(ModalVector.unit(1, K), ModalVector.zeros(K), [water])
+    peaks = []
+    for n in (1000, 16000):
+        values = np.ones(n)
+        tracemalloc.start()
+        try:
+            for _ in _rows(initial, values, 1e-3, water, rows):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) < 2 * rows * (2 * K + 3) * 8
 
 
 def test_energy_conserved_per_step():

@@ -37,17 +37,16 @@ def smooth8(K):
 def test_fit_rate_recovers_power_law():
     mu = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     err = 3.0 * mu**0.5
-    assert fit_rate(mu, err, skip_largest=0) == pytest.approx(0.5, abs=1e-12)
-    assert fit_rate(mu, err, skip_largest=1) == pytest.approx(0.5, abs=1e-12)
+    assert fit_rate(mu, err) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
-        fit_rate(mu[:2], err[:2], skip_largest=1)
+        fit_rate(mu[:2], err[:2])
 
 
 def test_fit_rate_of_coincident_logs_is_nan():
-    # near 1e-300 one ulp of mu is below half an ulp of log(mu), so the logs coincide
-    mu = [1e-300, math.nextafter(1e-300, 1.0)]
-    assert math.log(mu[0]) == math.log(mu[1])
-    assert math.isnan(fit_rate(mu, [1.0, 2.0], skip_largest=0))
+    # near 1e-300 one ulp of mu is below half an ulp of log(mu), so the logs coincide; the largest mu is skipped
+    mu = [1.0, 1e-300, math.nextafter(1e-300, 1.0)]
+    assert math.log(mu[1]) == math.log(mu[2])
+    assert math.isnan(fit_rate(mu, [1.0, 1.0, 2.0]))
 
 
 def test_sweep_errors_decrease_and_rate():
