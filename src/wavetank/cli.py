@@ -28,7 +28,7 @@ import numpy as np
 
 from ._writer import block_rows, table_blocks, write_csv, write_text
 from .basis import ModalVector
-from .evolution import _rows, limit_system, make_initial, water_system
+from .evolution import _rows, limit_system, water_system
 from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
 from .lab import audit_kernels, audit_resolvents, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
 
@@ -337,9 +337,7 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
     modes = range(cfg.k_modes + 1)
     header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
     rows = block_rows(2 * cfg.k_modes + 3)
-    # make_initial checks the data here, before trajectory.csv is registered for discard
-    initial = make_initial(cfg.init_modes, cfg.init1_modes, [system])
-    blocks = _rows(initial, cfg.signal_values, cfg.dt, system, rows)
+    blocks = _rows(cfg.init_modes, cfg.init1_modes, cfg.signal_values, cfg.dt, system, rows)
     # overflow surfaces as a non-finite row, which _rows rejects
     with np.errstate(over="ignore", invalid="ignore"):
         write_csv(out.path("trajectory.csv"), header, table_blocks(blocks))

@@ -1,5 +1,6 @@
 """References the tests compare the package against, and builders that no command needs: pointwise basis
-evaluation and Simpson projection, one-system stepping over the package's kernel, interior grids and lateral
+evaluation and Simpson projection, one-system stepping over the package's kernel, d'Alembert's solution of the
+string under a boundary pulse with its cosine coefficients in closed form, interior grids and lateral
 profiles, the 5-point harmonicity residual, the lateral-series forcing with its certified tail, one-line
 formulas of the comparison kernels, each evaluating h on its own, the two field extensions as broadcast
 expressions, and the CSV writer's tables built all at once by exact integer arithmetic."""
@@ -71,23 +72,68 @@ def project(f, K: int) -> ModalVector:
 
 
 def step(state, u: float, dt: float, system):
-    """Advance one system's (alpha, beta, z0), as make_initial(zeta0, zeta1, [system]) returns them, one step
-    of length dt with the input held at u."""
-    *_, (zeta, alpha, beta) = _propagate(state, [system], [float(u)], float(dt))
-    return alpha.copy(), beta.copy(), zeta[:, 0].copy()
+    """Advance one system's state (zeta, zeta_t), two (K+1)-arrays, one step of length dt with the input held
+    at u."""
+    zeta0, zeta1 = (ModalVector(a) for a in state)
+    *_, (zeta, zeta_t) = _propagate(zeta0, zeta1, [system], [float(u)], float(dt))
+    return zeta[0].copy(), zeta_t[0].copy()
 
 
-def evolve(initial, values, dt, system):
+def evolve(zeta0, zeta1, values, dt, system):
     """(times, zeta, zeta_t) through the whole input, sampled at t_i = i dt: what `simulate` streams."""
-    block = next(_rows(initial, values, dt, system, len(values) + 1))
+    block = next(_rows(zeta0, zeta1, values, dt, system, len(values) + 1))
     width = system[0].size
     return block[:, 0], block[:, 1 : width + 1], block[:, width + 1 :]
 
 
-def energy(state) -> float:
-    """E = ||alpha||^2 + ||beta||^2 of (alpha, beta, z0); invariant under zero input."""
-    alpha, beta, _ = state
-    return float(np.sum(alpha**2) + np.sum(beta**2))
+def energy(state, system) -> float:
+    """E = ||zeta_t||^2 + ||omega zeta||^2 of the state (zeta, zeta_t); invariant under zero input."""
+    zeta, zeta_t = state
+    return float(np.sum(zeta_t**2) + np.sum((system[0] * zeta) ** 2))
+
+
+def _volume(s, on: float, off: float, amplitude: float):
+    """U(s), the integral from 0 to s of u = amplitude on [on, off) and 0 elsewhere (0 <= on < off <= inf)."""
+    return amplitude * (np.clip(s, on, off) - on)
+
+
+def string_dalembert(x, t: float, on: float, off: float, amplitude: float) -> np.ndarray:
+    """Elevation zeta(x, t) of the string zeta_tt = zeta_xx on [0, pi] with zeta_x(0, t) = u(t),
+    zeta_x(pi, t) = 0 and zero data, for u = amplitude on [on, off): d'Alembert's sum over reflections
+
+        zeta(x, t) = -sum_{n>=0} [U(t - 2 n pi - x) + U(t - 2 (n+1) pi + x)],
+
+    with U the integral of u from 0 (zero for negative arguments); terms with n > t / (2 pi) vanish."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for n in range(int(t // (2.0 * math.pi)) + 1):
+        out -= _volume(t - 2.0 * n * math.pi - x, on, off, amplitude)
+        out -= _volume(t - 2.0 * (n + 1) * math.pi + x, on, off, amplitude)
+    return out
+
+
+def string_dalembert_coeffs(K: int, t: float, on: float, off: float, amplitude: float) -> np.ndarray:
+    """The cosine coefficients zeta_k(t), k = 0..K, of `string_dalembert`, in closed form.
+
+    In <zeta, phi_k> put s for the argument of each reflection term.  Then
+    cos(k x) = cos(k (t - s)) in both, and the ranges of s tile (-inf, t], so
+
+        zeta_k(t) = -phi_k(0) int_{-inf}^t U(s) cos(k (t - s)) ds.
+
+    U rises linearly on [on, e], e = min(max(t, on), off), and is constant
+    after; by parts, with A the amplitude,
+
+        zeta_k(t) = -phi_k(0) A (cos(k (t - e)) - cos(k (t - on))) / k^2    (k >= 1),
+        zeta_0(t) = -phi_0(0) A (e - on) (2 t - on - e) / 2,
+
+    so the volume of the elevation, sqrt(pi) zeta_0, is -int_0^t U(s) ds.
+    """
+    k = np.arange(1, K + 1, dtype=float)
+    e = min(max(t, on), off)
+    zeta = np.empty(K + 1)
+    zeta[0] = -amplitude * (e - on) * (2.0 * t - on - e) / (2.0 * math.sqrt(math.pi))
+    zeta[1:] = -math.sqrt(2.0 / math.pi) * amplitude * (np.cos(k * (t - e)) - np.cos(k * (t - on))) / k**2
+    return zeta
 
 
 def interior(nx: int, ny: int) -> FieldGrid:

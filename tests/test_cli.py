@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wavetank import cli
 from wavetank.basis import ModalVector
 from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_initial_spec
-from wavetank.evolution import make_initial, water_system
+from wavetank.evolution import water_system
 from wavetank.lab import KernelAudit, KernelAuditRow
 
 from oracles import evolve
@@ -216,8 +216,8 @@ def test_simulate_streams_the_rows_of_evolve(tmp_path):
             "--signal", "pulse:0:0.2:1"]
     assert main(args) == 0
     system = water_system(0.01, 2000)
-    initial = make_initial(parse_initial_spec("smooth8", 2000), ModalVector.zeros(2000), [system])
-    rows = np.column_stack(evolve(initial, make_signal("pulse:0:0.2:1", 0.01, 50), 0.01, system))
+    zeta0 = parse_initial_spec("smooth8", 2000)
+    rows = np.column_stack(evolve(zeta0, ModalVector.zeros(2000), make_signal("pulse:0:0.2:1", 0.01, 50), 0.01, system))
     expected = [",".join(f"{v:.17g}" for v in row) for row in rows]
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == expected
 
@@ -289,26 +289,17 @@ def test_run_too_large_to_allocate_exits_1(tmp_path, capsys, args, stage):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_initial_elevation_overflow_exits_1_naming_the_mode(tmp_path, capsys, command):
-    # beta_2 = omega_2 zeta0_2 = 2e308 overflows for the limit string
-    args = [command, "--out", str(tmp_path), "--system", "limit", "--k-modes", "2", "--init", "mode:2:1e308",
-            "--tau", "0.1", "--dt", "0.05", "--mu-list", "1e-1,1e-2", "--k-max", "10"]
-    assert main(args) == 1
+def test_finite_initial_data_run_until_the_state_or_the_norms_overflow(tmp_path, capsys):
+    # omega_2 zeta0_2 = 2e308 is not a float64, but the state (zeta, zeta_t) is:
+    # simulate starts from it, while the sweep's squared errors overflow
+    args = ["--system", "limit", "--k-modes", "2", "--init", "mode:2:1e308", "--tau", "0.1", "--dt", "0.05"]
+    assert main(["simulate", "--out", str(tmp_path / "simulate"), *args]) == 0
+    first = (tmp_path / "simulate" / "trajectory.csv").read_text().splitlines()[1]
+    assert first.split(",") == ["0", "0", "0", "1e+308", "0", "0", "0"]
+    assert main(["sweep", "--out", str(tmp_path / "sweep"), *args, "--mu-list", "1e-1,1e-2", "--k-max", "10"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"wavetank: {command}: init mode 2:"), err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("command, output", [("simulate", "trajectory.csv"), ("sweep", "sweep.csv")])
-def test_initial_overflow_keeps_a_previous_runs_output(tmp_path, command, output):
-    # the initial data are checked before the output is registered, so a failing run removes nothing it did not write
-    (tmp_path / output).write_bytes(b"previous run\n")
-    args = [command, "--out", str(tmp_path), "--system", "limit", "--k-modes", "2", "--init", "mode:2:1e308",
-            "--tau", "0.1", "--dt", "0.05", "--mu-list", "1e-1,1e-2", "--k-max", "10"]
-    assert main(args) == 1
-    assert [p.name for p in tmp_path.iterdir()] == [output]
-    assert (tmp_path / output).read_bytes() == b"previous run\n"
+    assert err == ["wavetank: sweep: error norms at mu=0.1 are not finite: the data or input overflow float64"]
+    assert not any((tmp_path / "sweep").glob("*"))
 
 
 def test_sweep_error_norm_overflow_exits_1(tmp_path, capsys):

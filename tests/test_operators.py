@@ -95,6 +95,10 @@ class TestForcing:
             assert np.abs(f - wave_maker_forcing(mu, 64)).max() <= tail
         _, forcing = water_system(1e-300, 64)
         np.testing.assert_allclose(forcing[1:], -SQ2PI, rtol=0.0, atol=1e-15)
+        # water_system builds its forcing from the h of its frequencies: the same bits
+        for mu in (1.0, 0.3, 1e-2, 1e-6, 1e-300, 5e-324):
+            for K in (1, 7, 1024):
+                assert water_system(mu, K)[1].tobytes() == wave_maker_forcing(mu, K).tobytes()
 
     def test_linearity_scaling(self):
         f, _ = ntn_forcing(0.5, 4, 10_000)

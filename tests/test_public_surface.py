@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "LateralProfile", "ModalVector", "RunConfig", "SQRT_2_OVER_PI", "SQRT_PI", "SweepReport", "audit_kernels",
     "audit_resolvents", "bmu_dual_norm_gap", "bmu_rate_table", "comparison_kernels", "dirichlet_extension",
     "dirichlet_values", "dispatch", "fit_rate", "kernel_H_sum", "limit_forcing", "limit_system", "main",
-    "make_initial", "neumann_extension", "neumann_values", "norm", "parse_config", "run_sweep", "sobolev_weights",
+    "neumann_extension", "neumann_values", "norm", "parse_config", "run_sweep", "sobolev_weights",
     "sweep_summary", "water_system", "wave_maker_forcing", "write_field_csv", "write_sweep_csv",
 ]
 
@@ -117,7 +117,7 @@ def test_every_src_function_runs_under_a_command(tmp_path):
         ["verify", *small],
         ["field", *small, "--grid", "3,3"],
         ["simulate", "--mu", "0"],  # a config error
-        ["simulate", *small, "--system", "limit", "--init", "mode:2:1e308"],  # a run error
+        ["simulate", "--k-modes", "4", "--tau", "10", "--dt", "0.05", "--signal", "const:1e308"],  # a run error
         ["sweep", *small, "--mu-list", "1e-1"],  # an output error: summary.txt is a directory
     ]
     (tmp_path / "8" / "summary.txt").mkdir(parents=True)
