@@ -250,9 +250,8 @@ def parse_initial_spec(spec: str, K: int) -> ModalVector:
             if not 0 <= k <= K:
                 raise ConfigError(f"initial-data mode {k} outside 0..{K}")
             c[k] += amp
-    bad = np.flatnonzero(~np.isfinite(c))
-    if bad.size:
-        raise ConfigError(f"initial-data mode {bad[0]}: the amplitudes must sum to a finite value, got {spec!r}")
+    if not np.all(np.isfinite(c)):
+        raise ConfigError(f"initial-data amplitudes must sum to finite values, got {spec!r}")
     return ModalVector(c)
 
 
