@@ -38,6 +38,9 @@ COMMANDS = ("simulate", "sweep", "verify", "field")
 # lateral modes of the field command's Neumann profile, at most; keeps `field`
 # fast at the default l_modes
 _FIELD_L_MODES_CAP = 512
+# steps of one simulate or sweep run, at most: 10^9 steps of sweep at K = 1024
+# take about ten hours on a 2-core VM, and a count far past it is a typo in tau or dt
+_MAX_STEPS = 10**9
 
 # key: (default, flag metavar, help); each key is also the flag --key, with '-' for '_'.
 # Order fixes the serialized layout.
@@ -103,11 +106,11 @@ class RunConfig:
         return parse_initial_spec(self.init1, self.k_modes)
 
     @functools.cached_property
-    def signal_values(self) -> np.ndarray:
-        """The signal's values on the steps of dt up to tau, built on first use: 8 bytes per step.
+    def signal_runs(self) -> Tuple[Tuple[float, int], ...]:
+        """The signal on the steps of dt up to tau as runs (u, count) of constant u, built on first use.
 
-        parse_config builds them first for simulate and sweep, so a step grid that misses tau or a pulse is a
-        config error there.
+        At most three runs, whatever the number of steps.  parse_config builds them first for simulate and sweep,
+        so a step grid that misses tau or a pulse is a config error there.
         """
         return make_signal(self.signal, self.dt, _n_steps(self))
 
@@ -219,7 +222,7 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     # tau or a pulse; the commands reuse the parsed data
     cfg.init_modes, cfg.init1_modes
     if command in ("simulate", "sweep"):
-        cfg.signal_values
+        cfg.signal_runs
     else:
         _signal_spec(cfg.signal)
     return cfg
@@ -272,25 +275,40 @@ def _signal_spec(spec: str):
     return kind, nums
 
 
-def make_signal(spec: str, dt: float, n_steps: int) -> np.ndarray:
-    """The values u_m on [m dt, (m+1) dt), m < n_steps, of a signal spec.
+def make_signal(spec: str, dt: float, n_steps: int) -> Tuple[Tuple[float, int], ...]:
+    """The input u_m on [m dt, (m+1) dt), m < n_steps, of a signal spec, as runs (u, count) of constant u in
+    step order.
 
-    Signal mini-language: zero | const:AMP | pulse:T0:T1:AMP, a pulse holding a step start m dt < n_steps dt.
+    Signal mini-language: zero | const:AMP | pulse:T0:T1:AMP.  A pulse is on at the steps with T0 <= m dt < T1,
+    decided on the float products m*dt, and its window must hold a step start m < n_steps.
     """
     kind, nums = _signal_spec(spec)
-    if kind == "zero":
-        return np.zeros(n_steps)
-    if kind == "const":
-        return np.full(n_steps, float(nums[0]))
-    t_on, t_off, amplitude = nums
-    t = np.arange(n_steps) * dt
-    on = (t >= t_on) & (t < t_off)
-    if not on.any():
-        raise ConfigError(
-            f"signal {spec.strip()!r}: the window [{t_on:g}, {t_off:g}) holds no step start m*dt "
-            f"of the grid dt={dt:g}, m < {n_steps}"
-        )
-    return np.where(on, float(amplitude), 0.0)
+    if kind == "pulse":
+        t_on, t_off, amplitude = nums
+        on, off = _first_step_at(t_on, dt, n_steps), _first_step_at(t_off, dt, n_steps)
+        if on == off:
+            raise ConfigError(
+                f"signal {spec.strip()!r}: the window [{t_on:g}, {t_off:g}) holds no step start m*dt "
+                f"of the grid dt={dt:g}, m < {n_steps}"
+            )
+        runs = [(0.0, on), (amplitude, off - on), (0.0, n_steps - off)]
+    else:
+        runs = [(nums[0] if kind == "const" else 0.0, n_steps)]
+    return tuple((u, n) for u, n in runs if n)
+
+
+def _first_step_at(t: float, dt: float, n_steps: int) -> int:
+    """The first m in 0..n_steps with m*dt >= t, or n_steps if there is none.
+
+    m*dt is the float product, nondecreasing in m, so a guess from t/dt moves to the edge in a few steps.
+    """
+    q = t / dt
+    m = 0 if q <= 0 else n_steps if q >= n_steps else math.ceil(q)
+    while m > 0 and (m - 1) * dt >= t:
+        m -= 1
+    while m < n_steps and m * dt < t:
+        m += 1
+    return m
 
 
 class _OutputSet:
@@ -315,12 +333,14 @@ class _OutputSet:
 
 
 def _n_steps(cfg: RunConfig) -> int:
-    """Number of steps of length dt that end exactly at tau; ConfigError otherwise."""
+    """Number of steps of length dt that end exactly at tau, at most _MAX_STEPS; ConfigError otherwise."""
     dt = cfg.dt
     steps = cfg.tau / dt
     if not math.isfinite(steps):
         raise ConfigError(f"tau={cfg.tau:g} holds too many steps of dt={dt:g} to count")
     n = round(steps)
+    if n > _MAX_STEPS:
+        raise ConfigError(f"tau={cfg.tau:g} holds {n} steps of dt={dt:g}, more than the {_MAX_STEPS} a run may take")
     if n == 0 or abs(n * dt - cfg.tau) > 1e-9 * cfg.tau:
         raise ConfigError(
             f"tau={cfg.tau:g} is not a whole number of steps of dt={dt:g}; "
@@ -337,7 +357,7 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
     modes = range(cfg.k_modes + 1)
     header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
     rows = block_rows(2 * cfg.k_modes + 3)
-    blocks = _rows(cfg.init_modes, cfg.init1_modes, cfg.signal_values, cfg.dt, system, rows)
+    blocks = _rows(cfg.init_modes, cfg.init1_modes, cfg.signal_runs, cfg.dt, system, rows)
     # overflow surfaces as a non-finite row, which _rows rejects
     with np.errstate(over="ignore", invalid="ignore"):
         write_csv(out.path("trajectory.csv"), header, table_blocks(blocks))
@@ -345,7 +365,7 @@ def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
-    report = run_sweep(cfg.mu_list, cfg.init_modes, cfg.init1_modes, cfg.signal_values, cfg.dt)
+    report = run_sweep(cfg.mu_list, cfg.init_modes, cfg.init1_modes, cfg.signal_runs, cfg.dt)
     audit = audit_kernels(k_max=cfg.k_max, l_modes=cfg.l_modes)
     write_sweep_csv(report, out.path("sweep.csv"))
     write_text(out.path("summary.txt"), f"{sweep_summary(report)}\n\n{audit.table()}\n")

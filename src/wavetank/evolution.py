@@ -22,12 +22,14 @@ exact quadratic in t.  With u = 0 the map conserves
 E = ||zeta_t||^2 + ||omega zeta||^2, so E is conserved to roundoff whatever dt.
 
 A system is the pair (omega, forcing) of (K+1)-arrays that `water_system`
-and `limit_system` return, and an input is the array of values u_m held on
-[m dt, (m+1) dt) together with dt.
+and `limit_system` return, and an input is dt together with the runs
+(u, count) of constant u that it holds, in step order: u_m on
+[m dt, (m+1) dt), step by step.
 
 All stepping goes through one private generator, `_propagate`.  It fills
-(n_sys, K+1) buffers with the initial data, computes the coefficients once,
-steps in place without allocating and yields read-only views of the buffers
+(n_sys, K+1) buffers with the initial data, computes the coefficients once
+and the u terms once per run, steps in place without allocating and yields
+read-only views of the buffers
 after every step (two tuples of them, built once, one per parity of the step
 count), so a caller reduces them in O(n_sys K) memory (the sweep) or copies
 them into one reused block of rows, O(rows K) (`simulate`, through `_rows`).
@@ -62,21 +64,23 @@ def limit_system(K: int):
     return np.arange(K + 1, dtype=float), limit_forcing(K)
 
 
-def _propagate(zeta0: ModalVector, zeta1: ModalVector, systems, values, dt):
+def _propagate(zeta0: ModalVector, zeta1: ModalVector, systems, runs, dt):
     """The stepping loop: exact steps of a batch of systems from the same data under one input.
 
     Every system starts from zeta = zeta0 and zeta_t = zeta1 and is stepped
-    with u held at values[m] on step m.  Yields (zeta, zeta_t), each of shape
-    (n_sys, K+1), at t = 0, dt, ..., n dt.  They are read-only views of
-    buffers that the next step overwrites, so a consumer that keeps a sample
-    copies it.  ValueError if the data and a system disagree on K.
+    with u held at each run's u for its count of steps.  Yields (zeta, zeta_t),
+    each of shape (n_sys, K+1), at t = 0, dt, ..., n dt, n the total count.
+    They are read-only views of buffers that the next step overwrites, so a
+    consumer that keeps a sample copies it.  ValueError if the data and a
+    system disagree on K.
 
     Each step maps a whole contiguous (zeta, zeta_t) pair of buffers into a
     second pair, and the pairs swap.  The u terms (f Q) u and (f S) u are
-    recomputed only when the bits of u change (0.0 and -0.0 give differently
-    signed zeros).  Every sample is bit-identical to the plain per-step
-    formula zeta' = (c zeta + S zeta_t) + (f Q) u,
-    zeta_t' = (c zeta_t - W zeta) + (f S) u.
+    formed once per run, and a term whose every entry is -0.0 is not added:
+    x + (-0.0) is x for every float x, signed zeros included.  Tank and string
+    have f < 0 and Q >= 0, so (f Q) u is all -0.0 on a run of u = 0.0.  Every
+    sample is bit-identical to the plain per-step formula
+    zeta' = (c zeta + S zeta_t) + (f Q) u, zeta_t' = (c zeta_t - W zeta) + (f S) u.
     """
     for w, _ in systems:
         if not zeta0.K == zeta1.K == w.size - 1:
@@ -97,34 +101,38 @@ def _propagate(zeta0: ModalVector, zeta1: ModalVector, systems, values, dt):
     # the samples after an even and after an odd number of steps
     views, spare = (tuple(map(_readonly, pair)) for pair in ((zeta, zeta_t), (zeta_n, zeta_t_n)))
     yield views
-    values = np.asarray(values, dtype=float)
-    last = None
-    for u, bits in zip(values, values.view(np.uint64)):
-        if bits != last:
-            np.multiply(fQ, u, out=gQ)
-            np.multiply(fS, u, out=gS)
-            last = bits
-        np.multiply(c, zeta, out=zeta_n)
-        np.add(zeta_n, np.multiply(S, zeta_t, out=term), out=zeta_n)
-        np.add(zeta_n, gQ, out=zeta_n)
-        np.multiply(c, zeta_t, out=zeta_t_n)
-        np.subtract(zeta_t_n, np.multiply(W, zeta, out=term), out=zeta_t_n)
-        np.add(zeta_t_n, gS, out=zeta_t_n)
-        zeta, zeta_n, zeta_t, zeta_t_n = zeta_n, zeta, zeta_t_n, zeta_t
-        views, spare = spare, views
-        yield views
+    for u, count in runs:
+        add_Q = not _negative_zeros(np.multiply(fQ, u, out=gQ))
+        add_S = not _negative_zeros(np.multiply(fS, u, out=gS))
+        for _ in range(count):
+            np.multiply(c, zeta, out=zeta_n)
+            np.add(zeta_n, np.multiply(S, zeta_t, out=term), out=zeta_n)
+            if add_Q:
+                np.add(zeta_n, gQ, out=zeta_n)
+            np.multiply(c, zeta_t, out=zeta_t_n)
+            np.subtract(zeta_t_n, np.multiply(W, zeta, out=term), out=zeta_t_n)
+            if add_S:
+                np.add(zeta_t_n, gS, out=zeta_t_n)
+            zeta, zeta_n, zeta_t, zeta_t_n = zeta_n, zeta, zeta_t_n, zeta_t
+            views, spare = spare, views
+            yield views
 
 
-def _rows(zeta0: ModalVector, zeta1: ModalVector, values, dt: float, system, rows: int):
-    """One system's trajectory from (zeta0, zeta1) under the input values, in blocks of at most `rows` samples.
+def _negative_zeros(a) -> bool:
+    """Whether every entry of a is -0.0 (a NaN is nonzero)."""
+    return bool(np.signbit(a).all()) and not a.any()
+
+
+def _rows(zeta0: ModalVector, zeta1: ModalVector, runs, dt: float, system, rows: int):
+    """One system's trajectory from (zeta0, zeta1) under the input runs, in blocks of at most `rows` samples.
 
     Every block is a view of one reused (rows, 2K+3) array whose row i is
     t_i, zeta_0..zeta_K, zeta_t_0..zeta_t_K; the next block overwrites it.
     ValueError names the first time at which the state is not finite.
     """
-    n, width = len(values) + 1, system[0].size
+    n, width = sum(count for _, count in runs) + 1, system[0].size
     buf = np.empty((min(rows, n), 2 * width + 1))
-    samples = _propagate(zeta0, zeta1, [system], values, dt)
+    samples = _propagate(zeta0, zeta1, [system], runs, dt)
     for start in range(0, n, rows):
         block = buf[: min(rows, n - start)]
         np.multiply(dt, np.arange(start, start + len(block)), out=block[:, 0])

@@ -52,6 +52,8 @@ GAP_K = 16_384
 # the lateral-series oracle is compared with the closed form on at most this
 # many log-spaced modes per shallowness
 ORACLE_K_SAMPLES = 64
+# steps whose error norms run_sweep folds into sup and slack together
+_SWEEP_BLOCK = 256
 
 PROVEN_TOL = 1e-12  # relative slack allowed on proven envelopes
 # the forcing-gap spread must stay strictly below 2: the largest float under 2
@@ -97,14 +99,17 @@ def fit_rate(mu: Sequence[float], err: Sequence[float]) -> float:
     return float(np.sum(x * (y - y.mean())) / sxx) if sxx > 0 else float("nan")
 
 
-def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, values, dt: float) -> SweepReport:
+def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, runs, dt: float) -> SweepReport:
     """Evolve the limit and every tank as one batch from identical data, reducing the errors as it goes.
 
-    K comes from the data; the input holds u = values[m] on [m dt, (m+1) dt),
-    so the horizon is len(values) dt.  At each step the error norms of every
-    tank against the limit update their running sup and the largest
-    step-to-step change; no trajectory is kept.  The rates skip the largest
-    mu, as fit_rate does, and are nan below three mu.
+    K comes from the data; the input holds each run's u for its count of
+    steps of dt, in order, so the horizon is the total count times dt.  Each
+    step writes the squared error norms of every tank against the limit into
+    one row of a fixed block of _SWEEP_BLOCK + 1 rows; a full block is folded
+    into the running sup and the largest step-to-step change of the norms,
+    and its last row, carried to row 0, starts the next.  No trajectory is
+    kept.  The rates skip the largest mu, as fit_rate does, and are nan below
+    three mu.
     """
     mu_list = tuple(float(mu) for mu in mu_list)
     K = zeta0.K
@@ -112,22 +117,38 @@ def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, 
     # one weight row per mu: a same-shape product is about twice as fast as a broadcast row
     w, diff = _aligned((len(mu_list), K + 1)), _aligned((len(mu_list), K + 1))
     w[...] = sobolev_weights(K, 0.5)
-    norms, prev = np.empty((2, len(mu_list))), None
+    # squared norms, their roots and the roots' step-to-step changes, one row per step
+    block, norms = np.empty((2, _SWEEP_BLOCK + 1, 2, len(mu_list)))
+    steps = np.empty((_SWEEP_BLOCK, 2, len(mu_list)))
+    # the norms start at 0: every system starts from the same finite data
+    sup, slack = np.zeros((2, len(mu_list))), np.zeros((2, len(mu_list)))
+
+    def squared_norms(zeta, zeta_t, row):
+        np.subtract(zeta[1:], zeta[0], out=diff)
+        np.multiply(np.square(diff, out=diff), w, out=diff)
+        np.add.reduce(diff, axis=1, out=row[0])
+        np.subtract(zeta_t[1:], zeta_t[0], out=diff)
+        np.add.reduce(np.square(diff, out=diff), axis=1, out=row[1])
+
+    def fold(n):
+        """Fold the squared norms in rows 0..n of the block into sup and slack; row n starts the next block."""
+        root = np.sqrt(block[: n + 1], out=norms[: n + 1])
+        np.maximum(sup, root.max(axis=0), out=sup)
+        change = np.abs(np.subtract(root[1:], root[:-1], out=steps[:n]), out=steps[:n])
+        np.maximum(slack, change.max(axis=0), out=slack)
+        block[0] = block[n]
+
     # overflow surfaces as a non-finite norm, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for zeta, zeta_t in _propagate(zeta0, zeta1, systems, values, dt):
-            np.subtract(zeta[1:], zeta[0], out=diff)
-            np.multiply(np.square(diff, out=diff), w, out=diff)
-            diff.sum(axis=1, out=norms[0])
-            np.subtract(zeta_t[1:], zeta_t[0], out=diff)
-            np.square(diff, out=diff).sum(axis=1, out=norms[1])
-            np.sqrt(norms, out=norms)
-            if prev is None:
-                sup, slack, prev = norms.copy(), np.zeros_like(norms), np.empty_like(norms)
-            else:
-                np.maximum(sup, norms, out=sup)
-                np.maximum(slack, np.abs(np.subtract(norms, prev, out=prev), out=prev), out=slack)
-            norms, prev = prev, norms
+        filled = -1
+        for zeta, zeta_t in _propagate(zeta0, zeta1, systems, runs, dt):
+            filled += 1
+            squared_norms(zeta, zeta_t, block[filled])
+            if filled == _SWEEP_BLOCK:
+                fold(filled)
+                filled = 0
+        if filled:
+            fold(filled)
     bad = np.flatnonzero(~np.all(np.isfinite(sup) & np.isfinite(slack), axis=0))
     if bad.size:
         mu = mu_list[bad[0]]

@@ -1,5 +1,6 @@
 """References the tests compare the package against, and builders that no command needs: pointwise basis
-evaluation and Simpson projection, one-system stepping over the package's kernel, d'Alembert's solution of the
+evaluation and Simpson projection, a pulse's per-step input and the conversions between per-step inputs and
+runs of constant input, one-system stepping over the package's kernel, d'Alembert's solution of the
 string under a boundary pulse with its cosine coefficients in closed form, interior grids and lateral
 profiles, the 5-point harmonicity residual, the lateral-series forcing with its certified tail, one-line
 formulas of the comparison kernels, each evaluating h on its own, the two field extensions as broadcast
@@ -71,17 +72,39 @@ def project(f, K: int) -> ModalVector:
     return ModalVector((w * fx) @ _phi(np.arange(K + 1), x))
 
 
+def pulse_values(on: float, off: float, amplitude: float, dt: float, n_steps: int) -> np.ndarray:
+    """The input u = amplitude on [on, off) and 0.0 elsewhere at the step starts m*dt, m < n_steps, one value
+    per step: the per-step array that `make_signal`'s runs expand to (zero is amplitude 0.0, const:AMP the
+    window [0, inf))."""
+    t = np.arange(n_steps) * dt
+    return np.where((t >= on) & (t < off), amplitude, 0.0)
+
+
+def runs_of(values):
+    """The runs (u, count) of a per-step input, consecutive values grouped by their bits, so 0.0 and -0.0 differ."""
+    values = np.asarray(values, dtype=float)
+    bits = values.view(np.uint64)
+    edges = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(values)]
+    return [(float(values[a]), b - a) for a, b in zip(edges, edges[1:]) if b > a]
+
+
+def expand(runs) -> np.ndarray:
+    """The per-step input of runs (u, count)."""
+    return np.repeat(np.array([u for u, _ in runs], dtype=float), np.array([n for _, n in runs], dtype=int))
+
+
 def step(state, u: float, dt: float, system):
     """Advance one system's state (zeta, zeta_t), two (K+1)-arrays, one step of length dt with the input held
     at u."""
     zeta0, zeta1 = (ModalVector(a) for a in state)
-    *_, (zeta, zeta_t) = _propagate(zeta0, zeta1, [system], [float(u)], float(dt))
+    *_, (zeta, zeta_t) = _propagate(zeta0, zeta1, [system], [(float(u), 1)], float(dt))
     return zeta[0].copy(), zeta_t[0].copy()
 
 
-def evolve(zeta0, zeta1, values, dt, system):
-    """(times, zeta, zeta_t) through the whole input, sampled at t_i = i dt: what `simulate` streams."""
-    block = next(_rows(zeta0, zeta1, values, dt, system, len(values) + 1))
+def evolve(zeta0, zeta1, runs, dt, system):
+    """(times, zeta, zeta_t) through the whole input runs (u, count), sampled at t_i = i dt: what `simulate`
+    streams."""
+    block = next(_rows(zeta0, zeta1, runs, dt, system, sum(count for _, count in runs) + 1))
     width = system[0].size
     return block[:, 0], block[:, 1 : width + 1], block[:, width + 1 :]
 

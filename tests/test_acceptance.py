@@ -126,7 +126,7 @@ def test_criterion_5_single_mode_analytic_check():
     mu = 1e-2
     K = 8
     dt = 1e-2  # default dt = 1e-3 * tau
-    measured = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), np.zeros(1000), dt).err_deriv[0]
+    measured = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), [(0.0, 1000)], dt).err_deriv[0]
     # independent oracle: both velocity signals in closed form, densely sampled
     w1 = math.sqrt(math.tanh(math.sqrt(mu)) / math.sqrt(mu))
     td = np.linspace(0.0, 10.0, 2_000_001)
@@ -160,7 +160,7 @@ def test_criterion_6_unitarity():
     worst = 0.0
     for system in systems:
         e0 = energy((z0.coeffs, z1.coeffs), system)
-        _, zeta, zeta_t = evolve(z0, z1, np.zeros(10_000), 1e-3, system)
+        _, zeta, zeta_t = evolve(z0, z1, [(0.0, 10_000)], 1e-3, system)
         e_t = (zeta_t**2).sum(axis=1) + ((system[0] * zeta) ** 2).sum(axis=1)
         worst = max(worst, float(np.abs(e_t - e0).max() / e0))
     elapsed = time.time() - t0
@@ -229,7 +229,7 @@ def test_criterion_8_mode0_exactness():
     K = 4
     limit = limit_system(K)
     dt = 1e-2
-    times, zeta, _ = evolve(ModalVector.zeros(K), ModalVector.zeros(K), np.ones(1000), dt, limit)
+    times, zeta, _ = evolve(ModalVector.zeros(K), ModalVector.zeros(K), [(1.0, 1000)], dt, limit)
     exact = -times**2 / (2.0 * math.sqrt(math.pi))
     worst = float(np.max(np.abs(zeta[:, 0] - exact) / np.maximum(1.0, np.abs(exact))))
     f, tail = ntn_forcing(0.3, K, 10_000)

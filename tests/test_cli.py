@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_ini
 from wavetank.evolution import water_system
 from wavetank.lab import KernelAudit, KernelAuditRow
 
-from oracles import evolve
+from oracles import evolve, expand, pulse_values
 
 
 def test_defaults_for_verify():
@@ -143,14 +144,56 @@ def test_initial_spec_language():
 
 
 def test_signal_spec_language():
-    values = make_signal("zero", 0.1, 5)
-    assert values.shape == (5,) and np.all(values == 0.0)
-    values = make_signal("const:2.5", 0.1, 4)
-    assert values.shape == (4,) and np.all(values == 2.5)
-    values = make_signal("pulse:0:0.2:1", 0.1, 5)
-    np.testing.assert_array_equal(values, [1, 1, 0, 0, 0])
+    assert make_signal("zero", 0.1, 5) == ((0.0, 5),)
+    assert make_signal("const:2.5", 0.1, 4) == ((2.5, 4),)
+    assert make_signal("pulse:0:0.2:1", 0.1, 5) == ((1.0, 2), (0.0, 3))
     with pytest.raises(ConfigError, match="signal"):
         make_signal("sine:1", 0.1, 5)
+
+
+def _edges(dt, n):
+    """Pulse edges at a step start m*dt, at a float next to one, or anywhere from before 0 to past the horizon."""
+    m = st.integers(-3, n + 3)
+    return st.one_of(
+        m.map(lambda m: m * dt),
+        m.map(lambda m: math.nextafter(m * dt, math.inf)),
+        m.map(lambda m: math.nextafter(m * dt, -math.inf)),
+        st.floats(-n * dt - 1.0, 2.0 * n * dt + 1.0),
+    )
+
+
+@settings(deadline=None)
+@given(data=st.data(), dt=st.floats(1e-6, 10.0) | st.sampled_from([0.1, 1e-2, 1.0 / 3.0]), n=st.integers(1, 300))
+def test_signal_runs_expand_to_the_per_step_signal_bitwise(data, dt, n):
+    on, off = sorted([data.draw(_edges(dt, n)), data.draw(_edges(dt, n))])
+    amplitude = data.draw(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]))
+    expected = {
+        f"const:{amplitude!r}": pulse_values(0.0, math.inf, amplitude, dt, n),
+        "zero": pulse_values(0.0, math.inf, 0.0, dt, n),
+        f"pulse:{on!r}:{off!r}:{amplitude!r}": pulse_values(on, off, amplitude, dt, n),
+    }
+    t = np.arange(n) * dt
+    held = ((t >= on) & (t < off)).any()
+    for spec, values in expected.items():
+        if spec.startswith("pulse") and not held:
+            with pytest.raises(ConfigError, match="holds no step start|needs T0 < T1"):
+                make_signal(spec, dt, n)
+            continue
+        runs = make_signal(spec, dt, n)
+        assert 1 <= len(runs) <= 3 and all(count > 0 for _, count in runs)
+        np.testing.assert_array_equal(expand(runs).view(np.uint64), values.view(np.uint64))
+
+
+def test_signal_memory_is_bounded_by_its_runs_not_its_steps():
+    # 10^7 steps held as two runs; a value per step would take 80 MB
+    tracemalloc.start()
+    try:
+        cfg = parse_config("sweep", overrides={"tau": "1000", "dt": "1e-4"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.signal_runs == ((1.0, 10_000), (0.0, 9_990_000))
+    assert peak < 2**20
 
 
 def _num(x: float) -> str:
@@ -281,12 +324,22 @@ def test_horizon_too_large_to_count_exits_1(tmp_path, capsys):
     ],
 )
 def test_run_too_large_to_allocate_exits_1(tmp_path, capsys, args, stage):
-    # 10^15 signal samples need 7.11 PiB and 10^18 modes 6.94 EiB, more than any
-    # 64-bit address space holds, so the allocation fails at once
+    # 10^15 steps are past the step cap, and 10^18 modes need 6.94 EiB, more than
+    # any 64-bit address space holds, so both runs stop before they start
     assert main([*args, "--out", str(tmp_path), "--k-max", "10"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"wavetank: {stage}: Unable to allocate"), err
+    reason = "Unable to allocate" if args[0] == "verify" else (
+        "tau=1e+06 holds 1000000000000000 steps of dt=1e-09, more than the 1000000000 a run may take"
+    )
+    assert len(err) == 1 and err[0].startswith(f"wavetank: {stage}: {reason}"), err
     assert not any(tmp_path.iterdir())
+
+
+def test_step_count_is_capped():
+    # the cap itself is a run; one step more is a config error, both without stepping
+    assert sum(n for _, n in parse_config("sweep", overrides={"tau": "1e9", "dt": "1"}).signal_runs) == 10**9
+    with pytest.raises(ConfigError, match="holds 1000000001 steps of dt=1, more than the 1000000000"):
+        parse_config("simulate", overrides={"tau": "1000000001", "dt": "1"})
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -436,8 +489,8 @@ def test_commands_reuse_the_signal_that_parse_config_built(tmp_path, monkeypatch
     assert main(args) == 0
     assert built == [("pulse:0:0.05:2", 0.05, 2)]
     cfg = parse_config(command, overrides={"tau": "0.1", "dt": "0.05", "signal": "pulse:0:0.05:2"})
-    assert cfg.signal_values is cfg.signal_values
-    np.testing.assert_array_equal(cfg.signal_values, [2.0, 0.0])
+    assert cfg.signal_runs is cfg.signal_runs
+    assert cfg.signal_runs == ((2.0, 1), (0.0, 1))
 
 
 @pytest.mark.parametrize("signal", ["pulse:1:0:1", "pulse:1:1:1", "pulse:nan:1:1", "pulse:0:inf:1", "pulse:0:1:nan"])

@@ -10,25 +10,37 @@ from wavetank.basis import ModalVector
 from wavetank.cli import ConfigError, make_signal
 from wavetank.evolution import _propagate, _rows, limit_system, water_system
 
-from oracles import energy, eval_basis, evolve, quadrature_nodes, step, string_dalembert, string_dalembert_coeffs
+from oracles import (
+    energy,
+    eval_basis,
+    evolve,
+    expand,
+    pulse_values,
+    quadrature_nodes,
+    runs_of,
+    step,
+    string_dalembert,
+    string_dalembert_coeffs,
+)
 from reference_stepper import reference_advance, reference_step
 
 
 def test_signal_validation_and_builders():
     with pytest.raises(ConfigError, match="finite"):
         make_signal("const:inf", 0.1, 1)
-    values = make_signal("pulse:1:2:3", 0.5, 6)
-    np.testing.assert_array_equal(values, [0, 0, 3, 3, 0, 0])
+    runs = make_signal("pulse:1:2:3", 0.5, 6)
+    assert runs == ((0.0, 2), (3.0, 2), (0.0, 2))
+    np.testing.assert_array_equal(expand(runs), [0, 0, 3, 3, 0, 0])
 
 
 def test_propagate_shape_errors():
     limit = limit_system(4)
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_propagate(ModalVector.zeros(3), ModalVector.zeros(4), [limit], [0.0], 0.1))
+        next(_propagate(ModalVector.zeros(3), ModalVector.zeros(4), [limit], [(0.0, 1)], 0.1))
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_propagate(ModalVector.zeros(5), ModalVector.zeros(5), [limit], [0.0], 0.1))
+        next(_propagate(ModalVector.zeros(5), ModalVector.zeros(5), [limit], [(0.0, 1)], 0.1))
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_propagate(ModalVector.zeros(4), ModalVector.zeros(4), [limit, limit_system(5)], [0.0], 0.1))
+        next(_propagate(ModalVector.zeros(4), ModalVector.zeros(4), [limit, limit_system(5)], [(0.0, 1)], 0.1))
 
 
 def test_full_period_rotation_returns_to_start():
@@ -61,7 +73,7 @@ def test_water_single_mode_closed_form():
     K = 2
     mu = 0.04
     water = water_system(mu, K)
-    times, zeta, zeta_t = evolve(ModalVector.unit(1, K), ModalVector.zeros(K), np.zeros(500), 0.01, water)
+    times, zeta, zeta_t = evolve(ModalVector.unit(1, K), ModalVector.zeros(K), [(0.0, 500)], 0.01, water)
     w1 = water[0][1]
     np.testing.assert_allclose(zeta[:, 1], np.cos(w1 * times), atol=1e-12)
     np.testing.assert_allclose(zeta_t[:, 1], -w1 * np.sin(w1 * times), atol=1e-12)
@@ -73,10 +85,10 @@ def test_trajectory_memory_is_independent_of_the_horizon():
     water = water_system(1e-2, K)
     peaks = []
     for n in (1000, 16000):
-        values = np.ones(n)
+        runs = [(1.0, n)]
         tracemalloc.start()
         try:
-            for _ in _rows(ModalVector.unit(1, K), ModalVector.zeros(K), values, 1e-3, water, rows):
+            for _ in _rows(ModalVector.unit(1, K), ModalVector.zeros(K), runs, 1e-3, water, rows):
                 pass
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -103,21 +115,21 @@ def test_unitarity_long_run():
     z1 = ModalVector(rng.standard_normal(K + 1))
     for system in (limit_system(K), water_system(1.0, K)):
         e0 = energy((z0.coeffs, z1.coeffs), system)
-        _, zeta, zeta_t = evolve(z0, z1, np.zeros(1000), 1e-3, system)
+        _, zeta, zeta_t = evolve(z0, z1, [(0.0, 1000)], 1e-3, system)
         assert abs(energy((zeta[-1], zeta_t[-1]), system) - e0) / e0 < 1e-10
 
 
 def test_evolve_zero_everything():
     K = 4
     limit = limit_system(K)
-    _, zeta, zeta_t = evolve(ModalVector.zeros(K), ModalVector.zeros(K), np.zeros(10), 0.1, limit)
+    _, zeta, zeta_t = evolve(ModalVector.zeros(K), ModalVector.zeros(K), [(0.0, 10)], 0.1, limit)
     assert np.all(zeta == 0.0) and np.all(zeta_t == 0.0)
 
 
 def test_mode0_quadratic_under_constant_input():
     K = 2
     limit = limit_system(K)
-    times, zeta, _ = evolve(ModalVector.zeros(K), ModalVector.zeros(K), np.ones(1000), 0.01, limit)
+    times, zeta, _ = evolve(ModalVector.zeros(K), ModalVector.zeros(K), [(1.0, 1000)], 0.01, limit)
     expected = -times**2 / (2.0 * math.sqrt(math.pi))
     err = np.abs(zeta[:, 0] - expected) / np.maximum(1.0, np.abs(expected))
     assert err.max() < 1e-12
@@ -162,7 +174,7 @@ def test_weak_form_identity_second_order_in_dt():
         sig = make_signal("pulse:0:1:1", dt, n)
         _, zeta, zeta_t = evolve(z0, ModalVector.zeros(K), sig, dt, limit)
         worst = 0.0
-        u_int = np.concatenate([[0.0], np.cumsum(sig) * dt])  # exact for pcw-constant u
+        u_int = np.concatenate([[0.0], np.cumsum(expand(sig)) * dt])  # exact for pcw-constant u
         for j in range(K + 1):
             zeta_int = np.concatenate([[0.0], np.cumsum((zeta[1:, j] + zeta[:-1, j]) / 2.0) * dt])
             lhs = zeta_t[:, j] - zeta_t[0, j] + j**2 * zeta_int - limit[1][j] * u_int
@@ -212,9 +224,10 @@ def test_superposition_in_data_and_input(data, K, dt, n):
         u = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array))
         runs.append((z0, z1, u))
     (a0, a1, ua), (b0, b1, ub) = runs
-    _, za, za_t = evolve(a0, a1, ua, dt, system)
-    _, zb, zb_t = evolve(b0, b1, ub, dt, system)
-    _, z, z_t = evolve(ModalVector(a0.coeffs + b0.coeffs), ModalVector(a1.coeffs + b1.coeffs), ua + ub, dt, system)
+    _, za, za_t = evolve(a0, a1, runs_of(ua), dt, system)
+    _, zb, zb_t = evolve(b0, b1, runs_of(ub), dt, system)
+    z0, z1 = ModalVector(a0.coeffs + b0.coeffs), ModalVector(a1.coeffs + b1.coeffs)
+    _, z, z_t = evolve(z0, z1, runs_of(ua + ub), dt, system)
     # magnitudes stay below about 1e4 (|f u / omega^2| <= 1e3, mode 0 quadratic
     # in t <= 20), so 1e-9 is a few thousand roundings, far below any wrong term
     np.testing.assert_allclose(z, za + zb, rtol=0, atol=1e-9)
@@ -222,8 +235,8 @@ def test_superposition_in_data_and_input(data, K, dt, n):
 
 
 def _samples(zeta0, zeta1, systems, values, dt):
-    """Every sample of _propagate, copied."""
-    return [tuple(a.copy() for a in sample) for sample in _propagate(zeta0, zeta1, systems, values, dt)]
+    """Every sample of _propagate under the per-step input values, copied."""
+    return [tuple(a.copy() for a in sample) for sample in _propagate(zeta0, zeta1, systems, runs_of(values), dt)]
 
 
 @settings(deadline=None)
@@ -235,7 +248,7 @@ def test_step_evolve_and_batched_kernel_agree_bitwise(data, K, n_sys, dt, n):
     batch = _samples(z0, z1, systems, values, dt)
     assert len(batch) == n + 1
     for i, system in enumerate(systems):
-        _, traj_zeta, traj_zeta_t = evolve(z0, z1, values, dt, system)
+        _, traj_zeta, traj_zeta_t = evolve(z0, z1, runs_of(values), dt, system)
         np.testing.assert_array_equal(_bits(traj_zeta), _bits([zeta[i] for zeta, _ in batch]))
         np.testing.assert_array_equal(_bits(traj_zeta_t), _bits([zeta_t[i] for _, zeta_t in batch]))
         state = (z0.coeffs, z1.coeffs)
@@ -255,9 +268,9 @@ def _batches(draw):
     return systems, draw(_vectors(K)), draw(_vectors(K)), draw(st.floats(1e-3, 10.0)), values
 
 
-# zero modes and an input that flips the sign of zero pin the bit-keyed reuse
-# of the u terms (f Q) u and (f S) u: reusing those of 0.0 at -0.0 flips
-# signed zeros in zeta and zeta_t
+# zero modes and an input that flips the sign of zero pin the u terms
+# (f Q) u and (f S) u of each run: those of 0.0 used at -0.0 flip signed
+# zeros in zeta and zeta_t, and runs_of keeps 0.0 and -0.0 in separate runs
 _SIGNED_ZEROS = (
     [
         (np.array([0.0, 2.0, 20.0]), np.array([0.5, -1.0, 1.0])),
@@ -269,9 +282,25 @@ _SIGNED_ZEROS = (
     [0.0, -0.0, -0.0, 0.0, 1.5, 1.5, -0.0],
 )
 
+# forcing < 0 as in the tank and the string, so (f Q) u is all -0.0 at u = 0.0
+# and its add is skipped; omega dt = 4 and 5 lie in (pi, 2 pi), where S < 0,
+# so (f S) u holds +0.0, which must still be added to the -0.0 that c zeta_t -
+# W zeta gives in a mode at rest; the later u = -0.0 makes (f Q) u all +0.0
+_NEGATIVE_FORCING = (
+    [
+        (np.array([0.0, 40.0, 20.0]), np.array([-0.5, -1.0, -1.0])),
+        (np.array([0.0, 50.0, 2.0]), np.array([-0.25, -2.0, -0.5])),
+    ],
+    np.array([1.0, -0.0, 0.0]),
+    np.array([-0.0, 0.0, -0.0]),
+    0.1,
+    [0.0, 0.0, -0.0, -0.0, 0.0],
+)
+
 
 @settings(deadline=None)
 @example(batch=_SIGNED_ZEROS)
+@example(batch=_NEGATIVE_FORCING)
 @given(batch=_batches())
 def test_propagate_matches_per_step_reference_bitwise(batch):
     systems, z0, z1, dt, values = batch
@@ -310,7 +339,7 @@ def test_propagate_agrees_with_the_rotation_stepper(batch):
 def test_propagate_yields_read_only_views_that_the_second_step_reuses():
     system = limit_system(3)
     zeta0, zeta1 = ModalVector.unit(1, 3), ModalVector.unit(2, 3)
-    samples = list(_propagate(zeta0, zeta1, [system], [1.0, 2.0], 0.1))
+    samples = list(_propagate(zeta0, zeta1, [system], [(1.0, 1), (2.0, 1)], 0.1))
     assert not any(a.flags.writeable for a in samples[0] + samples[2])
     assert all(np.shares_memory(a, b) for a, b in zip(samples[0], samples[2]))
     # the kernel steps its own buffers
@@ -323,8 +352,7 @@ def test_string_matches_dalembert_across_reflections(on, off, amplitude):
     # the kernel's coefficients are those of d'Alembert's physical-space solution at
     # every sampled t, before, between and after reflections off x = pi and x = 0
     K, dt = 64, 2.0**-6
-    m = np.arange(800)
-    values = np.where((m * dt >= on) & (m * dt < off), amplitude, 0.0)
+    values = pulse_values(on, off, amplitude, dt, 800)
     samples = _samples(ModalVector.zeros(K), ModalVector.zeros(K), [limit_system(K)], values, dt)
     x, w = quadrature_nodes(4096)
     phi = np.array([eval_basis(k, x) for k in range(9)]).T

@@ -11,6 +11,7 @@ from wavetank.basis import ModalVector, sobolev_weights
 from wavetank.cli import make_signal
 from wavetank.evolution import limit_system, water_system
 from wavetank.lab import (
+    _SWEEP_BLOCK,
     DEFAULT_MU_GRID,
     ORACLE_K_SAMPLES,
     KernelAudit,
@@ -25,6 +26,7 @@ from wavetank.lab import (
 )
 from wavetank.operators import comparison_kernels
 
+from oracles import pulse_values, runs_of
 from reference_stepper import reference_step
 
 
@@ -70,7 +72,7 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
     K = 4
     dt = 1e-2
     n = 1000
-    report = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), np.zeros(n), dt)
+    report = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), [(0.0, n)], dt)
     w1 = math.sqrt(math.tanh(math.sqrt(mu)) / math.sqrt(mu))
     td = np.linspace(0.0, 10.0, 400001)
     oracle = np.abs(w1 * np.sin(w1 * td) - np.sin(td)).max()
@@ -88,15 +90,23 @@ def _reference_trajectory(zeta0, zeta1, values, dt, system):
     return np.array(zeta), np.array(zeta_t)
 
 
-def _reference_errors(mu_list, zeta0, zeta1, values, dt):
-    """(err_half, err_deriv, grid_slack_half, grid_slack_deriv) per shallowness from full trajectories."""
+def _reference_norms(mu_list, zeta0, zeta1, values, dt):
+    """The (elevation, velocity) error norms of each shallowness at every step, from full trajectories."""
     zeta_lim, zeta_t_lim = _reference_trajectory(zeta0, zeta1, values, dt, limit_system(zeta0.K))
     w = sobolev_weights(zeta0.K, 0.5)
-    rows = []
+    norms = []
     for mu in mu_list:
         zeta, zeta_t = _reference_trajectory(zeta0, zeta1, values, dt, water_system(mu, zeta0.K))
         half_t = np.sqrt(((zeta - zeta_lim) ** 2 * w).sum(axis=1))
         deriv_t = np.sqrt(((zeta_t - zeta_t_lim) ** 2).sum(axis=1))
+        norms.append((half_t, deriv_t))
+    return norms
+
+
+def _reference_errors(mu_list, zeta0, zeta1, values, dt):
+    """(err_half, err_deriv, grid_slack_half, grid_slack_deriv) per shallowness from full trajectories."""
+    rows = []
+    for half_t, deriv_t in _reference_norms(mu_list, zeta0, zeta1, values, dt):
         rows.append((half_t.max(), deriv_t.max(), np.abs(np.diff(half_t)).max(), np.abs(np.diff(deriv_t)).max()))
     return np.array(rows).T
 
@@ -113,16 +123,32 @@ def test_run_sweep_matches_per_system_reference_bitwise(data, K, n, dt, mu):
     def vector(bound):
         return ModalVector(data.draw(st.lists(st.floats(-bound, bound), min_size=K + 1, max_size=K + 1)))
 
-    args = (
-        tuple(sorted(mu, reverse=True)),
-        vector(1.0),
-        vector(1.0),
-        np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))),
-        dt,
-    )
-    report = run_sweep(*args)
+    mu, zeta0, zeta1 = tuple(sorted(mu, reverse=True)), vector(1.0), vector(1.0)
+    values = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    report = run_sweep(mu, zeta0, zeta1, runs_of(values), dt)
     got = np.array([report.err_half, report.err_deriv, report.grid_slack_half, report.grid_slack_deriv])
-    np.testing.assert_array_equal(got, _reference_errors(*args))
+    np.testing.assert_array_equal(got, _reference_errors(mu, zeta0, zeta1, values, dt))
+
+
+def test_run_sweep_matches_the_reference_across_folded_blocks():
+    # 2B + 91 steps: two full blocks of B steps and a partial one; the input
+    # changes inside blocks, and each norm's sup and largest step-to-step change
+    # land in different blocks, so a block that loses its carried last norm or
+    # is not folded changes the report
+    B = _SWEEP_BLOCK
+    K, dt, mu = 10, 0.05, (1e-1, 1e-2, 1e-3)
+    n = 2 * B + 91
+    zeta0, zeta1 = smooth8(K), ModalVector(np.linspace(0.5, -0.5, K + 1))
+    values = pulse_values(1.0, 4.0, 6.0, dt, n) + pulse_values(20.0, 26.0, 2.0, dt, n)
+    report = run_sweep(mu, zeta0, zeta1, runs_of(values), dt)
+    got = np.array([report.err_half, report.err_deriv, report.grid_slack_half, report.grid_slack_deriv])
+    np.testing.assert_array_equal(got, _reference_errors(mu, zeta0, zeta1, values, dt))
+    for norm in (t for pair in _reference_norms(mu, zeta0, zeta1, values, dt) for t in pair):
+        # sample s > 0 and the change from s - 1 to s are both in block (s - 1) // B
+        assert (np.argmax(norm) - 1) // B != np.argmax(np.abs(np.diff(norm))) // B
+    # an overflow after the first block still names the first shallowness
+    with pytest.raises(ValueError, match=r"^error norms at mu=0\.1 are not finite"):
+        run_sweep(mu, zeta0, zeta1, [(0.0, 2 * B + 10), (1e308, 3)], dt)
 
 
 def test_run_sweep_memory_is_independent_of_the_horizon():
@@ -131,7 +157,7 @@ def test_run_sweep_memory_is_independent_of_the_horizon():
     n_sys = 1 + len(mu)
     peaks = []
     for n in (200, 2000):
-        args = (mu, smooth8(K), ModalVector.zeros(K), np.zeros(n), 0.01)
+        args = (mu, smooth8(K), ModalVector.zeros(K), [(0.0, n)], 0.01)
         tracemalloc.start()
         try:
             run_sweep(*args)
@@ -228,7 +254,7 @@ def test_forcing_gap_spread_of_two_fails():
 def test_sweep_csv_roundtrip(tmp_path):
     K = 8
     dt = 0.05
-    args = ((1e-1, 1e-2), ModalVector.unit(1, K), ModalVector.zeros(K), np.zeros(20), dt)
+    args = ((1e-1, 1e-2), ModalVector.unit(1, K), ModalVector.zeros(K), [(0.0, 20)], dt)
     report = run_sweep(*args)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_sweep_csv(report, p1)
