@@ -13,10 +13,10 @@ the number K >= 1 of nonzero-frequency modes kept, checked once by
 `cli.parse_config` where input enters the program.
 
 The package's one cosine evaluator is `_phi` (the points-by-modes matrix
-phi_k(x_i)), which `fields` uses; `_readonly` gives the read-only views
-that every frozen dataclass holds and the stepping kernel yields, and
-`_aligned` the 64-byte-aligned buffers of the stepping kernel, the sweep and
-the CSV writer.
+phi_k(x_i)), which `fields` uses off its regular grid; `_readonly` gives the
+read-only views that every frozen dataclass holds and the stepping kernel
+yields, and `_aligned` the 64-byte-aligned buffers of the stepping kernel,
+the sweep and the CSV writer.
 """
 
 from __future__ import annotations

@@ -15,9 +15,17 @@ cosh/sinh quotients overflow once sqrt(mu) k exceeds a few hundred, while the
 shifted forms use only nonpositive exponents and stay finite for any mu and
 mode index.
 
-Each field is one matrix product over the modes: the x factors (`basis._phi`,
-or the lateral ratios) times the coefficient-scaled y factors (the depth
-ratios, or `_psi`, the one evaluator of the lateral family psi_k).
+On the regular grid of `FieldGrid.regular` (x_i = i pi/n, y_j + 1 = j/n) each
+field is a cosine series whose phases are multiples of pi/(2n), and
+cos(k pi i/n) depends only on k mod 2n: `_lattice_cosine_sum` folds the mode
+rows mod 2n and sums them with one real FFT of length 2n per grid line, a
+DCT-I along x for the surface extension and, with a half-sample twiddle,
+along y for the wave-maker extension.  At any other points each field is one matrix
+product over the modes: the x factors (`basis._phi`, or the lateral ratios)
+times the coefficient-scaled y factors (the depth ratios, or `_psi`, the one
+evaluator of the lateral family psi_k).  Both routes keep every partial sum
+below sum_k |b_k| for the scaled coefficients b_k, so both stay finite
+whenever that sum does.
 
 `write_field_csv` writes a field as x,y,value rows through `_writer.grid_rows`,
 which formats each of the nx + ny grid coordinates once per file and the field
@@ -31,9 +39,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import numpy.fft
 
 from ._writer import grid_rows, write_csv
-from .basis import ModalVector, _phi, _readonly
+from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, _phi, _readonly
 
 __all__ = [
     "FieldGrid",
@@ -126,6 +135,30 @@ def _one_plus_exp(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _on_lattice(a: np.ndarray, start: float, stop: float) -> bool:
+    """Whether a is bit for bit np.linspace(start, stop, a.size) with a.size >= 2."""
+    return a.size >= 2 and np.array_equal(a, np.linspace(start, stop, a.size))
+
+
+def _lattice_cosine_sum(b: np.ndarray, n: int, odd: int) -> np.ndarray:
+    """sum_i b[r, i] cos((2i + odd) pi j/(2n)) for j = 0..n, shape (rows, n + 1); folds b in place.
+
+    With theta_j = pi j/(2n) the term is Re[e^(i odd theta_j) e^(2 pi i ij/(2n))],
+    so column i adds into slot i mod 2n and the sum is Re[e^(i odd theta_j) conj(F_j)],
+    F the real FFT of length 2n of the fold along the contiguous axis.
+    """
+    period = 2 * n
+    fold = b[:, :period]
+    for start in range(period, b.shape[1], period):
+        chunk = b[:, start : start + period]
+        fold[:, : chunk.shape[1]] += chunk
+    f = numpy.fft.rfft(fold, period)
+    if not odd:
+        return f.real
+    theta = np.arange(n + 1) * (math.pi / period)
+    return f.real * np.cos(theta) + f.imag * np.sin(theta)
+
+
 def dirichlet_values(eta: ModalVector, mu: float, x, y) -> np.ndarray:
     """Surface extension field at the tensor points (x_i, y_j), shape (nx, ny).
 
@@ -135,13 +168,19 @@ def dirichlet_values(eta: ModalVector, mu: float, x, y) -> np.ndarray:
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     k = np.arange(eta.K + 1)
-    a = math.sqrt(mu) * k[:, None]
-    depth = np.multiply(a, ya)
+    a = math.sqrt(mu) * k
+    depth = np.multiply.outer(ya, a)
     np.exp(depth, out=depth)
-    depth *= _one_plus_exp(np.multiply(-2.0 * a, ya + 1.0))
+    depth *= _one_plus_exp(np.multiply.outer(ya + 1.0, -2.0 * a))
     depth /= 1.0 + np.exp(-2.0 * a)
-    depth *= eta.coeffs[:, None]
-    return _phi(k, xa) @ depth
+    if not _on_lattice(xa, 0.0, math.pi):
+        depth *= eta.coeffs
+        return _phi(k, xa) @ depth.T
+    # phi_k(x_i) = phi_k(0) cos(k pi i/n)
+    scaled = eta.coeffs * SQRT_2_OVER_PI
+    scaled[0] = eta.coeffs[0] / SQRT_PI
+    depth *= scaled
+    return np.ascontiguousarray(_lattice_cosine_sum(depth, xa.size - 1, 0).T)
 
 
 def dirichlet_extension(eta: ModalVector, mu: float, grid: FieldGrid) -> FieldGrid:
@@ -164,8 +203,13 @@ def neumann_values(profile: LateralProfile, mu: float, x, y) -> np.ndarray:
     ratio *= _one_plus_exp(np.multiply(-2.0 * c, math.pi - xa))
     ratio /= -np.expm1(-2.0 * c * math.pi)
     # a_k psi_k / sqrt(2), a_k = 2 sqrt(2 mu) v_k / ((2k-1) pi)
-    ratio *= 2.0 * math.sqrt(mu) * profile.coeffs / (odd * math.pi)
-    return ratio @ _psi(profile.n_modes, ya).T
+    amp = 2.0 * math.sqrt(mu) * profile.coeffs / (odd * math.pi)
+    if not _on_lattice(ya, -1.0, 0.0):
+        ratio *= amp
+        return ratio @ _psi(profile.n_modes, ya).T
+    # psi_k(y_j) = sqrt(2) cos((2k-1) pi j/(2n))
+    ratio *= amp * math.sqrt(2.0)
+    return _lattice_cosine_sum(ratio, ya.size - 1, 1)
 
 
 def neumann_extension(profile: LateralProfile, mu: float, grid: FieldGrid) -> FieldGrid:

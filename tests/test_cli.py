@@ -386,6 +386,15 @@ def test_field_overflow_exits_1_with_one_line(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_field_sums_up_to_the_float64_maximum_exit_0(tmp_path):
+    # the surface field sums sqrt(2/pi) (1e308 + 1e308) < 1.8e308 at x = 0: finite on either summation route
+    args = ["field", "--out", str(tmp_path), "--k-modes", "3", "--grid", "3,3", "--init", "mode:1:1e308+mode:2:1e308"]
+    assert main(args) == 0
+    for name in ("field_dirichlet.csv", "field_neumann.csv"):
+        values = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 2]
+        assert values.size == 9 and np.all(np.isfinite(values))
+
+
 def test_output_error_exits_1_with_one_line(tmp_path, capsys):
     # summary.txt cannot replace a directory; the sweep.csv written before it is removed
     (tmp_path / "summary.txt").mkdir()

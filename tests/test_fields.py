@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavetank.basis import ModalVector
 from wavetank.fields import (
@@ -193,6 +195,21 @@ class TestOverflowSafety:
         vals = neumann_values(prof, 1e-8, xs, ys)
         assert np.all(np.isfinite(vals))
 
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (41, 23), (300, 300)])
+    def test_regular_grid_sums_up_to_the_float64_maximum(self, nx, ny):
+        # sum |c| just under the float64 maximum: the FFT's partial sums stay below it, as the product's do
+        rng = np.random.default_rng(nx)
+        c = rng.uniform(0.5, 1.0, 64) * rng.choice([-1.0, 1.0], 64)
+        c *= 0.999 * np.finfo(float).max / np.abs(c).sum()
+        x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
+        got = dirichlet_values(ModalVector(c), MU, x, y), neumann_values(LateralProfile(c), MU, x, y)
+        # a single point along the transform axis is off the lattice: the matrix product
+        general = (np.vstack([dirichlet_values(ModalVector(c), MU, xi, y) for xi in x]),
+                   np.hstack([neumann_values(LateralProfile(c), MU, x, yj) for yj in y]))
+        for fft, product in zip(got, general):
+            assert np.all(np.isfinite(fft))
+            assert np.all(np.abs(fft - product) <= 1e-13 * np.abs(c).sum())
+
 
 def test_field_csv_format(tmp_path):
     g = FieldGrid(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), np.array([[1.0, 2.0], [3.0, 4.5]]))
@@ -231,26 +248,63 @@ def _neumann_loop(profile, mu, x, y):
     return out
 
 
-@pytest.mark.parametrize("mu", [1.0, 1e-2, 1e-6])
-@pytest.mark.parametrize("K", [8, 1024])
-def test_matrix_products_match_per_mode_loops(mu, K):
-    rng = np.random.default_rng(K + round(-math.log10(mu)))
-    x = np.linspace(0.0, math.pi, 41)
-    y = np.linspace(-1.0, 0.0, 23)
-    eta = ModalVector(rng.standard_normal(K + 1))
+def _assert_match_per_mode_loops(mu, x, y, coeffs, profile_coeffs):
+    eta, prof = ModalVector(coeffs), LateralProfile(profile_coeffs)
     got = dirichlet_values(eta, mu, x, y)
     assert np.abs(got - _dirichlet_loop(eta, mu, x, y)).max() <= 1e-13 * (1.0 + np.abs(eta.coeffs).sum())
-    prof = LateralProfile(rng.standard_normal(K))
     got = neumann_values(prof, mu, x, y)
     assert np.abs(got - _neumann_loop(prof, mu, x, y)).max() <= 1e-13 * (1.0 + np.abs(prof.coeffs).sum())
+
+
+# (K, nx, ny, L) on the regular grid, which the fold-and-FFT route sums; the
+# ids of the first two name K alone
+@pytest.mark.parametrize("mu", [1.0, 1e-2, 1e-6, 1e-300])
+@pytest.mark.parametrize(
+    "K, nx, ny, L",
+    [
+        pytest.param(8, 41, 23, 8, id="8"),
+        pytest.param(1024, 41, 23, 1024, id="1024"),
+        pytest.param(1024, 300, 300, 512, id="1024-300x300-benchmark"),
+        pytest.param(5000, 7, 9, 5000, id="5000-7x9-many-wraps"),
+        pytest.param(3, 2, 2, 3, id="3-2x2-smallest"),
+        pytest.param(8, 41, 50, 512, id="8-41x50-L512"),
+    ],
+)
+def test_matrix_products_match_per_mode_loops(mu, K, nx, ny, L):
+    rng = np.random.default_rng(K + round(-math.log10(mu)))
+    x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
+    _assert_match_per_mode_loops(mu, x, y, rng.standard_normal(K + 1), rng.standard_normal(L))
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e-6])
+def test_off_grid_points_match_per_mode_loops(mu):
+    rng = np.random.default_rng(11)
+    g = interior(40, 22)
+    _assert_match_per_mode_loops(mu, g.x, g.y, rng.standard_normal(1025), rng.standard_normal(512))
+
+
+@settings(deadline=None)
+@given(
+    mu=st.floats(1e-300, 1.0),
+    K=st.integers(0, 300),
+    L=st.integers(1, 300),
+    nx=st.integers(2, 40),
+    ny=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_regular_grid_fields_match_per_mode_loops(mu, K, L, nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
+    _assert_match_per_mode_loops(mu, x, y, rng.standard_normal(K + 1), rng.standard_normal(L))
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e-2, 1e-6])
 @pytest.mark.parametrize("K, nx, ny", [(8, 41, 23), (1024, 300, 300)])
 def test_fields_equal_their_broadcast_expressions_bitwise(mu, K, nx, ny):
+    # off the regular lattice the fields are matrix products; on it they agree with these only to rounding
     rng = np.random.default_rng(K + nx)
-    x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
+    g = interior(nx, ny)
     eta = ModalVector(rng.standard_normal(K + 1))
-    assert dirichlet_values(eta, mu, x, y).tobytes() == dirichlet_reference(eta, mu, x, y).tobytes()
+    assert dirichlet_values(eta, mu, g.x, g.y).tobytes() == dirichlet_reference(eta, mu, g.x, g.y).tobytes()
     prof = LateralProfile(rng.standard_normal(min(K, 512)))
-    assert neumann_values(prof, mu, x, y).tobytes() == neumann_reference(prof, mu, x, y).tobytes()
+    assert neumann_values(prof, mu, g.x, g.y).tobytes() == neumann_reference(prof, mu, g.x, g.y).tobytes()

@@ -96,9 +96,11 @@ def _src_functions():
 
 # every def in src that no command runs, with the reason it stays
 NOT_RUN_BY_A_COMMAND = {
+    "basis._phi": "the general-point path of dirichlet_values, which only the field-physics tests drive; field's regular grid takes the FFT",
     "cli.RunConfig.to_text": "the config round trip property proves that a resolved config reproduces the run",
     "fields.FieldGrid.nx": "perfbench/spans.py counts a traced field's point-modes from it",
     "fields.FieldGrid.ny": "perfbench/spans.py counts a traced field's point-modes from it",
+    "fields._psi": "the general-point path of neumann_values, which only the field-physics tests drive; field's regular grid takes the FFT",
 }
 
 
