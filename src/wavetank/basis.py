@@ -1,41 +1,35 @@
 """Cosine-mode arithmetic on [0, pi].
 
-Everything in this package works with finite coefficient vectors against the
+Everything in this package works with finite coefficient arrays against the
 Neumann cosine family
 
     phi_0(x) = 1/sqrt(pi),      phi_k(x) = sqrt(2/pi) cos(k x)   (k >= 1),
 
-which is orthonormal in L^2[0, pi].  This module holds the coefficient
-vector and the mode-weighted norms in which convergence is measured; a
-scale space is named by its exponent alpha, a plain float.  The two
-resolution inputs are plain values too: the shallowness mu in (0, 1] and
-the number K >= 1 of nonzero-frequency modes kept, checked once by
-`cli.parse_config` where input enters the program.
+which is orthonormal in L^2[0, pi].  A function sum_k v_k phi_k is the plain
+float64 array (v_0, ..., v_K) of its coefficients.  This module holds the
+mode weights of the norms in which convergence is measured; a scale space is
+named by its exponent alpha, a plain float.  The two resolution inputs are
+plain values too: the shallowness mu in (0, 1] and the number K >= 1 of
+nonzero-frequency modes kept, checked once by `cli.parse_config` where input
+enters the program.
 
 The package's one cosine evaluator is `_phi` (the points-by-modes matrix
 phi_k(x_i)), which `fields` uses off its regular grid; `_readonly` gives the
-read-only views that every frozen dataclass holds and the stepping kernel
-yields, and `_aligned` the 64-byte-aligned buffers of the stepping kernel,
-the sweep and the CSV writer.
+read-only views that every frozen dataclass and the parsed initial data hold
+and the stepping kernel yields, and `_aligned` the 64-byte-aligned buffers of
+the stepping kernel, the sweep and the CSV writer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-SQRT_PI = math.sqrt(math.pi)
-SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-__all__ = [
-    "SQRT_PI",
-    "SQRT_2_OVER_PI",
-    "ModalVector",
-    "norm",
-    "sobolev_weights",
-]
+__all__ = ["sobolev_weights"]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -64,42 +58,9 @@ def _phi(k, x) -> np.ndarray:
     """phi_k(x) for a mode index k or an integer array of them; points x lead, modes k trail."""
     phi = np.asarray(np.multiply.outer(x, k), dtype=float)
     np.cos(phi, out=phi)
-    phi *= SQRT_2_OVER_PI
-    np.copyto(phi, 1.0 / SQRT_PI, where=k == 0)
+    phi *= _SQRT_2_OVER_PI
+    np.copyto(phi, 1.0 / _SQRT_PI, where=k == 0)
     return phi
-
-
-@dataclass(frozen=True, eq=False)
-class ModalVector:
-    """Coefficients (v_0, ..., v_K) of a function sum_k v_k phi_k on [0, pi]."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a one-dimensional, nonempty sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", _readonly(c.copy()))
-
-    @property
-    def K(self) -> int:
-        """Largest retained mode index."""
-        return self.coeffs.size - 1
-
-    @classmethod
-    def zeros(cls, K: int) -> "ModalVector":
-        return cls(np.zeros(K + 1))
-
-    @classmethod
-    def unit(cls, k: int, K: int) -> "ModalVector":
-        """Unit coefficient on mode k, all other modes zero."""
-        if not 0 <= k <= K:
-            raise ValueError(f"mode index {k} outside 0..{K}")
-        c = np.zeros(K + 1)
-        c[k] = 1.0
-        return cls(c)
 
 
 def sobolev_weights(K: int, alpha: float) -> np.ndarray:
@@ -109,16 +70,3 @@ def sobolev_weights(K: int, alpha: float) -> np.ndarray:
     k = np.arange(1, K + 1, dtype=float)
     w[1:] = (1.0 + k) ** (2.0 * alpha)
     return w
-
-
-def norm(v: ModalVector, alpha: float) -> float:
-    """Mode-weighted norm sqrt(|v_0|^2 + sum_k (1+k)^(2 alpha) |v_k|^2).
-
-    alpha = 0 is the plain L^2 norm; alpha = 1/2 the half-order Sobolev
-    representative used for the surface elevation.  alpha must be finite.
-    """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    w = sobolev_weights(v.K, alpha)
-    return float(np.sqrt(np.sum(w * v.coeffs**2)))

@@ -27,9 +27,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._writer import block_rows, table_blocks, write_csv, write_text
-from .basis import ModalVector
+from .basis import _readonly
 from .evolution import _rows, limit_system, water_system
-from .fields import FieldGrid, LateralProfile, dirichlet_extension, neumann_extension, write_field_csv
+from .fields import FieldGrid, _constant_profile, dirichlet_extension, neumann_extension, write_field_csv
 from .lab import audit_kernels, audit_resolvents, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dispatch", "main"]
@@ -96,12 +96,12 @@ class RunConfig:
     k_max: int
 
     @functools.cached_property
-    def init_modes(self) -> ModalVector:
+    def init_modes(self) -> np.ndarray:
         """The init spec at k_modes, parsed on first use (parse_config uses it first)."""
         return parse_initial_spec(self.init, self.k_modes)
 
     @functools.cached_property
-    def init1_modes(self) -> ModalVector:
+    def init1_modes(self) -> np.ndarray:
         """The init1 spec at k_modes, parsed on first use (parse_config uses it first)."""
         return parse_initial_spec(self.init1, self.k_modes)
 
@@ -184,8 +184,8 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
             raw[k] = v.strip()
 
     mu = _to_float("mu", raw["mu"], 1.0)
-    items = [s for s in raw["mu_list"].split(",") if s.strip()]
-    if not items:
+    items = raw["mu_list"].split(",")
+    if not any(s.strip() for s in items):
         raise ConfigError("mu_list must contain at least one value")
     mu_list = tuple(_to_float("mu_list", s, 1.0) for s in items)
     if any(b >= a for a, b in zip(mu_list, mu_list[1:])):
@@ -228,34 +228,34 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     return cfg
 
 
-def parse_initial_spec(spec: str, K: int) -> ModalVector:
-    """Initial-data mini-language: zero | cos1 | smooth8 | mode:K:AMP terms joined by +."""
+def parse_initial_spec(spec: str, K: int) -> np.ndarray:
+    """Initial-data mini-language: zero | cos1 | smooth8 | mode:K:AMP terms joined by +.
+
+    Returns the finite coefficients of modes 0..K as a read-only float64 array.
+    """
     spec = spec.strip()
-    if spec == "zero":
-        return ModalVector.zeros(K)
+    c = np.zeros(K + 1)
     if spec == "cos1":
-        return ModalVector.unit(1, K)
-    if spec == "smooth8":
-        c = np.zeros(K + 1)
+        c[1] = 1.0
+    elif spec == "smooth8":
         top = min(8, K)
         c[1 : top + 1] = 1.0 / np.arange(1, top + 1) ** 2
-        return ModalVector(c)
-    c = np.zeros(K + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows or meets -inf is rejected below
-        for term in spec.split("+"):
-            parts = term.strip().split(":")
-            if len(parts) != 3 or parts[0] != "mode":
-                raise ConfigError(f"bad initial-data term {term!r}; expected mode:K:AMP or a preset")
-            try:
-                k, amp = int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ConfigError(f"bad initial-data term {term!r}") from None
-            if not 0 <= k <= K:
-                raise ConfigError(f"initial-data mode {k} outside 0..{K}")
-            c[k] += amp
-    if not np.all(np.isfinite(c)):
-        raise ConfigError(f"initial-data amplitudes must sum to finite values, got {spec!r}")
-    return ModalVector(c)
+    elif spec != "zero":
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows or meets -inf is rejected below
+            for term in spec.split("+"):
+                parts = term.strip().split(":")
+                if len(parts) != 3 or parts[0] != "mode":
+                    raise ConfigError(f"bad initial-data term {term!r}; expected mode:K:AMP or a preset")
+                try:
+                    k, amp = int(parts[1]), float(parts[2])
+                except ValueError:
+                    raise ConfigError(f"bad initial-data term {term!r}") from None
+                if not 0 <= k <= K:
+                    raise ConfigError(f"initial-data mode {k} outside 0..{K}")
+                c[k] += amp
+        if not np.all(np.isfinite(c)):
+            raise ConfigError(f"initial-data amplitudes must sum to finite values, got {spec!r}")
+    return _readonly(c)
 
 
 def _signal_spec(spec: str):
@@ -384,7 +384,7 @@ def _cmd_verify(cfg: RunConfig, out: _OutputSet) -> int:
 
 def _cmd_field(cfg: RunConfig, out: _OutputSet) -> int:
     grid = FieldGrid.regular(*cfg.grid)
-    profile = LateralProfile.constant(1.0, min(cfg.l_modes, _FIELD_L_MODES_CAP))
+    profile = _constant_profile(1.0, min(cfg.l_modes, _FIELD_L_MODES_CAP))
     # overflow surfaces as non-finite field values, which FieldGrid rejects
     with np.errstate(over="ignore", invalid="ignore"):
         write_field_csv(dirichlet_extension(cfg.init_modes, cfg.mu, grid), out.path("field_dirichlet.csv"))

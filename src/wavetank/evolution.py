@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import ModalVector, _aligned, _readonly
+from .basis import _aligned, _readonly
 from .operators import _h, limit_forcing
 
 __all__ = [
@@ -64,15 +64,16 @@ def limit_system(K: int):
     return np.arange(K + 1, dtype=float), limit_forcing(K)
 
 
-def _propagate(zeta0: ModalVector, zeta1: ModalVector, systems, runs, dt):
+def _propagate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
     """The stepping loop: exact steps of a batch of systems from the same data under one input.
 
     Every system starts from zeta = zeta0 and zeta_t = zeta1 and is stepped
     with u held at each run's u for its count of steps.  Yields (zeta, zeta_t),
     each of shape (n_sys, K+1), at t = 0, dt, ..., n dt, n the total count.
     They are read-only views of buffers that the next step overwrites, so a
-    consumer that keeps a sample copies it.  ValueError if the data and a
-    system disagree on K.
+    consumer that keeps a sample copies it.  zeta0 and zeta1 are the
+    coefficient arrays of modes 0..K; ValueError if they and a system
+    disagree on K.
 
     Each step maps a whole contiguous (zeta, zeta_t) pair of buffers into a
     second pair, and the pairs swap.  The u terms (f Q) u and (f S) u are
@@ -83,9 +84,11 @@ def _propagate(zeta0: ModalVector, zeta1: ModalVector, systems, runs, dt):
     zeta' = (c zeta + S zeta_t) + (f Q) u, zeta_t' = (c zeta_t - W zeta) + (f S) u.
     """
     for w, _ in systems:
-        if not zeta0.K == zeta1.K == w.size - 1:
-            raise ValueError(f"mode count mismatch: zeta0 K={zeta0.K}, zeta1 K={zeta1.K}, system K={w.size - 1}")
-    shape = (len(systems), zeta0.K + 1)
+        if not zeta0.shape == zeta1.shape == w.shape:
+            raise ValueError(
+                f"mode count mismatch: zeta0 K={zeta0.size - 1}, zeta1 K={zeta1.size - 1}, system K={w.size - 1}"
+            )
+    shape = (len(systems), zeta0.size)
     zeta, zeta_t, zeta_n, zeta_t_n, c, S, W, fQ, fS, gQ, gS, term = (_aligned(shape) for _ in range(12))
     omega = np.stack([w for w, _ in systems])
     forcing = np.stack([f for _, f in systems])
@@ -97,7 +100,7 @@ def _propagate(zeta0: ModalVector, zeta1: ModalVector, systems, runs, dt):
         Q = np.where(still, 0.5 * dt * dt, 2.0 * np.square(np.sin(0.5 * wdt) / omega))
     np.multiply(forcing, Q, out=fQ)
     np.multiply(forcing, S, out=fS)
-    zeta[...], zeta_t[...] = zeta0.coeffs, zeta1.coeffs
+    zeta[...], zeta_t[...] = zeta0, zeta1
     # the samples after an even and after an odd number of steps
     views, spare = (tuple(map(_readonly, pair)) for pair in ((zeta, zeta_t), (zeta_n, zeta_t_n)))
     yield views
@@ -123,7 +126,7 @@ def _negative_zeros(a) -> bool:
     return bool(np.signbit(a).all()) and not a.any()
 
 
-def _rows(zeta0: ModalVector, zeta1: ModalVector, runs, dt: float, system, rows: int):
+def _rows(zeta0: np.ndarray, zeta1: np.ndarray, runs, dt: float, system, rows: int):
     """One system's trajectory from (zeta0, zeta1) under the input runs, in blocks of at most `rows` samples.
 
     Every block is a view of one reused (rows, 2K+3) array whose row i is

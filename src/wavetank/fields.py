@@ -10,6 +10,12 @@ Two separated-variable series extend boundary data into the tank:
         a_k cosh[c_k (x-pi)] cos[(2k-1) (pi/2) (y+1)],   c_k = (2k-1) pi/(2 sqrt(mu)),
     vanishing on the surface and carrying the lateral flux -v at x = 0.
 
+The boundary data are plain float64 arrays: the surface trace by its
+coefficients eta_0..eta_K in the cosine basis, and the wave-maker profile v
+by its coefficients v_1..v_n in psi_k(y) = sqrt(2) cos[(2k-1)(pi/2)(y+1)].
+The `field` command's profile, v = 1, has them in closed form
+(`_constant_profile`).
+
 Both hyperbolic ratios are evaluated in exponent-shifted form; the naive
 cosh/sinh quotients overflow once sqrt(mu) k exceeds a few hundred, while the
 shifted forms use only nonpositive exponents and stay finite for any mu and
@@ -42,11 +48,10 @@ import numpy as np
 import numpy.fft
 
 from ._writer import grid_rows, write_csv
-from .basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, _phi, _readonly
+from .basis import _SQRT_2_OVER_PI, _SQRT_PI, _phi, _readonly
 
 __all__ = [
     "FieldGrid",
-    "LateralProfile",
     "dirichlet_values",
     "dirichlet_extension",
     "neumann_values",
@@ -96,27 +101,10 @@ class FieldGrid:
         return cls(np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny))
 
 
-@dataclass(frozen=True, eq=False)
-class LateralProfile:
-    """Wave-maker velocity profile by its coefficients in psi_k(y) = sqrt(2) cos[(2k-1)(pi/2)(y+1)]."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size < 1 or not np.all(np.isfinite(c)):
-            raise ValueError("profile coefficients must be a finite 1-d sequence")
-        object.__setattr__(self, "coeffs", _readonly(c.copy()))
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size
-
-    @classmethod
-    def constant(cls, amplitude: float, n_modes: int) -> "LateralProfile":
-        """v = amplitude on [-1, 0]: <v, psi_k> = 2 sqrt(2) (-1)^(k+1) amplitude / ((2k-1) pi)."""
-        k = np.arange(1, n_modes + 1)
-        return cls(2.0 * math.sqrt(2.0) * (-1.0) ** (k + 1) * float(amplitude) / ((2 * k - 1) * math.pi))
+def _constant_profile(amplitude: float, n: int) -> np.ndarray:
+    """Lateral coefficients of v = amplitude on [-1, 0]: <v, psi_k> = 2 sqrt(2) (-1)^(k+1) amplitude / ((2k-1) pi)."""
+    k = np.arange(1, n + 1)
+    return 2.0 * math.sqrt(2.0) * (-1.0) ** (k + 1) * float(amplitude) / ((2 * k - 1) * math.pi)
 
 
 def _psi(n: int, y: np.ndarray) -> np.ndarray:
@@ -159,36 +147,36 @@ def _lattice_cosine_sum(b: np.ndarray, n: int, odd: int) -> np.ndarray:
     return f.real * np.cos(theta) + f.imag * np.sin(theta)
 
 
-def dirichlet_values(eta: ModalVector, mu: float, x, y) -> np.ndarray:
-    """Surface extension field at the tensor points (x_i, y_j), shape (nx, ny).
+def dirichlet_values(eta: np.ndarray, mu: float, x, y) -> np.ndarray:
+    """Surface extension field of the coefficients eta_0..eta_K at the tensor points (x_i, y_j), shape (nx, ny).
 
     Per mode the depth factor cosh[a(y+1)]/cosh(a), a = sqrt(mu) k, is computed
     as exp(a y) (1 + exp(-2a(y+1))) / (1 + exp(-2a)): all exponents <= 0.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    k = np.arange(eta.K + 1)
+    k = np.arange(eta.size)
     a = math.sqrt(mu) * k
     depth = np.multiply.outer(ya, a)
     np.exp(depth, out=depth)
     depth *= _one_plus_exp(np.multiply.outer(ya + 1.0, -2.0 * a))
     depth /= 1.0 + np.exp(-2.0 * a)
     if not _on_lattice(xa, 0.0, math.pi):
-        depth *= eta.coeffs
+        depth *= eta
         return _phi(k, xa) @ depth.T
     # phi_k(x_i) = phi_k(0) cos(k pi i/n)
-    scaled = eta.coeffs * SQRT_2_OVER_PI
-    scaled[0] = eta.coeffs[0] / SQRT_PI
+    scaled = eta * _SQRT_2_OVER_PI
+    scaled[0] = eta[0] / _SQRT_PI
     depth *= scaled
     return np.ascontiguousarray(_lattice_cosine_sum(depth, xa.size - 1, 0).T)
 
 
-def dirichlet_extension(eta: ModalVector, mu: float, grid: FieldGrid) -> FieldGrid:
+def dirichlet_extension(eta: np.ndarray, mu: float, grid: FieldGrid) -> FieldGrid:
     return FieldGrid(grid.x, grid.y, dirichlet_values(eta, mu, grid.x, grid.y))
 
 
-def neumann_values(profile: LateralProfile, mu: float, x, y) -> np.ndarray:
-    """Wave-maker extension field at the tensor points (x_i, y_j), shape (nx, ny).
+def neumann_values(profile: np.ndarray, mu: float, x, y) -> np.ndarray:
+    """Wave-maker extension field of the lateral coefficients v_1..v_n at the tensor points (x_i, y_j), shape (nx, ny).
 
     Per lateral mode the ratio cosh[c(x-pi)]/sinh(c pi) is computed as
     exp(-c x) (1 + exp(-2c(pi-x))) / (1 - exp(-2 c pi)); the field decays like
@@ -196,23 +184,23 @@ def neumann_values(profile: LateralProfile, mu: float, x, y) -> np.ndarray:
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    odd = 2 * np.arange(1, profile.n_modes + 1) - 1
+    odd = 2 * np.arange(1, profile.size + 1) - 1
     c = odd * math.pi / (2.0 * math.sqrt(mu))
     ratio = np.multiply(-c, xa)
     np.exp(ratio, out=ratio)
     ratio *= _one_plus_exp(np.multiply(-2.0 * c, math.pi - xa))
     ratio /= -np.expm1(-2.0 * c * math.pi)
     # a_k psi_k / sqrt(2), a_k = 2 sqrt(2 mu) v_k / ((2k-1) pi)
-    amp = 2.0 * math.sqrt(mu) * profile.coeffs / (odd * math.pi)
+    amp = 2.0 * math.sqrt(mu) * profile / (odd * math.pi)
     if not _on_lattice(ya, -1.0, 0.0):
         ratio *= amp
-        return ratio @ _psi(profile.n_modes, ya).T
+        return ratio @ _psi(profile.size, ya).T
     # psi_k(y_j) = sqrt(2) cos((2k-1) pi j/(2n))
     ratio *= amp * math.sqrt(2.0)
     return _lattice_cosine_sum(ratio, ya.size - 1, 1)
 
 
-def neumann_extension(profile: LateralProfile, mu: float, grid: FieldGrid) -> FieldGrid:
+def neumann_extension(profile: np.ndarray, mu: float, grid: FieldGrid) -> FieldGrid:
     return FieldGrid(grid.x, grid.y, neumann_values(profile, mu, grid.x, grid.y))
 
 

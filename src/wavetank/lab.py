@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._writer import row_blocks, write_csv
-from .basis import ModalVector, _aligned, sobolev_weights
+from .basis import _aligned, sobolev_weights
 from .evolution import _propagate, limit_system, water_system
 from .operators import bmu_dual_norm_gap, comparison_kernels, kernel_H_sum
 
@@ -99,7 +99,7 @@ def fit_rate(mu: Sequence[float], err: Sequence[float]) -> float:
     return float(np.sum(x * (y - y.mean())) / sxx) if sxx > 0 else float("nan")
 
 
-def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, runs, dt: float) -> SweepReport:
+def run_sweep(mu_list: Sequence[float], zeta0: np.ndarray, zeta1: np.ndarray, runs, dt: float) -> SweepReport:
     """Evolve the limit and every tank as one batch from identical data, reducing the errors as it goes.
 
     K comes from the data; the input holds each run's u for its count of
@@ -112,7 +112,7 @@ def run_sweep(mu_list: Sequence[float], zeta0: ModalVector, zeta1: ModalVector, 
     three mu.
     """
     mu_list = tuple(float(mu) for mu in mu_list)
-    K = zeta0.K
+    K = zeta0.size - 1
     systems = [limit_system(K)] + [water_system(mu, K) for mu in mu_list]
     # one weight row per mu: a same-shape product is about twice as fast as a broadcast row
     w, diff = _aligned((len(mu_list), K + 1)), _aligned((len(mu_list), K + 1))

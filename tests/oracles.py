@@ -1,18 +1,19 @@
 """References the tests compare the package against, and builders that no command needs: pointwise basis
-evaluation and Simpson projection, a pulse's per-step input and the conversions between per-step inputs and
-runs of constant input, one-system stepping over the package's kernel, d'Alembert's solution of the
-string under a boundary pulse with its cosine coefficients in closed form, interior grids and lateral
-profiles, the 5-point harmonicity residual, the lateral-series forcing with its certified tail, one-line
-formulas of the comparison kernels, each evaluating h on its own, the two field extensions as broadcast
-expressions, and the CSV writer's tables built all at once by exact integer arithmetic."""
+evaluation, unit modes, the mode-weighted norm and Simpson projection, a pulse's per-step input and the
+conversions between per-step inputs and runs of constant input, one-system stepping over the package's
+kernel, d'Alembert's solution of the string under a boundary pulse with its cosine coefficients in closed
+form, interior grids and lateral profiles, the 5-point harmonicity residual, the lateral-series forcing with
+its certified tail, one-line formulas of the comparison kernels, each evaluating h on its own, the two field
+extensions as broadcast expressions, and the CSV writer's tables built all at once by exact integer
+arithmetic."""
 
 import math
 
 import numpy as np
 
-from wavetank.basis import SQRT_2_OVER_PI, SQRT_PI, ModalVector, _phi
+from wavetank.basis import _SQRT_2_OVER_PI, _SQRT_PI, _phi, sobolev_weights
 from wavetank.evolution import _propagate, _rows
-from wavetank.fields import FieldGrid, LateralProfile, _psi
+from wavetank.fields import FieldGrid, _psi
 from wavetank.operators import _h, _odd_sums
 
 # f_k = -FORCING_TAIL_CONST * _odd_sums(mu, k, inf) for k >= 1; dropping the
@@ -35,11 +36,11 @@ def eval_basis(k: int, x):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def eval_function(v: ModalVector, x):
-    """Evaluate sum_k v_k phi_k(x) for x in [0, pi]."""
+def eval_function(v: np.ndarray, x):
+    """Evaluate sum_k v_k phi_k(x) for x in [0, pi], v the coefficients of modes 0..K."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     _check_domain(xa)
-    out = _phi(np.arange(v.K + 1), xa) @ v.coeffs
+    out = _phi(np.arange(v.size), xa) @ v
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
@@ -58,7 +59,21 @@ def quadrature_nodes(K: int):
     return _simpson(0.0, math.pi, 4 * K)
 
 
-def project(f, K: int) -> ModalVector:
+def norm(v: np.ndarray, alpha: float) -> float:
+    """Mode-weighted norm sqrt(|v_0|^2 + sum_k (1+k)^(2 alpha) |v_k|^2) of the coefficients v of modes 0..K.
+
+    alpha = 0 is the plain L^2 norm; alpha = 1/2 the half-order Sobolev
+    representative used for the surface elevation.
+    """
+    return float(np.sqrt(np.sum(sobolev_weights(v.size - 1, alpha) * v**2)))
+
+
+def unit(k: int, K: int) -> np.ndarray:
+    """The coefficients of phi_k among modes 0..K."""
+    return np.eye(1, K + 1, k)[0]
+
+
+def project(f, K: int) -> np.ndarray:
     """Project a function on [0, pi] onto modes 0..K by Simpson quadrature; f may accept scalars only."""
     x, w = quadrature_nodes(K)
     try:
@@ -69,7 +84,7 @@ def project(f, K: int) -> ModalVector:
         fx = np.array([float(f(xi)) for xi in x])
     if not np.all(np.isfinite(fx)):
         raise ValueError("function samples must be finite")
-    return ModalVector((w * fx) @ _phi(np.arange(K + 1), x))
+    return (w * fx) @ _phi(np.arange(K + 1), x)
 
 
 def pulse_values(on: float, off: float, amplitude: float, dt: float, n_steps: int) -> np.ndarray:
@@ -96,8 +111,7 @@ def expand(runs) -> np.ndarray:
 def step(state, u: float, dt: float, system):
     """Advance one system's state (zeta, zeta_t), two (K+1)-arrays, one step of length dt with the input held
     at u."""
-    zeta0, zeta1 = (ModalVector(a) for a in state)
-    *_, (zeta, zeta_t) = _propagate(zeta0, zeta1, [system], [(float(u), 1)], float(dt))
+    *_, (zeta, zeta_t) = _propagate(*map(np.asarray, state), [system], [(float(u), 1)], float(dt))
     return zeta[0].copy(), zeta_t[0].copy()
 
 
@@ -164,15 +178,15 @@ def interior(nx: int, ny: int) -> FieldGrid:
     return FieldGrid(np.linspace(0.0, math.pi, nx + 2)[1:-1], np.linspace(-1.0, 0.0, ny + 2)[1:-1])
 
 
-def lateral_unit(k: int, n_modes: int) -> LateralProfile:
+def lateral_unit(k: int, n_modes: int) -> np.ndarray:
     """The profile psi_k, in n_modes lateral modes."""
-    return LateralProfile(np.eye(1, n_modes, k - 1)[0])
+    return np.eye(1, n_modes, k - 1)[0]
 
 
-def lateral_projection(fn, n_modes: int) -> LateralProfile:
+def lateral_projection(fn, n_modes: int) -> np.ndarray:
     """Project a function on [-1, 0] onto psi_1..psi_n_modes by Simpson quadrature on 4096 panels."""
     y, w = _simpson(-1.0, 0.0, 4096)
-    return LateralProfile((w * np.array([float(fn(yi)) for yi in y])) @ _psi(n_modes, y))
+    return (w * np.array([float(fn(yi)) for yi in y])) @ _psi(n_modes, y)
 
 
 def verify_harmonic(values_fn, mu, x, y, h: float = 1e-3) -> float:
@@ -223,21 +237,21 @@ def dirichlet_reference(eta, mu, x, y) -> np.ndarray:
     """`fields.dirichlet_values` as one broadcast expression, each step in a new array: its bitwise reference."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    k = np.arange(eta.K + 1)
+    k = np.arange(eta.size)
     a = math.sqrt(mu) * k[:, None]
     depth = np.exp(a * ya) * (1.0 + np.exp(-2.0 * a * (ya + 1.0))) / (1.0 + np.exp(-2.0 * a))
-    phi = np.where(k == 0, 1.0 / SQRT_PI, SQRT_2_OVER_PI * np.cos(np.multiply.outer(xa, k)))
-    return phi @ (eta.coeffs[:, None] * depth)
+    phi = np.where(k == 0, 1.0 / _SQRT_PI, _SQRT_2_OVER_PI * np.cos(np.multiply.outer(xa, k)))
+    return phi @ (eta[:, None] * depth)
 
 
 def neumann_reference(profile, mu, x, y) -> np.ndarray:
     """`fields.neumann_values` as one broadcast expression, each step in a new array: its bitwise reference."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    odd = 2 * np.arange(1, profile.n_modes + 1) - 1
+    odd = 2 * np.arange(1, profile.size + 1) - 1
     c = odd * math.pi / (2.0 * math.sqrt(mu))
     ratio = np.exp(-c * xa) * (1.0 + np.exp(-2.0 * c * (math.pi - xa))) / (-np.expm1(-2.0 * c * math.pi))
-    amp = 2.0 * math.sqrt(mu) * profile.coeffs / (odd * math.pi)
+    amp = 2.0 * math.sqrt(mu) * profile / (odd * math.pi)
     psi = math.sqrt(2.0) * np.cos(odd * (math.pi / 2.0) * (ya[:, None] + 1.0))
     return (ratio * amp) @ psi.T
 

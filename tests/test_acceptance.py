@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from wavetank.basis import ModalVector
 from wavetank.cli import make_signal
 from wavetank.evolution import limit_system, water_system
 from wavetank.fields import dirichlet_values, neumann_values
@@ -21,7 +20,7 @@ from wavetank.lab import (
     run_sweep,
 )
 
-from oracles import energy, evolve, interior, lateral_unit, ntn_forcing, verify_harmonic
+from oracles import energy, evolve, interior, lateral_unit, ntn_forcing, unit, verify_harmonic
 
 MU_GRID = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -104,7 +103,7 @@ def test_criterion_4_shallow_limit_convergence():
     c = np.zeros(K + 1)
     c[1:9] = 1.0 / np.arange(1, 9) ** 2
     signal = make_signal("pulse:0:1:1", dt, 10_000)
-    report = run_sweep((1e-1, 1e-2, 1e-3, 1e-4), ModalVector(c), ModalVector.zeros(K), signal, dt)
+    report = run_sweep((1e-1, 1e-2, 1e-3, 1e-4), c, np.zeros(K + 1), signal, dt)
     elapsed = time.time() - t0
     decreasing = bool(np.all(np.diff(report.err_half) < 0) and np.all(np.diff(report.err_deriv) < 0))
     rates_ok = report.rate_half >= 0.20 and report.rate_deriv >= 0.20
@@ -126,7 +125,7 @@ def test_criterion_5_single_mode_analytic_check():
     mu = 1e-2
     K = 8
     dt = 1e-2  # default dt = 1e-3 * tau
-    measured = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), [(0.0, 1000)], dt).err_deriv[0]
+    measured = run_sweep((mu,), unit(1, K), np.zeros(K + 1), [(0.0, 1000)], dt).err_deriv[0]
     # independent oracle: both velocity signals in closed form, densely sampled
     w1 = math.sqrt(math.tanh(math.sqrt(mu)) / math.sqrt(mu))
     td = np.linspace(0.0, 10.0, 2_000_001)
@@ -154,12 +153,12 @@ def test_criterion_6_unitarity():
     t0 = time.time()
     K = 256
     rng = np.random.default_rng(20260809)
-    z0 = ModalVector(rng.standard_normal(K + 1))
-    z1 = ModalVector(rng.standard_normal(K + 1))
+    z0 = rng.standard_normal(K + 1)
+    z1 = rng.standard_normal(K + 1)
     systems = [water_system(1.0, K), water_system(1e-3, K), limit_system(K)]
     worst = 0.0
     for system in systems:
-        e0 = energy((z0.coeffs, z1.coeffs), system)
+        e0 = energy((z0, z1), system)
         _, zeta, zeta_t = evolve(z0, z1, [(0.0, 10_000)], 1e-3, system)
         e_t = (zeta_t**2).sum(axis=1) + ((system[0] * zeta) ** 2).sum(axis=1)
         worst = max(worst, float(np.abs(e_t - e0).max() / e0))
@@ -181,7 +180,7 @@ def test_criterion_7_field_verification():
     t0 = time.time()
     mu = 0.25
     grid = interior(50, 50)
-    eta = ModalVector.unit(1, 4)
+    eta = unit(1, 4)
     profile = lateral_unit(1, 1)
     res_d = verify_harmonic(lambda x, y: dirichlet_values(eta, mu, x, y), mu, grid.x, grid.y, h=1e-3)
     res_n = verify_harmonic(lambda x, y: neumann_values(profile, mu, x, y), mu, grid.x, grid.y, h=1e-3)
@@ -206,7 +205,7 @@ def test_criterion_7_field_verification():
     traces_ok = trace_d <= 1e-12 and np.abs(bottom).max() <= 1e-8 and top_n <= 1e-12 and np.abs(right).max() <= 1e-8
 
     # overflow safety at extreme shallowness
-    vals1 = dirichlet_values(ModalVector.unit(10_000, 10_000), 1e-8, np.array([0.0, math.pi / 2, math.pi]), np.array([-1.0, -0.5, 0.0]))
+    vals1 = dirichlet_values(unit(10_000, 10_000), 1e-8, np.array([0.0, math.pi / 2, math.pi]), np.array([-1.0, -0.5, 0.0]))
     vals2 = neumann_values(lateral_unit(10_000, 10_000), 1e-8, np.array([0.0, 1e-4, math.pi]), np.array([-1.0, -0.5, 0.0]))
     finite_ok = bool(np.all(np.isfinite(vals1)) and np.all(np.isfinite(vals2)))
 
@@ -229,7 +228,7 @@ def test_criterion_8_mode0_exactness():
     K = 4
     limit = limit_system(K)
     dt = 1e-2
-    times, zeta, _ = evolve(ModalVector.zeros(K), ModalVector.zeros(K), [(1.0, 1000)], dt, limit)
+    times, zeta, _ = evolve(np.zeros(K + 1), np.zeros(K + 1), [(1.0, 1000)], dt, limit)
     exact = -times**2 / (2.0 * math.sqrt(math.pi))
     worst = float(np.max(np.abs(zeta[:, 0] - exact) / np.maximum(1.0, np.abs(exact))))
     f, tail = ntn_forcing(0.3, K, 10_000)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetank import cli
-from wavetank.basis import ModalVector
 from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_initial_spec
 from wavetank.evolution import water_system
 from wavetank.lab import KernelAudit, KernelAuditRow
@@ -38,6 +37,10 @@ def test_mu_list_parsing():
         parse_config("sweep", "mu_list=1e-3,1e-2\n")
     for bad in ("2,1e-2", "1e-1,0", "1e-1,-1e-2", ""):
         with pytest.raises(ConfigError, match=r"mu_list must (be in \(0, 1\]|contain at least one value)"):
+            parse_config("sweep", overrides={"mu_list": bad})
+    # an empty item is an error, not one value fewer
+    for bad in ("1e-1,,1e-2", "1e-1,1e-2,", ",1e-1"):
+        with pytest.raises(ConfigError, match="mu_list must be a number, got ''"):
             parse_config("sweep", overrides={"mu_list": bad})
 
 
@@ -126,14 +129,14 @@ def test_config_round_trips_or_raises(command, overrides, spoilt):
 
 def test_initial_spec_language():
     v = parse_initial_spec("zero", 4)
-    assert np.all(v.coeffs == 0.0)
+    assert np.all(v == 0.0)
     v = parse_initial_spec("cos1", 4)
-    assert v.coeffs[1] == 1.0 and v.coeffs.sum() == 1.0
+    assert v[1] == 1.0 and v.sum() == 1.0
     v = parse_initial_spec("smooth8", 16)
-    np.testing.assert_allclose(v.coeffs[1:9], 1.0 / np.arange(1, 9) ** 2)
-    assert np.all(v.coeffs[9:] == 0.0)
+    np.testing.assert_allclose(v[1:9], 1.0 / np.arange(1, 9) ** 2)
+    assert np.all(v[9:] == 0.0)
     v = parse_initial_spec("mode:2:0.5+mode:0:1.25", 4)
-    assert v.coeffs[0] == 1.25 and v.coeffs[2] == 0.5
+    assert v[0] == 1.25 and v[2] == 0.5
     with pytest.raises(ConfigError, match="initial-data"):
         parse_initial_spec("mode:9:1", 4)
     with pytest.raises(ConfigError, match="initial-data"):
@@ -141,6 +144,17 @@ def test_initial_spec_language():
     for bad in ("mode:1:nan", "mode:1:-inf", "mode:1:1e308+mode:1:1e308", "mode:0:1e308+mode:0:1e308+mode:0:-inf"):
         with pytest.raises(ConfigError, match="finite"):
             parse_initial_spec(bad, 4)
+
+
+@pytest.mark.parametrize("spec", ["zero", "cos1", "smooth8", "mode:2:0.5+mode:0:1.25"])
+def test_initial_data_are_read_only_float64_arrays_of_the_mode_count(spec):
+    # read-only, so no command can change the data that the config caches
+    cfg = parse_config("simulate", overrides={"init": spec, "init1": spec, "k_modes": "16"})
+    for v in (cfg.init_modes, cfg.init1_modes):
+        assert isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (cfg.k_modes + 1,)
+        assert not v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0
 
 
 def test_signal_spec_language():
@@ -260,7 +274,7 @@ def test_simulate_streams_the_rows_of_evolve(tmp_path):
     assert main(args) == 0
     system = water_system(0.01, 2000)
     zeta0 = parse_initial_spec("smooth8", 2000)
-    rows = np.column_stack(evolve(zeta0, ModalVector.zeros(2000), make_signal("pulse:0:0.2:1", 0.01, 50), 0.01, system))
+    rows = np.column_stack(evolve(zeta0, np.zeros(2001), make_signal("pulse:0:0.2:1", 0.01, 50), 0.01, system))
     expected = [",".join(f"{v:.17g}" for v in row) for row in rows]
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == expected
 

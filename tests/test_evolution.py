@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavetank.basis import ModalVector
 from wavetank.cli import ConfigError, make_signal
 from wavetank.evolution import _propagate, _rows, limit_system, water_system
 
@@ -21,6 +20,7 @@ from oracles import (
     step,
     string_dalembert,
     string_dalembert_coeffs,
+    unit,
 )
 from reference_stepper import reference_advance, reference_step
 
@@ -36,18 +36,18 @@ def test_signal_validation_and_builders():
 def test_propagate_shape_errors():
     limit = limit_system(4)
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_propagate(ModalVector.zeros(3), ModalVector.zeros(4), [limit], [(0.0, 1)], 0.1))
+        next(_propagate(np.zeros(4), np.zeros(5), [limit], [(0.0, 1)], 0.1))
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_propagate(ModalVector.zeros(5), ModalVector.zeros(5), [limit], [(0.0, 1)], 0.1))
+        next(_propagate(np.zeros(6), np.zeros(6), [limit], [(0.0, 1)], 0.1))
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_propagate(ModalVector.zeros(4), ModalVector.zeros(4), [limit, limit_system(5)], [(0.0, 1)], 0.1))
+        next(_propagate(np.zeros(5), np.zeros(5), [limit, limit_system(5)], [(0.0, 1)], 0.1))
 
 
 def test_full_period_rotation_returns_to_start():
     K = 6
     water = water_system(0.3, K)
     for k in (1, 3, 6):
-        start = ModalVector.unit(k, K).coeffs
+        start = unit(k, K)
         period = 2.0 * math.pi / water[0][k]
         zeta, zeta_t = step((start, np.zeros(K + 1)), 0.0, period, water)
         assert abs(zeta[k] - 1.0) < 1e-12
@@ -59,7 +59,7 @@ def test_single_mode_closed_form_any_dt():
     K = 3
     limit = limit_system(K)
     for dt in (0.5, 0.037, 1e-3):
-        st = (ModalVector.unit(1, K).coeffs, np.zeros(K + 1))
+        st = (unit(1, K), np.zeros(K + 1))
         t = 0.0
         for _ in range(25):
             st = step(st, 0.0, dt, limit)
@@ -73,7 +73,7 @@ def test_water_single_mode_closed_form():
     K = 2
     mu = 0.04
     water = water_system(mu, K)
-    times, zeta, zeta_t = evolve(ModalVector.unit(1, K), ModalVector.zeros(K), [(0.0, 500)], 0.01, water)
+    times, zeta, zeta_t = evolve(unit(1, K), np.zeros(K + 1), [(0.0, 500)], 0.01, water)
     w1 = water[0][1]
     np.testing.assert_allclose(zeta[:, 1], np.cos(w1 * times), atol=1e-12)
     np.testing.assert_allclose(zeta_t[:, 1], -w1 * np.sin(w1 * times), atol=1e-12)
@@ -88,7 +88,7 @@ def test_trajectory_memory_is_independent_of_the_horizon():
         runs = [(1.0, n)]
         tracemalloc.start()
         try:
-            for _ in _rows(ModalVector.unit(1, K), ModalVector.zeros(K), runs, 1e-3, water, rows):
+            for _ in _rows(unit(1, K), np.zeros(K + 1), runs, 1e-3, water, rows):
                 pass
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -111,10 +111,10 @@ def test_energy_conserved_per_step():
 def test_unitarity_long_run():
     K = 64
     rng = np.random.default_rng(42)
-    z0 = ModalVector(rng.standard_normal(K + 1))
-    z1 = ModalVector(rng.standard_normal(K + 1))
+    z0 = rng.standard_normal(K + 1)
+    z1 = rng.standard_normal(K + 1)
     for system in (limit_system(K), water_system(1.0, K)):
-        e0 = energy((z0.coeffs, z1.coeffs), system)
+        e0 = energy((z0, z1), system)
         _, zeta, zeta_t = evolve(z0, z1, [(0.0, 1000)], 1e-3, system)
         assert abs(energy((zeta[-1], zeta_t[-1]), system) - e0) / e0 < 1e-10
 
@@ -122,14 +122,14 @@ def test_unitarity_long_run():
 def test_evolve_zero_everything():
     K = 4
     limit = limit_system(K)
-    _, zeta, zeta_t = evolve(ModalVector.zeros(K), ModalVector.zeros(K), [(0.0, 10)], 0.1, limit)
+    _, zeta, zeta_t = evolve(np.zeros(K + 1), np.zeros(K + 1), [(0.0, 10)], 0.1, limit)
     assert np.all(zeta == 0.0) and np.all(zeta_t == 0.0)
 
 
 def test_mode0_quadratic_under_constant_input():
     K = 2
     limit = limit_system(K)
-    times, zeta, _ = evolve(ModalVector.zeros(K), ModalVector.zeros(K), [(1.0, 1000)], 0.01, limit)
+    times, zeta, _ = evolve(np.zeros(K + 1), np.zeros(K + 1), [(1.0, 1000)], 0.01, limit)
     expected = -times**2 / (2.0 * math.sqrt(math.pi))
     err = np.abs(zeta[:, 0] - expected) / np.maximum(1.0, np.abs(expected))
     assert err.max() < 1e-12
@@ -141,10 +141,10 @@ def test_truncation_consistency_shared_modes():
     sig_small = make_signal("pulse:0:1:1", dt, n)
     w_small = water_system(mu, 16)
     w_big = water_system(mu, 32)
-    z0s = ModalVector(np.exp(-np.arange(17.0)))
-    z0b = ModalVector(np.concatenate([z0s.coeffs, np.zeros(16)]))
-    _, zeta_small, zeta_t_small = evolve(z0s, ModalVector.zeros(16), sig_small, dt, w_small)
-    _, zeta_big, zeta_t_big = evolve(z0b, ModalVector.zeros(32), sig_small, dt, w_big)
+    z0s = np.exp(-np.arange(17.0))
+    z0b = np.concatenate([z0s, np.zeros(16)])
+    _, zeta_small, zeta_t_small = evolve(z0s, np.zeros(17), sig_small, dt, w_small)
+    _, zeta_big, zeta_t_big = evolve(z0b, np.zeros(33), sig_small, dt, w_big)
     assert np.abs(zeta_big[:, :17] - zeta_small).max() < 1e-10
     assert np.abs(zeta_t_big[:, :17] - zeta_t_small).max() < 1e-10
 
@@ -167,12 +167,12 @@ def test_weak_form_identity_second_order_in_dt():
     must vanish at O(dt^2) for the limit system."""
     K = 6
     limit = limit_system(K)
-    z0 = ModalVector(np.exp(-0.7 * np.arange(K + 1.0)))
+    z0 = np.exp(-0.7 * np.arange(K + 1.0))
     residuals = []
     for dt in (0.02, 0.01):
         n = int(round(4.0 / dt))
         sig = make_signal("pulse:0:1:1", dt, n)
-        _, zeta, zeta_t = evolve(z0, ModalVector.zeros(K), sig, dt, limit)
+        _, zeta, zeta_t = evolve(z0, np.zeros(K + 1), sig, dt, limit)
         worst = 0.0
         u_int = np.concatenate([[0.0], np.cumsum(expand(sig)) * dt])  # exact for pcw-constant u
         for j in range(K + 1):
@@ -220,13 +220,13 @@ def test_superposition_in_data_and_input(data, K, dt, n):
     system = data.draw(_systems(K))
     runs = []
     for _ in range(2):
-        z0, z1 = ModalVector(data.draw(_vectors(K))), ModalVector(data.draw(_vectors(K)))
+        z0, z1 = data.draw(_vectors(K)), data.draw(_vectors(K))
         u = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array))
         runs.append((z0, z1, u))
     (a0, a1, ua), (b0, b1, ub) = runs
     _, za, za_t = evolve(a0, a1, runs_of(ua), dt, system)
     _, zb, zb_t = evolve(b0, b1, runs_of(ub), dt, system)
-    z0, z1 = ModalVector(a0.coeffs + b0.coeffs), ModalVector(a1.coeffs + b1.coeffs)
+    z0, z1 = a0 + b0, a1 + b1
     _, z, z_t = evolve(z0, z1, runs_of(ua + ub), dt, system)
     # magnitudes stay below about 1e4 (|f u / omega^2| <= 1e3, mode 0 quadratic
     # in t <= 20), so 1e-9 is a few thousand roundings, far below any wrong term
@@ -243,7 +243,7 @@ def _samples(zeta0, zeta1, systems, values, dt):
 @given(data=st.data(), K=st.integers(1, 6), n_sys=st.integers(1, 4), dt=st.floats(1e-3, 10.0), n=st.integers(1, 20))
 def test_step_evolve_and_batched_kernel_agree_bitwise(data, K, n_sys, dt, n):
     systems = [data.draw(_systems(K)) for _ in range(n_sys)]
-    z0, z1 = ModalVector(data.draw(_vectors(K))), ModalVector(data.draw(_vectors(K)))
+    z0, z1 = data.draw(_vectors(K)), data.draw(_vectors(K))
     values = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
     batch = _samples(z0, z1, systems, values, dt)
     assert len(batch) == n + 1
@@ -251,7 +251,7 @@ def test_step_evolve_and_batched_kernel_agree_bitwise(data, K, n_sys, dt, n):
         _, traj_zeta, traj_zeta_t = evolve(z0, z1, runs_of(values), dt, system)
         np.testing.assert_array_equal(_bits(traj_zeta), _bits([zeta[i] for zeta, _ in batch]))
         np.testing.assert_array_equal(_bits(traj_zeta_t), _bits([zeta_t[i] for _, zeta_t in batch]))
-        state = (z0.coeffs, z1.coeffs)
+        state = (z0, z1)
         for m, u in enumerate(values):
             state = step(state, u, dt, system)
             zeta, zeta_t = batch[m + 1]
@@ -304,7 +304,7 @@ _NEGATIVE_FORCING = (
 @given(batch=_batches())
 def test_propagate_matches_per_step_reference_bitwise(batch):
     systems, z0, z1, dt, values = batch
-    samples = _samples(ModalVector(z0), ModalVector(z1), systems, values, dt)
+    samples = _samples(z0, z1, systems, values, dt)
     assert len(samples) == len(values) + 1
     for i, (omega, forcing) in enumerate(systems):
         zeta, zeta_t = z0, z1
@@ -322,7 +322,7 @@ def test_propagate_agrees_with_the_rotation_stepper(batch):
     # same exact flow by other arithmetic: the two agree to a few roundings per step of
     # the largest state value so far
     systems, z0, z1, dt, values = batch
-    samples = _samples(ModalVector(z0), ModalVector(z1), systems, values, dt)
+    samples = _samples(z0, z1, systems, values, dt)
     eps = np.finfo(float).eps
     for i, (omega, forcing) in enumerate(systems):
         alpha, beta, zeta_0 = z1, np.concatenate([[0.0], omega[1:] * z0[1:]]), z0[0]
@@ -338,12 +338,12 @@ def test_propagate_agrees_with_the_rotation_stepper(batch):
 
 def test_propagate_yields_read_only_views_that_the_second_step_reuses():
     system = limit_system(3)
-    zeta0, zeta1 = ModalVector.unit(1, 3), ModalVector.unit(2, 3)
+    zeta0, zeta1 = unit(1, 3), unit(2, 3)
     samples = list(_propagate(zeta0, zeta1, [system], [(1.0, 1), (2.0, 1)], 0.1))
     assert not any(a.flags.writeable for a in samples[0] + samples[2])
     assert all(np.shares_memory(a, b) for a, b in zip(samples[0], samples[2]))
     # the kernel steps its own buffers
-    assert not any(np.shares_memory(a, b) for a in (zeta0.coeffs, zeta1.coeffs) for b in samples[2])
+    assert not any(np.shares_memory(a, b) for a in (zeta0, zeta1) for b in samples[2])
 
 
 @pytest.mark.parametrize("on, off, amplitude", [(0.25, 1.5, 1.5), (0.0, math.inf, 0.75)], ids=["pulse", "const"])
@@ -353,7 +353,7 @@ def test_string_matches_dalembert_across_reflections(on, off, amplitude):
     # every sampled t, before, between and after reflections off x = pi and x = 0
     K, dt = 64, 2.0**-6
     values = pulse_values(on, off, amplitude, dt, 800)
-    samples = _samples(ModalVector.zeros(K), ModalVector.zeros(K), [limit_system(K)], values, dt)
+    samples = _samples(np.zeros(K + 1), np.zeros(K + 1), [limit_system(K)], values, dt)
     x, w = quadrature_nodes(4096)
     phi = np.array([eval_basis(k, x) for k in range(9)]).T
     for n in (16, 96, 201, 402, 500, 640, 800):

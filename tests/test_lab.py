@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetank.basis import ModalVector, sobolev_weights
+from wavetank.basis import sobolev_weights
 from wavetank.cli import make_signal
 from wavetank.evolution import limit_system, water_system
 from wavetank.lab import (
@@ -26,14 +26,14 @@ from wavetank.lab import (
 )
 from wavetank.operators import comparison_kernels
 
-from oracles import pulse_values, runs_of
+from oracles import pulse_values, runs_of, unit
 from reference_stepper import reference_step
 
 
 def smooth8(K):
     c = np.zeros(K + 1)
     c[1:9] = 1.0 / np.arange(1, 9) ** 2
-    return ModalVector(c)
+    return c
 
 
 def test_fit_rate_recovers_power_law():
@@ -56,7 +56,7 @@ def test_sweep_errors_decrease_and_rate():
     dt = 0.01
     n = 500
     signal = make_signal("pulse:0:1:1", dt, n)
-    report = run_sweep((1e-1, 1e-2, 1e-3, 1e-4), smooth8(K), ModalVector.zeros(K), signal, dt)
+    report = run_sweep((1e-1, 1e-2, 1e-3, 1e-4), smooth8(K), np.zeros(K + 1), signal, dt)
     assert np.all(np.diff(report.err_half) < 0)
     assert np.all(np.diff(report.err_deriv) < 0)
     assert report.rate_half > 0.2
@@ -72,7 +72,7 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
     K = 4
     dt = 1e-2
     n = 1000
-    report = run_sweep((mu,), ModalVector.unit(1, K), ModalVector.zeros(K), [(0.0, n)], dt)
+    report = run_sweep((mu,), unit(1, K), np.zeros(K + 1), [(0.0, n)], dt)
     w1 = math.sqrt(math.tanh(math.sqrt(mu)) / math.sqrt(mu))
     td = np.linspace(0.0, 10.0, 400001)
     oracle = np.abs(w1 * np.sin(w1 * td) - np.sin(td)).max()
@@ -81,7 +81,7 @@ def test_single_mode_error_matches_dense_two_frequency_oracle():
 
 def _reference_trajectory(zeta0, zeta1, values, dt, system):
     """(zeta, zeta_t) rows at every step, one system stepped on its own."""
-    state = (zeta0.coeffs, zeta1.coeffs)
+    state = (zeta0, zeta1)
     trajectory = [state]
     for u in values:
         state = reference_step(*state, u, dt, *system)
@@ -92,11 +92,11 @@ def _reference_trajectory(zeta0, zeta1, values, dt, system):
 
 def _reference_norms(mu_list, zeta0, zeta1, values, dt):
     """The (elevation, velocity) error norms of each shallowness at every step, from full trajectories."""
-    zeta_lim, zeta_t_lim = _reference_trajectory(zeta0, zeta1, values, dt, limit_system(zeta0.K))
-    w = sobolev_weights(zeta0.K, 0.5)
+    zeta_lim, zeta_t_lim = _reference_trajectory(zeta0, zeta1, values, dt, limit_system(zeta0.size - 1))
+    w = sobolev_weights(zeta0.size - 1, 0.5)
     norms = []
     for mu in mu_list:
-        zeta, zeta_t = _reference_trajectory(zeta0, zeta1, values, dt, water_system(mu, zeta0.K))
+        zeta, zeta_t = _reference_trajectory(zeta0, zeta1, values, dt, water_system(mu, zeta0.size - 1))
         half_t = np.sqrt(((zeta - zeta_lim) ** 2 * w).sum(axis=1))
         deriv_t = np.sqrt(((zeta_t - zeta_t_lim) ** 2).sum(axis=1))
         norms.append((half_t, deriv_t))
@@ -121,7 +121,7 @@ def _reference_errors(mu_list, zeta0, zeta1, values, dt):
 )
 def test_run_sweep_matches_per_system_reference_bitwise(data, K, n, dt, mu):
     def vector(bound):
-        return ModalVector(data.draw(st.lists(st.floats(-bound, bound), min_size=K + 1, max_size=K + 1)))
+        return np.array(data.draw(st.lists(st.floats(-bound, bound), min_size=K + 1, max_size=K + 1)))
 
     mu, zeta0, zeta1 = tuple(sorted(mu, reverse=True)), vector(1.0), vector(1.0)
     values = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
@@ -138,7 +138,7 @@ def test_run_sweep_matches_the_reference_across_folded_blocks():
     B = _SWEEP_BLOCK
     K, dt, mu = 10, 0.05, (1e-1, 1e-2, 1e-3)
     n = 2 * B + 91
-    zeta0, zeta1 = smooth8(K), ModalVector(np.linspace(0.5, -0.5, K + 1))
+    zeta0, zeta1 = smooth8(K), np.linspace(0.5, -0.5, K + 1)
     values = pulse_values(1.0, 4.0, 6.0, dt, n) + pulse_values(20.0, 26.0, 2.0, dt, n)
     report = run_sweep(mu, zeta0, zeta1, runs_of(values), dt)
     got = np.array([report.err_half, report.err_deriv, report.grid_slack_half, report.grid_slack_deriv])
@@ -157,7 +157,7 @@ def test_run_sweep_memory_is_independent_of_the_horizon():
     n_sys = 1 + len(mu)
     peaks = []
     for n in (200, 2000):
-        args = (mu, smooth8(K), ModalVector.zeros(K), [(0.0, n)], 0.01)
+        args = (mu, smooth8(K), np.zeros(K + 1), [(0.0, n)], 0.01)
         tracemalloc.start()
         try:
             run_sweep(*args)
@@ -254,7 +254,7 @@ def test_forcing_gap_spread_of_two_fails():
 def test_sweep_csv_roundtrip(tmp_path):
     K = 8
     dt = 0.05
-    args = ((1e-1, 1e-2), ModalVector.unit(1, K), ModalVector.zeros(K), [(0.0, 20)], dt)
+    args = ((1e-1, 1e-2), unit(1, K), np.zeros(K + 1), [(0.0, 20)], dt)
     report = run_sweep(*args)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_sweep_csv(report, p1)
