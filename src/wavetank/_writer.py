@@ -12,9 +12,11 @@ x,y,value rows of a tensor grid, each of its nx + ny coordinates once per
 file, and its text equals that of `row_blocks` over the repeated coordinates.
 Each call allocates one 64-byte-aligned `_Workspace`, sized for one block,
 and every block is formatted inside it: the rows are laid out in its
-zero-padded, row-major text buffer and the zero bytes are deleted as the
-block is yielded.  A grid block holds whole x rows (or a part of one), so its
-x and y cells are copied into that buffer by broadcasting.
+zero-padded, row-major text buffer, a bytearray, and the zero bytes are
+deleted as the block is yielded, in place for a full block (which leaves as
+a `bytearray`; a shorter block is first copied out).  A grid block holds
+whole x rows (or a part of one), so its x and y cells are copied into that
+buffer by broadcasting.
 
 `_layout` gives the bytes of '%.17g' for a whole array at once.  It scales
 |v| by 10**(16 - X), X = floor(log10 |v|), as a double-double (Dekker
@@ -138,22 +140,27 @@ def _digit_table():
 
 
 class _Workspace:
-    """The scratch arrays of `_layout` for up to n values and a zeroed text buffer, in one allocation.
+    """The scratch arrays of `_layout` for up to n values, in one allocation, and a zeroed text buffer.
 
     `f`, `i` and `u` are the same _ROWS rows of 8-byte slots, as float64,
     int64 and uint64: each stage of `_layout` reuses the rows an earlier one
-    is done with.  Every row starts on a 64-byte boundary.
+    is done with.  Every row starts on a 64-byte boundary, and so does
+    `text`, a view of the bytearray `raw` whose bytes before and after it
+    stay zero: `_text` deletes a full block's padding from `raw` itself.
     """
 
     def __init__(self, n: int, text_shape):
         m = -(-n // 64) * 64
         rows, flags = 8 * m * _ROWS, m * _FLAGS
-        buf = _aligned(rows + flags + int(np.prod(text_shape)), np.uint8)
+        buf = _aligned(rows + flags, np.uint8)
         self.f = buf[:rows].view(np.float64).reshape(_ROWS, m)
         self.i, self.u = self.f.view(np.int64), self.f.view(np.uint64)
-        self.flags = buf[rows : rows + flags].view(bool).reshape(_FLAGS, m)
-        self.text = buf[rows + flags :].reshape(text_shape)
-        self.text[...] = 0
+        self.flags = buf[rows:].view(bool).reshape(_FLAGS, m)
+        size = int(np.prod(text_shape))
+        self.raw = bytearray(size + 63)
+        text = np.frombuffer(self.raw, np.uint8)
+        first = -text.ctypes.data % 64
+        self.text = text[first : first + size].reshape(text_shape)
 
 
 def _split(a, hi, lo):
@@ -281,9 +288,11 @@ def _layout(v, sep, slots, ws):
         text[k, : len(s)] = np.frombuffer(s, np.uint8)
 
 
-def _text(rows) -> bytes:
-    """The bytes of a contiguous text buffer in order, zero bytes deleted."""
-    return rows.tobytes().translate(None, b"\0")
+def _text(ws, n: int):
+    """The first n rows of the workspace's text in order, zero bytes deleted: in place for a full block."""
+    if n == len(ws.text):
+        return ws.raw.translate(None, b"\0")
+    return ws.text[:n].tobytes().translate(None, b"\0")
 
 
 def _cells(v):
@@ -307,7 +316,7 @@ def table_blocks(blocks):
             seps = (seps << 48).ravel()
             slots = ws.text.view(_WORD)
         _layout(block.ravel(), seps[: block.size], slots[: block.size], ws)
-        yield _text(ws.text[: block.size])
+        yield _text(ws, block.size)
 
 
 def row_blocks(*columns):
@@ -341,11 +350,11 @@ def grid_rows(x, y, values):
             block["x"] = xs[i : i + k, None]
             block["y"] = ys[j : j + c]
             _layout(flat[i : i + k, j : j + c].ravel(), sep, slots[: k * c], ws)
-            yield _text(ws.text[: k * c])
+            yield _text(ws, k * c)
 
 
 def write_csv(path, header: str, blocks) -> None:
-    """Write the header line, then each block of CSV text (bytes)."""
+    """Write the header line, then each block of CSV text (bytes or bytearray)."""
     with _atomic(path) as fh:
         fh.write((header + "\n").encode("ascii"))
         for block in blocks:

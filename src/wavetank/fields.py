@@ -19,14 +19,18 @@ The `field` command's profile, v = 1, has them in closed form
 Both hyperbolic ratios are evaluated in exponent-shifted form; the naive
 cosh/sinh quotients overflow once sqrt(mu) k exceeds a few hundred, while the
 shifted forms use only nonpositive exponents and stay finite for any mu and
-mode index.
+mode index.  Where an exponent is below -746, `_exp` writes exp's +0.0
+without calling exp, whose underflow path is slow.
 
 On the regular grid of `FieldGrid.regular` (x_i = i pi/n, y_j + 1 = j/n) each
 field is a cosine series whose phases are multiples of pi/(2n), and
 cos(k pi i/n) depends only on k mod 2n: `_lattice_cosine_sum` folds the mode
 rows mod 2n and sums them with one real FFT of length 2n per grid line, a
 DCT-I along x for the surface extension and, with a half-sample twiddle,
-along y for the wave-maker extension.  At any other points each field is one matrix
+along y for the wave-maker extension.  The mode rows are built, folded and
+transformed a block of `_writer.block_rows(width)` grid lines at a time
+(width K+1 or n), so the evaluation needs O(nx ny) memory plus one block,
+whatever the mode counts.  At any other points each field is one matrix
 product over the modes: the x factors (`basis._phi`, or the lateral ratios)
 times the coefficient-scaled y factors (the depth ratios, or `_psi`, the one
 evaluator of the lateral family psi_k).  Both routes keep every partial sum
@@ -47,7 +51,7 @@ from typing import Optional
 import numpy as np
 import numpy.fft
 
-from ._writer import grid_rows, write_csv
+from ._writer import block_rows, grid_rows, write_csv
 from .basis import _SQRT_2_OVER_PI, _SQRT_PI, _phi, _readonly
 
 __all__ = [
@@ -116,11 +120,37 @@ def _psi(n: int, y: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _exp(z: np.ndarray) -> np.ndarray:
+    """exp(z) in z's own memory, bit for bit; below -746 it writes exp's +0.0 itself, as exp's path there is slow."""
+    under = np.less(z, -746.0)
+    np.exp(z, out=z, where=~under)
+    np.copyto(z, 0.0, where=under)
+    return z
+
+
 def _one_plus_exp(z: np.ndarray) -> np.ndarray:
     """1 + exp(z), in z's own memory."""
-    np.exp(z, out=z)
+    _exp(z)
     z += 1.0
     return z
+
+
+def _depth(y: np.ndarray, a: np.ndarray, den: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """coef times the depth factors of `dirichlet_values` at the points y (axis 0), den = 1 + exp(-2a)."""
+    depth = _exp(np.multiply.outer(y, a))
+    depth *= _one_plus_exp(np.multiply.outer(y + 1.0, -2.0 * a))
+    depth /= den
+    depth *= coef
+    return depth
+
+
+def _ratio(x: np.ndarray, c: np.ndarray, den: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """coef times the lateral ratios of `neumann_values` at the column of points x (axis 0), den = 1 - exp(-2 c pi)."""
+    ratio = _exp(np.multiply(-c, x))
+    ratio *= _one_plus_exp(np.multiply(-2.0 * c, math.pi - x))
+    ratio /= den
+    ratio *= coef
+    return ratio
 
 
 def _on_lattice(a: np.ndarray, start: float, stop: float) -> bool:
@@ -155,20 +185,19 @@ def dirichlet_values(eta: np.ndarray, mu: float, x, y) -> np.ndarray:
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    k = np.arange(eta.size)
-    a = math.sqrt(mu) * k
-    depth = np.multiply.outer(ya, a)
-    np.exp(depth, out=depth)
-    depth *= _one_plus_exp(np.multiply.outer(ya + 1.0, -2.0 * a))
-    depth /= 1.0 + np.exp(-2.0 * a)
+    a = math.sqrt(mu) * np.arange(eta.size)
+    den = _one_plus_exp(-2.0 * a)
     if not _on_lattice(xa, 0.0, math.pi):
-        depth *= eta
-        return _phi(k, xa) @ depth.T
+        return _phi(np.arange(eta.size), xa) @ _depth(ya, a, den, eta).T
     # phi_k(x_i) = phi_k(0) cos(k pi i/n)
     scaled = eta * _SQRT_2_OVER_PI
     scaled[0] = eta[0] / _SQRT_PI
-    depth *= scaled
-    return np.ascontiguousarray(_lattice_cosine_sum(depth, xa.size - 1, 0).T)
+    # a block of y rows at a time, each freed as its sums are stored
+    values = np.empty((xa.size, ya.size))
+    step = block_rows(eta.size)
+    for j in range(0, ya.size, step):
+        values[:, j : j + step] = _lattice_cosine_sum(_depth(ya[j : j + step], a, den, scaled), xa.size - 1, 0).T
+    return values
 
 
 def dirichlet_extension(eta: np.ndarray, mu: float, grid: FieldGrid) -> FieldGrid:
@@ -186,18 +215,18 @@ def neumann_values(profile: np.ndarray, mu: float, x, y) -> np.ndarray:
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     odd = 2 * np.arange(1, profile.size + 1) - 1
     c = odd * math.pi / (2.0 * math.sqrt(mu))
-    ratio = np.multiply(-c, xa)
-    np.exp(ratio, out=ratio)
-    ratio *= _one_plus_exp(np.multiply(-2.0 * c, math.pi - xa))
-    ratio /= -np.expm1(-2.0 * c * math.pi)
+    den = -np.expm1(-2.0 * c * math.pi)
     # a_k psi_k / sqrt(2), a_k = 2 sqrt(2 mu) v_k / ((2k-1) pi)
     amp = 2.0 * math.sqrt(mu) * profile / (odd * math.pi)
     if not _on_lattice(ya, -1.0, 0.0):
-        ratio *= amp
-        return ratio @ _psi(profile.size, ya).T
-    # psi_k(y_j) = sqrt(2) cos((2k-1) pi j/(2n))
-    ratio *= amp * math.sqrt(2.0)
-    return _lattice_cosine_sum(ratio, ya.size - 1, 1)
+        return _ratio(xa, c, den, amp) @ _psi(profile.size, ya).T
+    # psi_k(y_j) = sqrt(2) cos((2k-1) pi j/(2n)); a block of x rows at a time
+    amp *= math.sqrt(2.0)
+    values = np.empty((xa.size, ya.size))
+    step = block_rows(profile.size)
+    for i in range(0, xa.size, step):
+        values[i : i + step] = _lattice_cosine_sum(_ratio(xa[i : i + step], c, den, amp), ya.size - 1, 1)
+    return values
 
 
 def neumann_extension(profile: np.ndarray, mu: float, grid: FieldGrid) -> FieldGrid:

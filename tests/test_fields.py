@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from wavetank import fields
 from wavetank.fields import (
     FieldGrid,
     _constant_profile,
+    _exp,
     _psi,
     dirichlet_extension,
     dirichlet_values,
@@ -306,3 +310,59 @@ def test_fields_equal_their_broadcast_expressions_bitwise(mu, K, nx, ny):
     assert dirichlet_values(eta, mu, g.x, g.y).tobytes() == dirichlet_reference(eta, mu, g.x, g.y).tobytes()
     prof = rng.standard_normal(min(K, 512))
     assert neumann_values(prof, mu, g.x, g.y).tobytes() == neumann_reference(prof, mu, g.x, g.y).tobytes()
+
+
+# (K, nx, ny, L) cases of test_matrix_products_match_per_mode_loops, each in blocks of one grid line and of a
+# number of lines that divides neither nx nor ny
+@pytest.mark.parametrize("mu", [1.0, 1e-2, 1e-6, 1e-300])
+@pytest.mark.parametrize(
+    "K, nx, ny, L, lines",
+    [
+        pytest.param(1024, 300, 300, 512, 1, id="1024-300x300-benchmark-1-line"),
+        pytest.param(1024, 300, 300, 512, 7, id="1024-300x300-benchmark-7-lines"),
+        pytest.param(5000, 7, 9, 5000, 1, id="5000-7x9-many-wraps-1-line"),
+        pytest.param(5000, 7, 9, 5000, 2, id="5000-7x9-many-wraps-2-lines"),
+    ],
+)
+def test_regular_grid_fields_in_blocks_of_grid_lines(monkeypatch, mu, K, nx, ny, L, lines):
+    rng = np.random.default_rng(K)
+    x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
+    eta, prof = rng.standard_normal(K + 1), rng.standard_normal(L)
+    monkeypatch.setattr(fields, "block_rows", lambda width: max(nx, ny))  # one block
+    whole = dirichlet_values(eta, mu, x, y), neumann_values(prof, mu, x, y)
+    monkeypatch.setattr(fields, "block_rows", lambda width: lines)
+    assert dirichlet_values(eta, mu, x, y).tobytes() == whole[0].tobytes()
+    assert neumann_values(prof, mu, x, y).tobytes() == whole[1].tobytes()
+    test_matrix_products_match_per_mode_loops(mu, K, nx, ny, L)
+
+
+@pytest.mark.parametrize("lines", [1, 3])
+def test_regular_grid_property_in_blocks_of_grid_lines(monkeypatch, lines):
+    monkeypatch.setattr(fields, "block_rows", lambda width: lines)
+    test_regular_grid_fields_match_per_mode_loops()
+
+
+def test_regular_grid_fields_need_one_block_of_memory():
+    # K = L = 65536 on a 50 x 50 lattice: the whole (ny, K+1) or (nx, L) factor matrix and its temporary took 54 MB
+    rng = np.random.default_rng(7)
+    x, y = np.linspace(0.0, math.pi, 50), np.linspace(-1.0, 0.0, 50)
+    for values, coef in ((dirichlet_values, rng.standard_normal(65537)), (neumann_values, rng.standard_normal(65536))):
+        tracemalloc.start()
+        try:
+            values(coef, 1e-2, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, (values.__name__, peak)
+
+
+_EXP_EDGES = [-746.0, float(np.nextafter(-746.0, 0.0)), -745.1332191019412, -745.13, -708.4, -708.39, 0.0, 709.0]
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(-1000.0, 709.0)))
+@example(np.array(_EXP_EDGES))
+@example(np.array(_EXP_EDGES * 5)[::-1].copy())
+def test_exp_is_numpy_exp_bitwise(z):
+    # below -746 _exp writes +0.0 without calling exp; near -745.13 exp rounds to the smallest subnormal or to 0
+    assert _exp(z.copy()).tobytes() == np.exp(z).tobytes()
