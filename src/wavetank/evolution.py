@@ -26,13 +26,15 @@ and `limit_system` return, and an input is dt together with the runs
 (u, count) of constant u that it holds, in step order: u_m on
 [m dt, (m+1) dt), step by step.
 
-All stepping goes through one private generator, `_propagate`.  It fills
-(n_sys, K+1) buffers with the initial data, computes the coefficients once
-and the u terms once per run, steps in place without allocating and yields
-read-only views of the buffers
-after every step (two tuples of them, built once, one per parity of the step
-count), so a caller reduces them in O(n_sys K) memory (the sweep) or copies
-them into one reused block of rows, O(rows K) (`simulate`, through `_rows`).
+All stepping goes through one private generator, `_propagate`.  It holds a
+batch of systems as one stacked (2, n_sys, m) state, the elevation rows over
+the velocity rows, computes the coefficients once and the u terms once per
+run, steps between two such buffers without allocating and yields a
+read-only view of the current one after every step.  The elevation rows may
+carry a per-mode scale s, which turns a weighted norm of the elevation into
+a plain sum of squares.  A caller reduces the samples in O(n_sys K) memory
+(the sweep, which steps modes 1..K with s = sqrt(1+k)) or copies them into
+one reused block of rows, O(rows K) (`simulate`, through `_rows`).
 """
 
 from __future__ import annotations
@@ -64,23 +66,25 @@ def limit_system(K: int):
     return np.arange(K + 1, dtype=float), limit_forcing(K)
 
 
-def _propagate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
+def _propagate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt, scale=1.0):
     """The stepping loop: exact steps of a batch of systems from the same data under one input.
 
     Every system starts from zeta = zeta0 and zeta_t = zeta1 and is stepped
-    with u held at each run's u for its count of steps.  Yields (zeta, zeta_t),
-    each of shape (n_sys, K+1), at t = 0, dt, ..., n dt, n the total count.
-    They are read-only views of buffers that the next step overwrites, so a
-    consumer that keeps a sample copies it.  zeta0 and zeta1 are the
-    coefficient arrays of modes 0..K; ValueError if they and a system
-    disagree on K.
+    with u held at each run's u for its count of steps.  Yields the stacked
+    state Z of shape (2, n_sys, m) at t = 0, dt, ..., n dt, n the total count:
+    Z[0] = s zeta and Z[1] = zeta_t, where s = scale, a float or one elevation
+    weight per mode, is 1 by default.  Z is a read-only view of a buffer that
+    the next step overwrites, so a consumer that keeps a sample copies it.
+    zeta0 and zeta1 are the coefficients of the m modes stepped; ValueError if
+    they and a system disagree on m.
 
-    Each step maps a whole contiguous (zeta, zeta_t) pair of buffers into a
-    second pair, and the pairs swap.  The u terms (f Q) u and (f S) u are
-    formed once per run, and a term whose every entry is -0.0 is not added:
-    x + (-0.0) is x for every float x, signed zeros included.  Tank and string
-    have f < 0 and Q >= 0, so (f Q) u is all -0.0 on a run of u = 0.0.  Every
-    sample is bit-identical to the plain per-step formula
+    Each step maps Z into a second buffer as Z' = c Z + M Z[::-1] (+ G), one
+    multiply-add pass over the whole stack each, with M = [S s, -W/s] and
+    G = u [f Q s, f S], and the buffers swap; the cos row c is held once per
+    system and broadcast over both halves.  G is formed once per run and not
+    added when its every entry is -0.0: x + (-0.0) is x for every float x,
+    signed zeros included, and c zeta_t + (-W) zeta is c zeta_t - W zeta.
+    With s = 1 every sample is bit-identical to the plain per-step formula
     zeta' = (c zeta + S zeta_t) + (f Q) u, zeta_t' = (c zeta_t - W zeta) + (f S) u.
     """
     for w, _ in systems:
@@ -88,37 +92,33 @@ def _propagate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
             raise ValueError(
                 f"mode count mismatch: zeta0 K={zeta0.size - 1}, zeta1 K={zeta1.size - 1}, system K={w.size - 1}"
             )
-    shape = (len(systems), zeta0.size)
-    zeta, zeta_t, zeta_n, zeta_t_n, c, S, W, fQ, fS, gQ, gS, term = (_aligned(shape) for _ in range(12))
+    shape = (2, len(systems), zeta0.size)
+    Z, Z_n, M, G, term = (_aligned(shape) for _ in range(5))
+    c = _aligned(shape[1:])
     omega = np.stack([w for w, _ in systems])
     forcing = np.stack([f for _, f in systems])
     wdt, still = omega * dt, omega == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # omega = 0 takes the limits
         np.cos(wdt, out=c)
-        S[...] = np.where(still, dt, np.sin(wdt) / omega)
-        np.multiply(omega, np.sin(wdt), out=W)
+        S = np.where(still, dt, np.sin(wdt) / omega)
+        W = omega * np.sin(wdt)
         Q = np.where(still, 0.5 * dt * dt, 2.0 * np.square(np.sin(0.5 * wdt) / omega))
-    np.multiply(forcing, Q, out=fQ)
-    np.multiply(forcing, S, out=fS)
-    zeta[...], zeta_t[...] = zeta0, zeta1
-    # the samples after an even and after an odd number of steps
-    views, spare = (tuple(map(_readonly, pair)) for pair in ((zeta, zeta_t), (zeta_n, zeta_t_n)))
-    yield views
+    M[0], M[1] = S * scale, -W / scale
+    u_terms = np.stack([forcing * Q * scale, forcing * S])
+    Z[0], Z[1] = zeta0 * scale, zeta1
+    # each buffer with its halves swapped and its read-only view
+    state, spare = ((z, z[::-1], _readonly(z)) for z in (Z, Z_n))
+    yield state[2]
     for u, count in runs:
-        add_Q = not _negative_zeros(np.multiply(fQ, u, out=gQ))
-        add_S = not _negative_zeros(np.multiply(fS, u, out=gS))
+        add = not _negative_zeros(np.multiply(u_terms, u, out=G))
         for _ in range(count):
-            np.multiply(c, zeta, out=zeta_n)
-            np.add(zeta_n, np.multiply(S, zeta_t, out=term), out=zeta_n)
-            if add_Q:
-                np.add(zeta_n, gQ, out=zeta_n)
-            np.multiply(c, zeta_t, out=zeta_t_n)
-            np.subtract(zeta_t_n, np.multiply(W, zeta, out=term), out=zeta_t_n)
-            if add_S:
-                np.add(zeta_t_n, gS, out=zeta_t_n)
-            zeta, zeta_n, zeta_t, zeta_t_n = zeta_n, zeta, zeta_t_n, zeta_t
-            views, spare = spare, views
-            yield views
+            (z, swapped, _), (z_n, _, view) = state, spare
+            np.multiply(c, z, out=z_n)
+            np.add(z_n, np.multiply(M, swapped, out=term), out=z_n)
+            if add:
+                np.add(z_n, G, out=z_n)
+            state, spare = spare, state
+            yield view
 
 
 def _negative_zeros(a) -> bool:
@@ -139,8 +139,8 @@ def _rows(zeta0: np.ndarray, zeta1: np.ndarray, runs, dt: float, system, rows: i
     for start in range(0, n, rows):
         block = buf[: min(rows, n - start)]
         np.multiply(dt, np.arange(start, start + len(block)), out=block[:, 0])
-        for row, (z, z_t) in zip(block, samples):
-            row[1 : width + 1], row[width + 1 :] = z[0], z_t[0]
+        for row, z in zip(block, samples):
+            row[1:] = z.reshape(-1)
         bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
         if bad.size:
             raise ValueError(f"the state is not finite at t={block[bad[0], 0]:g}: the data or input overflow float64")

@@ -103,32 +103,30 @@ def run_sweep(mu_list: Sequence[float], zeta0: np.ndarray, zeta1: np.ndarray, ru
     """Evolve the limit and every tank as one batch from identical data, reducing the errors as it goes.
 
     K comes from the data; the input holds each run's u for its count of
-    steps of dt, in order, so the horizon is the total count times dt.  Each
-    step writes the squared error norms of every tank against the limit into
-    one row of a fixed block of _SWEEP_BLOCK + 1 rows; a full block is folded
-    into the running sup and the largest step-to-step change of the norms,
-    and its last row, carried to row 0, starts the next.  No trajectory is
-    kept.  The rates skip the largest mu, as fit_rate does, and are nan below
-    three mu.
+    steps of dt, in order, so the horizon is the total count times dt.  Mode 0
+    is the same in every system, so its error is 0 and only modes 1..K are
+    stepped, with sqrt(1+k) folded into the elevation rows.  Each step
+    subtracts the limit's rows from every tank's and writes both squared
+    error norms, each the dot product of a row of differences with itself,
+    into one row of a fixed block of _SWEEP_BLOCK + 1 rows; a full block is
+    folded into the running sup and the largest step-to-step change of the
+    norms, and its last row, carried to row 0, starts the next.  No
+    trajectory is kept.  The rates skip the largest mu, as fit_rate does,
+    and are nan below three mu.
     """
     mu_list = tuple(float(mu) for mu in mu_list)
     K = zeta0.size - 1
-    systems = [limit_system(K)] + [water_system(mu, K) for mu in mu_list]
-    # one weight row per mu: a same-shape product is about twice as fast as a broadcast row
-    w, diff = _aligned((len(mu_list), K + 1)), _aligned((len(mu_list), K + 1))
-    w[...] = sobolev_weights(K, 0.5)
+    # mode 0 is the same in every system (omega_0 = 0, f_0 = -1/sqrt(pi)), so its error is 0: step modes 1..K
+    modes = [(w[1:], f[1:]) for w, f in [limit_system(K)] + [water_system(mu, K) for mu in mu_list]]
+    # each tank's elevation and velocity rows less the limit's: a squared norm is a row of them times its column
+    diff = _aligned((2, len(mu_list), K))
+    rows, cols = diff[..., None, :], diff[..., :, None]
     # squared norms, their roots and the roots' step-to-step changes, one row per step
     block, norms = np.empty((2, _SWEEP_BLOCK + 1, 2, len(mu_list)))
+    products = block[..., None, None]  # the block's entries as (1, 1) matrices
     steps = np.empty((_SWEEP_BLOCK, 2, len(mu_list)))
     # the norms start at 0: every system starts from the same finite data
     sup, slack = np.zeros((2, len(mu_list))), np.zeros((2, len(mu_list)))
-
-    def squared_norms(zeta, zeta_t, row):
-        np.subtract(zeta[1:], zeta[0], out=diff)
-        np.multiply(np.square(diff, out=diff), w, out=diff)
-        np.add.reduce(diff, axis=1, out=row[0])
-        np.subtract(zeta_t[1:], zeta_t[0], out=diff)
-        np.add.reduce(np.square(diff, out=diff), axis=1, out=row[1])
 
     def fold(n):
         """Fold the squared norms in rows 0..n of the block into sup and slack; row n starts the next block."""
@@ -141,9 +139,10 @@ def run_sweep(mu_list: Sequence[float], zeta0: np.ndarray, zeta1: np.ndarray, ru
     # overflow surfaces as a non-finite norm, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         filled = -1
-        for zeta, zeta_t in _propagate(zeta0, zeta1, systems, runs, dt):
+        for state in _propagate(zeta0[1:], zeta1[1:], modes, runs, dt, np.sqrt(sobolev_weights(K, 0.5)[1:])):
             filled += 1
-            squared_norms(zeta, zeta_t, block[filled])
+            np.subtract(state[:, 1:], state[:, :1], out=diff)
+            np.matmul(rows, cols, out=products[filled])
             if filled == _SWEEP_BLOCK:
                 fold(filled)
                 filled = 0

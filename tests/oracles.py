@@ -111,8 +111,8 @@ def expand(runs) -> np.ndarray:
 def step(state, u: float, dt: float, system):
     """Advance one system's state (zeta, zeta_t), two (K+1)-arrays, one step of length dt with the input held
     at u."""
-    *_, (zeta, zeta_t) = _propagate(*map(np.asarray, state), [system], [(float(u), 1)], float(dt))
-    return zeta[0].copy(), zeta_t[0].copy()
+    *_, last = _propagate(*map(np.asarray, state), [system], [(float(u), 1)], float(dt))
+    return last[0, 0].copy(), last[1, 0].copy()
 
 
 def evolve(zeta0, zeta1, runs, dt, system):

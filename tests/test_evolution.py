@@ -235,8 +235,9 @@ def test_superposition_in_data_and_input(data, K, dt, n):
 
 
 def _samples(zeta0, zeta1, systems, values, dt):
-    """Every sample of _propagate under the per-step input values, copied."""
-    return [tuple(a.copy() for a in sample) for sample in _propagate(zeta0, zeta1, systems, runs_of(values), dt)]
+    """Every sample of _propagate under the per-step input values, copied: (2, n_sys, K+1) arrays of the
+    elevation rows, then the velocity rows."""
+    return [sample.copy() for sample in _propagate(zeta0, zeta1, systems, runs_of(values), dt)]
 
 
 @settings(deadline=None)
@@ -339,11 +340,47 @@ def test_propagate_agrees_with_the_rotation_stepper(batch):
 def test_propagate_yields_read_only_views_that_the_second_step_reuses():
     system = limit_system(3)
     zeta0, zeta1 = unit(1, 3), unit(2, 3)
-    samples = list(_propagate(zeta0, zeta1, [system], [(1.0, 1), (2.0, 1)], 0.1))
-    assert not any(a.flags.writeable for a in samples[0] + samples[2])
-    assert all(np.shares_memory(a, b) for a, b in zip(samples[0], samples[2]))
+    samples = list(_propagate(zeta0, zeta1, [system, system], [(1.0, 1), (2.0, 1)], 0.1))
+    # one stacked state per sample: the elevation rows of both systems, then their velocity rows
+    assert all(a.shape == (2, 2, 4) and a.flags.c_contiguous and not a.flags.writeable for a in samples)
+    assert np.shares_memory(samples[0], samples[2])
+    assert not np.shares_memory(samples[0], samples[1])
     # the kernel steps its own buffers
-    assert not any(np.shares_memory(a, b) for a in (zeta0, zeta1) for b in samples[2])
+    assert not any(np.shares_memory(a, samples[2]) for a in (zeta0, zeta1))
+
+
+# finite floats away from the subnormal range, so that no product of a few steps rounds on the subnormal grid,
+# where scaling by a power of two is not exact
+_NORMAL = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 2.0**-64)
+
+
+@st.composite
+def _normal_batches(draw):
+    """(systems, zeta0, zeta1, dt, input values, per-mode power-of-two scales) for one batch sharing K."""
+    K = draw(st.integers(1, 6))
+    vectors = st.lists(_NORMAL, min_size=K + 1, max_size=K + 1).map(np.array)
+    omega = st.lists(st.floats(0.1, 100.0), min_size=K, max_size=K).map(lambda w: np.array([0.0, *w]))
+    systems = draw(st.lists(st.tuples(omega, vectors.map(lambda f: f / 10.0)), min_size=1, max_size=3))
+    values = draw(st.lists(_NORMAL, min_size=1, max_size=20))
+    scale = 2.0 ** np.array(draw(st.lists(st.integers(-8, 8), min_size=K + 1, max_size=K + 1)))
+    return systems, draw(vectors), draw(vectors), draw(st.floats(1e-3, 10.0)), values, scale
+
+
+@settings(deadline=None)
+@example(batch=(*_SIGNED_ZEROS, np.array([0.5, 4.0, 0.25])))
+@example(batch=(*_NEGATIVE_FORCING, np.array([2.0, 0.125, 8.0])))
+@given(batch=_normal_batches())
+def test_propagate_folds_a_power_of_two_scale_into_the_elevation_rows_exactly(batch):
+    # scaling by a power of two is exact away from overflow and the subnormals, so with the elevation rows
+    # stepped as s zeta (M = [S s, -W/s], u terms [f Q s, f S]) every sample is bitwise s times the unscaled
+    # elevation, and the velocity rows are bitwise the unscaled ones
+    systems, z0, z1, dt, values, scale = batch
+    plain = _samples(z0, z1, systems, values, dt)
+    scaled = [sample.copy() for sample in _propagate(z0, z1, systems, runs_of(values), dt, scale)]
+    assert len(scaled) == len(plain) == len(values) + 1
+    for a, b in zip(plain, scaled):
+        np.testing.assert_array_equal(_bits(b[0]), _bits(scale * a[0]))
+        np.testing.assert_array_equal(_bits(b[1]), _bits(a[1]))
 
 
 @pytest.mark.parametrize("on, off, amplitude", [(0.25, 1.5, 1.5), (0.0, math.inf, 0.75)], ids=["pulse", "const"])
