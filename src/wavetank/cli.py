@@ -9,14 +9,17 @@ Commands
 
 Configuration is a flat key=value file (one pair per line, `#` comments);
 command-line flags override file values, and a flag value may hold neither
-`#` nor a line break.  Exit codes: 0 success, 1 usage, configuration or
+`#` nor a line break.  A flag is --KEY VALUE or --KEY=VALUE, KEY a key with
+'-' for '_' or a unique prefix of one (an exact name wins); a separate VALUE
+is the next argument, whatever it holds.  The command may stand anywhere
+among the flags, a repeated flag keeps its last value, and every argument
+after `--` is the command.  Exit codes: 0 success, 1 usage, configuration or
 output error, non-finite results, or a run too large to allocate, 2 audit
 failure (some row of verify fails).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
@@ -408,10 +411,56 @@ def dispatch(cfg: RunConfig) -> int:
         raise
 
 
-def _config_help() -> str:
-    lines = ["configuration keys (file and/or flags; defaults in brackets):"]
-    for key, (default, _, text) in CONFIG_KEYS.items():
-        lines.append(f"  {key:<8} {text}  [{default or '1e-3*tau'}]")
+# each flag and the name it sets: help, the config file's path, or a config key
+_FLAGS = {"-h": "help", "--help": "help", "--config": "config", **{f"--{k.replace('_', '-')}": k for k in CONFIG_KEYS}}
+
+
+def _parse_argv(argv) -> Tuple[Optional[str], Optional[str], dict]:
+    """(command, config path, key overrides) of a command line, in the grammar of the module docstring.
+
+    The command is None when the line asks for help.  ConfigError names the first misuse.
+    """
+    command, values, args, flags_end = None, {}, iter(argv), False
+    for arg in args:
+        if flags_end or not arg.startswith("-") or arg == "-":
+            if command is not None:
+                raise ConfigError(f"expected one command, got {command!r} and {arg!r}")
+            command = arg
+            continue
+        if arg == "--":
+            flags_end = True
+            continue
+        name, eq, value = arg.partition("=")
+        found = [name] if name in _FLAGS else [f for f in _FLAGS if f.startswith(name)]
+        if len(found) != 1:
+            raise ConfigError(f"ambiguous flag {name}: {', '.join(found)}" if found else f"unknown flag {name}")
+        key = _FLAGS[found[0]]
+        if key == "help":
+            return None, None, {}
+        if not eq:
+            value = next(args, None)
+            if value is None:
+                raise ConfigError(f"flag {found[0]} needs a value")
+        values[key] = value
+    if command not in COMMANDS:
+        got = "no command" if command is None else f"unknown command {command!r}"
+        raise ConfigError(f"{got}; expected one of {', '.join(COMMANDS)}")
+    return command, values.pop("config", None), values
+
+
+def _help() -> str:
+    lines = [
+        f"usage: wavetank {{{','.join(COMMANDS)}}} [--config PATH] [--KEY VALUE ...]",
+        "",
+        __doc__.strip(),
+        "",
+        "options (flag --KEY sets the configuration key KEY, with '_' for '-'; defaults in brackets):",
+        "  -h, --help           print this help and exit",
+        "  --config PATH        key=value configuration file",
+    ]
+    for key, (default, metavar, text) in CONFIG_KEYS.items():
+        flag = f"--{key.replace('_', '-')} {metavar}"
+        lines.append(f"  {flag:<20} {text}  [{default or '1e-3*tau'}]")
     lines += [
         "",
         "initial-data mini-language (init, init1):",
@@ -420,41 +469,28 @@ def _config_help() -> str:
         "signal mini-language: zero | const:AMP | pulse:T0:T1:AMP (held on [T0, T1), T0 < T1,",
         "  which must hold a step start m*dt < tau)",
     ]
-    return "\n".join(lines)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wavetank",
-        description=__doc__,
-        epilog=_config_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", metavar="PATH", help="key=value configuration file")
-    for key, (_, metavar, _) in CONFIG_KEYS.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar=metavar)
-    return parser
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors; remap usage to 1
-        return 0 if exc.code == 0 else 1
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        command, config, overrides = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except ConfigError as exc:
+        print(f"wavetank: usage error: {exc} (wavetank --help lists the flags)", file=sys.stderr)
+        return 1
+    if command is None:
+        sys.stdout.write(_help())
+        return 0
     try:
         file_text = ""
         source = "<defaults>"
-        if args.config is not None:
+        if config is not None:
             try:
-                file_text = Path(args.config).read_text()
+                file_text = Path(config).read_text()
             except OSError as exc:
-                raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
-            source = args.config
-        cfg = parse_config(args.command, file_text, overrides, source=source)
+                raise ConfigError(f"cannot read config file {config!r}: {exc}") from None
+            source = config
+        cfg = parse_config(command, file_text, overrides, source=source)
     except (ConfigError, MemoryError) as exc:
         print(f"wavetank: config error: {exc}", file=sys.stderr)
         return 1

@@ -32,12 +32,13 @@ numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import _SQRT_2_OVER_PI, _SQRT_PI, sobolev_weights
+from .basis import _SQRT_2_OVER_PI, _SQRT_PI, _readonly, sobolev_weights
 
 __all__ = [
     "limit_forcing",
@@ -90,7 +91,8 @@ def limit_forcing(K: int) -> np.ndarray:
 
 def _check_kernel_args(k):
     ka = np.asarray(k, dtype=float)
-    if np.any(ka < 1):
+    # nan fails both comparisons, so it is rejected with inf
+    if ka.size and not (ka.min() >= 1.0 and ka.max() < math.inf):
         raise ValueError("comparison kernels are defined for k >= 1")
     return ka
 
@@ -119,11 +121,13 @@ def comparison_kernels(mu: float, k) -> _Kernels:
     """
     ka = _check_kernel_args(k)
     h = _h(math.sqrt(mu) * ka)
-    sig = ka**2 * h
+    k2 = ka**2
+    sig = k2 * h
+    one_k2, one_sig = 1.0 + k2, 1.0 + sig
     root_h = np.sqrt(h)
     return _Kernels(
-        F=1.0 / (1.0 + ka**2) - 1.0 / (1.0 + sig),
-        G=ka / (1.0 + ka**2) - np.sqrt(sig) / (1.0 + sig),
+        F=1.0 / one_k2 - 1.0 / one_sig,
+        G=ka / one_k2 - np.sqrt(sig) / one_sig,
         I=root_h - 1.0,
         J=(1.0 + ka) / (1.0 + ka * root_h) - 1.0,
         H_sum=0.5 * mu * h,
@@ -160,4 +164,10 @@ def bmu_dual_norm_gap(mu: float, K: int) -> float:
     proved.  Mode 0 cancels exactly.
     """
     gap = wave_maker_forcing(mu, K) - limit_forcing(K)
-    return float(np.sqrt(np.sum(sobolev_weights(K, -1.0) * gap**2)))
+    return float(np.sqrt(np.sum(_dual_weights(K) * gap**2)))
+
+
+@functools.cache
+def _dual_weights(K: int) -> np.ndarray:
+    """sobolev_weights(K, -1.0), read-only: built once per K, however many mu share it."""
+    return _readonly(sobolev_weights(K, -1.0))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import tracemalloc
 import warnings
@@ -499,7 +501,60 @@ def test_help_exits_zero(capsys):
     for key, (_, metavar, _) in cli.CONFIG_KEYS.items():
         flag = f"--{key.replace('_', '-')}"
         assert f"{flag} {metavar}" in text
-        assert getattr(cli._build_parser().parse_args(["verify", flag, "x"]), key) == "x"
+        assert cli._parse_argv(["verify", flag, "x"])[2][key] == "x"
+    assert main(["verify", "-h", "--bogus"]) == 0
+    assert capsys.readouterr().out == text
+
+
+# every flag of the command line: help, the config file, and one per config key
+_FLAG_NAMES = ["--help", "--config", *(f"--{key.replace('_', '-')}" for key in cli.CONFIG_KEYS)]
+
+
+def _spellings(flag):
+    """The flag and each shorter prefix of it that no other flag starts with."""
+    return [flag[:n] for n in range(3, len(flag))
+            if [f for f in _FLAG_NAMES if f.startswith(flag[:n])] == [flag]] + [flag]
+
+
+def _grammar_line(data):
+    """A drawn command line of flags in every spelling around one command, and the (key, value) pairs it sets."""
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(["config", *cli.CONFIG_KEYS]), st.text(max_size=8))))
+    groups = []
+    for key, value in pairs:
+        spelled = data.draw(st.sampled_from(_spellings(f"--{key.replace('_', '-')}")))
+        groups.append(data.draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"]])))
+    command = data.draw(st.sampled_from(cli.COMMANDS))
+    groups.insert(data.draw(st.integers(0, len(groups))), [command])
+    return groups, command, pairs
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_flag_grammar_reads_every_spelling_and_rejects_each_misuse_in_one_line(data):
+    groups, command, pairs = _grammar_line(data)
+    expected = dict(pairs)  # a repeated key keeps its last value
+    config = expected.pop("config", None)
+    assert cli._parse_argv([arg for group in groups for arg in group]) == (command, config, expected)
+    # each misuse, spliced in between two flags or at the end, is a usage error of one stderr line
+    at = data.draw(st.integers(0, len(groups)))
+    misuses = [
+        groups[:at] + [["--bogus", "1"]] + groups[at:],
+        groups + [[data.draw(st.sampled_from(_FLAG_NAMES[1:]))]],
+        groups[:at] + [["--k-m", "3"]] + groups[at:],
+        groups[:at] + [[data.draw(st.sampled_from(cli.COMMANDS))]] + groups[at:],
+        [group for group in groups if group != [command]],
+    ]
+    for misuse in misuses:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([arg for group in misuse for arg in group]) == 1
+        assert err.getvalue().startswith("wavetank: usage error: ") and err.getvalue().count("\n") == 1
+
+
+def test_flags_stop_at_a_double_dash():
+    assert cli._parse_argv(["--mu", "-1", "--", "verify"]) == ("verify", None, {"mu": "-1"})
+    with pytest.raises(ConfigError, match="expected one command, got 'verify' and '--mu'"):
+        cli._parse_argv(["--", "verify", "--mu", "1"])
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

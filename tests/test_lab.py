@@ -13,6 +13,8 @@ from wavetank.evolution import _propagate, limit_system, water_system
 from wavetank.lab import (
     _SWEEP_BLOCK,
     DEFAULT_MU_GRID,
+    GAP_K,
+    GAP_MU_GRID,
     ORACLE_K_SAMPLES,
     KernelAudit,
     _oracle_modes,
@@ -24,7 +26,7 @@ from wavetank.lab import (
     sweep_summary,
     write_sweep_csv,
 )
-from wavetank.operators import comparison_kernels
+from wavetank.operators import comparison_kernels, limit_forcing, wave_maker_forcing
 
 from oracles import pulse_values, runs_of, unit
 from reference_stepper import reference_step
@@ -308,6 +310,19 @@ def test_bmu_rate_table_scaling():
     assert gaps[0] > gaps[1]  # gap decreases with mu
     assert spread.value == max(r.value for r in scaled) / min(r.value for r in scaled)
     assert spread.value < 2.0 and audit.passed
+
+
+def test_bmu_rate_table_rows_equal_an_uncached_per_mu_reference_bitwise():
+    # the dual-norm weights are built once per K and shared by every mu; each row stays the per-mu formula
+    def scaled_gap(mu, K):
+        gap = wave_maker_forcing(mu, K) - limit_forcing(K)
+        return float(np.sqrt(np.sum(sobolev_weights(K, -1.0) * gap**2))) * mu ** (-0.25)
+
+    for mu_grid, K in ((GAP_MU_GRID, GAP_K), ((1.0, 1e-3, 1e-9), 37), (GAP_MU_GRID, GAP_K)):
+        *rows, spread = bmu_rate_table(mu_grid, K).rows
+        reference = [scaled_gap(mu, K) for mu in mu_grid]
+        assert [row.value.hex() for row in rows] == [value.hex() for value in reference]
+        assert spread.value.hex() == (max(reference) / min(reference)).hex()
 
 
 def test_forcing_gap_spread_of_two_fails():

@@ -173,6 +173,15 @@ class TestKernels:
             with pytest.raises(ValueError):
                 kernel_H_sum(0.5, np.atleast_1d(k), 10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_kernels_reject_non_finite_modes(self, bad):
+        # nan and inf used to pass the k >= 1 check: nan kernels, and a lateral sum of 0 at k = inf
+        for k in ([bad], [1.0, bad]):
+            with pytest.raises(ValueError, match="defined for k >= 1"):
+                comparison_kernels(0.1, k)
+            with pytest.raises(ValueError, match="defined for k >= 1"):
+                kernel_H_sum(0.1, k, 10)
+
     def test_bound_invariants_on_subgrid(self):
         k = np.arange(1, 2001, dtype=float)
         for mu in (1.0, 1e-2, 1e-4, 1e-6):

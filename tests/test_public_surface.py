@@ -105,8 +105,9 @@ NOT_RUN_BY_A_COMMAND = {
 def test_every_src_function_runs_under_a_command(tmp_path):
     from wavetank._writer import _digit_table, _exponent_table
     from wavetank.cli import main
+    from wavetank.operators import _dual_weights
 
-    for table in (_digit_table, _exponent_table):
+    for table in (_digit_table, _exponent_table, _dual_weights):
         table.cache_clear()  # built once per process: let the traced commands build it
     small = ["--k-modes", "4", "--tau", "0.1", "--dt", "0.05", "--k-max", "10", "--l-modes", "10"]
     runs = [
@@ -119,6 +120,7 @@ def test_every_src_function_runs_under_a_command(tmp_path):
         ["simulate", "--mu", "0"],  # a config error
         ["simulate", "--k-modes", "4", "--tau", "10", "--dt", "0.05", "--signal", "const:1e308"],  # a run error
         ["sweep", *small, "--mu-list", "1e-1"],  # an output error: summary.txt is a directory
+        ["--help"],
     ]
     (tmp_path / "8" / "summary.txt").mkdir(parents=True)
     called = set()
@@ -127,7 +129,7 @@ def test_every_src_function_runs_under_a_command(tmp_path):
         exits = [main([*argv, "--out", str(tmp_path / str(i))]) for i, argv in enumerate(runs)]
     finally:
         sys.setprofile(None)
-    assert exits == [0, 0, 0, 0, 0, 0, 1, 1, 1]
+    assert exits == [0, 0, 0, 0, 0, 0, 1, 1, 1, 0]
     entered = {(Path(code.co_filename).resolve(), code.co_name, code.co_firstlineno) for code in called}
     never_run = {name for key, name in _src_functions().items() if key not in entered}
     assert sorted(never_run) == sorted(NOT_RUN_BY_A_COMMAND)
@@ -160,3 +162,11 @@ def test_commands_import_nothing_after_cli(argv, tmp_path):
         check=True,
     )
     assert run.stdout.splitlines()[-1] == "0"
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_gettext():
+    # argparse's first parse in a process costs milliseconds of gettext and locale lookups, paid by every command
+    code = "import sys, wavetank.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(wavetank.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
