@@ -354,8 +354,11 @@ def grid_rows(x, y, values):
 
 
 def write_csv(path, header: str, blocks) -> None:
-    """Write the header line, then each block of CSV text (bytes or bytearray)."""
+    """Write the header line, then each block of CSV text (bytes or bytearray).
+
+    `writelines` drops each block once written, before it asks for the next,
+    so one block of text is alive at a time.
+    """
     with _atomic(path) as fh:
         fh.write((header + "\n").encode("ascii"))
-        for block in blocks:
-            fh.write(block)
+        fh.writelines(blocks)

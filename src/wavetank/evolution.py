@@ -26,15 +26,16 @@ and `limit_system` return, and an input is dt together with the runs
 (u, count) of constant u that it holds, in step order: u_m on
 [m dt, (m+1) dt), step by step.
 
-All stepping goes through one private generator, `_propagate`.  It holds a
-batch of systems as one stacked (2, n_sys, m) state, the elevation rows over
-the velocity rows, computes the coefficients once and the u terms once per
-run, steps between two such buffers without allocating and yields a
-read-only view of the current one after every step.  The elevation rows may
-carry a per-mode scale s, which turns a weighted norm of the elevation into
-a plain sum of squares.  A caller reduces the samples in O(n_sys K) memory
-(the sweep, which steps modes 1..K with s = sqrt(1+k)) or copies them into
-one reused block of rows, O(rows K) (`simulate`, through `_rows`).
+Stepping goes through two private generators, each over a batch of systems
+that share the data and the input, with the coefficients computed once and
+the u terms once per run.  `_propagate` steps every mode, omega = 0 included,
+as one stacked (2, n_sys, m) state, the elevation rows over the velocity
+rows; `simulate` copies its samples into one reused block of rows through
+`_rows`.  `_rotate` steps modes with omega > 0 as one complex (n_sys, m)
+array chi = zeta_t - i omega zeta, whose exact step is a rotation plus the
+input term, chi' = e^(-i omega dt) chi + f u (S - i omega Q): one complex
+multiply, and an add inside a run of nonzero u.  |chi|^2 is the mode energy.
+The sweep steps modes 1..K that way and reduces each sample in O(n_sys K).
 """
 
 from __future__ import annotations
@@ -66,46 +67,50 @@ def limit_system(K: int):
     return np.arange(K + 1, dtype=float), limit_forcing(K)
 
 
-def _propagate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt, scale=1.0):
-    """The stepping loop: exact steps of a batch of systems from the same data under one input.
-
-    Every system starts from zeta = zeta0 and zeta_t = zeta1 and is stepped
-    with u held at each run's u for its count of steps.  Yields the stacked
-    state Z of shape (2, n_sys, m) at t = 0, dt, ..., n dt, n the total count:
-    Z[0] = s zeta and Z[1] = zeta_t, where s = scale, a float or one elevation
-    weight per mode, is 1 by default.  Z is a read-only view of a buffer that
-    the next step overwrites, so a consumer that keeps a sample copies it.
-    zeta0 and zeta1 are the coefficients of the m modes stepped; ValueError if
-    they and a system disagree on m.
-
-    Each step maps Z into a second buffer as Z' = c Z + M Z[::-1] (+ G), one
-    multiply-add pass over the whole stack each, with M = [S s, -W/s] and
-    G = u [f Q s, f S], and the buffers swap; the cos row c is held once per
-    system and broadcast over both halves.  G is formed once per run and not
-    added when its every entry is -0.0: x + (-0.0) is x for every float x,
-    signed zeros included, and c zeta_t + (-W) zeta is c zeta_t - W zeta.
-    With s = 1 every sample is bit-identical to the plain per-step formula
-    zeta' = (c zeta + S zeta_t) + (f Q) u, zeta_t' = (c zeta_t - W zeta) + (f S) u.
-    """
+def _stack(zeta0: np.ndarray, zeta1: np.ndarray, systems):
+    """The omegas and the forcings of a batch as two (n_sys, m) arrays; ValueError unless the data and every
+    system agree on the number m of modes."""
     for w, _ in systems:
         if not zeta0.shape == zeta1.shape == w.shape:
             raise ValueError(
                 f"mode count mismatch: zeta0 K={zeta0.size - 1}, zeta1 K={zeta1.size - 1}, system K={w.size - 1}"
             )
-    shape = (2, len(systems), zeta0.size)
+    return np.stack([w for w, _ in systems]), np.stack([f for _, f in systems])
+
+
+def _propagate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
+    """The stepping loop: exact steps of a batch of systems from the same data under one input.
+
+    Every system starts from zeta = zeta0 and zeta_t = zeta1 and is stepped
+    with u held at each run's u for its count of steps.  Yields the stacked
+    state Z of shape (2, n_sys, m) at t = 0, dt, ..., n dt, n the total count:
+    Z[0] = zeta and Z[1] = zeta_t.  Z is a read-only view of a buffer that the
+    next step overwrites, so a consumer that keeps a sample copies it.  zeta0
+    and zeta1 are the coefficients of the m modes stepped; ValueError if they
+    and a system disagree on m.
+
+    Each step maps Z into a second buffer as Z' = c Z + M Z[::-1] (+ G), one
+    multiply-add pass over the whole stack each, with M = [S, -W] and
+    G = u [f Q, f S], and the buffers swap; the cos row c is held once per
+    system and broadcast over both halves.  G is formed once per run and not
+    added when its every entry is -0.0: x + (-0.0) is x for every float x,
+    signed zeros included, and c zeta_t + (-W) zeta is c zeta_t - W zeta.
+    So every sample is bit-identical to the plain per-step formula
+    zeta' = (c zeta + S zeta_t) + (f Q) u, zeta_t' = (c zeta_t - W zeta) + (f S) u.
+    """
+    omega, forcing = _stack(zeta0, zeta1, systems)
+    shape = (2,) + omega.shape
     Z, Z_n, M, G, term = (_aligned(shape) for _ in range(5))
     c = _aligned(shape[1:])
-    omega = np.stack([w for w, _ in systems])
-    forcing = np.stack([f for _, f in systems])
     wdt, still = omega * dt, omega == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # omega = 0 takes the limits
         np.cos(wdt, out=c)
         S = np.where(still, dt, np.sin(wdt) / omega)
         W = omega * np.sin(wdt)
         Q = np.where(still, 0.5 * dt * dt, 2.0 * np.square(np.sin(0.5 * wdt) / omega))
-    M[0], M[1] = S * scale, -W / scale
-    u_terms = np.stack([forcing * Q * scale, forcing * S])
-    Z[0], Z[1] = zeta0 * scale, zeta1
+    M[0], M[1] = S, -W
+    u_terms = np.stack([forcing * Q, forcing * S])
+    Z[0], Z[1] = zeta0, zeta1
     # each buffer with its halves swapped and its read-only view
     state, spare = ((z, z[::-1], _readonly(z)) for z in (Z, Z_n))
     yield state[2]
@@ -118,6 +123,48 @@ def _propagate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt, scale=1.
             if add:
                 np.add(z_n, G, out=z_n)
             state, spare = spare, state
+            yield view
+
+
+def _rotate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
+    """The stepping loop of modes with omega > 0, in the complex variable chi = zeta_t - i omega zeta.
+
+    Starts and steps the batch as `_propagate` does and yields chi's float
+    view at t = 0, dt, ..., n dt: the (n_sys, 2m) pairs
+    (Re chi_k, Im chi_k) = (zeta_t_k, -omega_k zeta_k), a read-only view of the
+    one buffer that every step overwrites in place.  ValueError if the data and
+    a system disagree on m, or if a mode has omega <= 0 (or nan).
+
+    Each step is chi <- r chi, r = e^(-i omega dt), and inside a run of nonzero
+    u then chi <- chi + u T, T = f (sin(omega dt) - 2i sin(omega dt/2)^2) / omega
+    formed once per run.  |r| = 1, so under u = 0 |chi|^2 moves by roundoff
+    only.  omega zeta0 can overflow where zeta0 does not: chi then starts
+    non-finite, and stays so, under the caller's np.errstate.
+    """
+    omega, forcing = _stack(zeta0, zeta1, systems)
+    if not (omega > 0.0).all():
+        raise ValueError("the rotation kernel steps modes with omega > 0 only")
+    rotation, term, chi, uterm = (_aligned(omega.shape, complex) for _ in range(4))
+    wdt = omega * dt
+    sin, half = np.sin(wdt), np.sin(0.5 * wdt)
+    np.cos(wdt, out=rotation.real)
+    np.negative(sin, out=rotation.imag)
+    np.multiply(forcing, sin / omega, out=term.real)
+    # 2 sin(omega dt/2)^2 / omega as 2 half (half / omega), which does not underflow where half^2 would
+    np.multiply(forcing, -2.0 * half * (half / omega), out=term.imag)
+    chi.real = zeta1
+    np.multiply(omega, zeta0, out=chi.imag)
+    np.negative(chi.imag, out=chi.imag)
+    view = _readonly(chi.view(float))
+    yield view
+    for u, count in runs:
+        add = u != 0.0
+        if add:
+            np.multiply(term, u, out=uterm)
+        for _ in range(count):
+            np.multiply(chi, rotation, out=chi)
+            if add:
+                np.add(chi, uterm, out=chi)
             yield view
 
 

@@ -23,9 +23,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._writer import row_blocks, write_csv
+from ._writer import block_rows, row_blocks, write_csv
 from .basis import _aligned, sobolev_weights
-from .evolution import _propagate, limit_system, water_system
+from .evolution import _rotate, limit_system, water_system
 from .operators import bmu_dual_norm_gap, comparison_kernels, kernel_H_sum
 
 __all__ = [
@@ -54,6 +54,8 @@ GAP_K = 16_384
 ORACLE_K_SAMPLES = 64
 # steps whose error norms run_sweep folds into sup and slack together
 _SWEEP_BLOCK = 256
+# modes whose comparison kernels an audit evaluates at once, so its memory is one block's, whatever k_max or K
+_AUDIT_BLOCK = block_rows(1)
 
 PROVEN_TOL = 1e-12  # relative slack allowed on proven envelopes
 # the forcing-gap spread must stay strictly below 2: the largest float under 2
@@ -99,34 +101,59 @@ def fit_rate(mu: Sequence[float], err: Sequence[float]) -> float:
     return float(np.sum(x * (y - y.mean())) / sxx) if sxx > 0 else float("nan")
 
 
+def _sweep_reduction(modes):
+    """The fixed operands of the sweep's per-step reduction, for the limit's modes and then each tank's.
+
+    weights (n_sys, 2K), 1 on the real and -sqrt(1+k)/omega on the imaginary
+    slots, turn chi's float view into the pairs (zeta_t, sqrt(1+k) zeta).
+    differences [-1 | I] take each tank's pairs less the limit's, bitwise the
+    subtraction on finite data (every product by 0 or +-1 and every added zero
+    is exact).  select (2, 2K) picks the elevation slots in row 0 and the
+    velocity slots in row 1.
+    """
+    omega = np.stack([w for w, _ in modes])
+    n_sys, K = omega.shape
+    weights = _aligned((n_sys, K, 2))
+    weights[..., 0] = 1.0
+    np.divide(-np.sqrt(sobolev_weights(K, 0.5)[1:]), omega, out=weights[..., 1])
+    differences = np.hstack([np.full((n_sys - 1, 1), -1.0), np.eye(n_sys - 1)])
+    select = np.zeros((2, K, 2))
+    select[0, :, 1] = select[1, :, 0] = 1.0
+    return weights.reshape(n_sys, 2 * K), differences, select.reshape(2, 2 * K)
+
+
 def run_sweep(mu_list: Sequence[float], zeta0: np.ndarray, zeta1: np.ndarray, runs, dt: float) -> SweepReport:
     """Evolve the limit and every tank as one batch from identical data, reducing the errors as it goes.
 
     K comes from the data; the input holds each run's u for its count of
     steps of dt, in order, so the horizon is the total count times dt.  Mode 0
     is the same in every system, so its error is 0 and only modes 1..K are
-    stepped, with sqrt(1+k) folded into the elevation rows.  Each step
-    subtracts the limit's rows from every tank's and writes both squared
-    error norms, each the dot product of a row of differences with itself,
-    into one row of a fixed block of _SWEEP_BLOCK + 1 rows; a full block is
-    folded into the running sup and the largest step-to-step change of the
-    norms, and its last row, carried to row 0, starts the next.  No
-    trajectory is kept.  The rates skip the largest mu, as fit_rate does,
-    and are nan below three mu.
+    stepped, by `evolution._rotate`.  Each step weighs chi's float view into
+    the pairs (zeta_t, sqrt(1+k) zeta), takes every tank's pairs less the
+    limit's with one product by [-1 | I], squares them and sums both squared
+    error norms of every tank with one product by a 0/1 selector, into one row
+    of a fixed block of _SWEEP_BLOCK + 1 rows.  A full block is folded into the
+    running sup and the largest step-to-step change of the norms, and its last
+    row, carried to row 0, starts the next.  No trajectory is kept.  The rates
+    skip the largest mu, as fit_rate does, and are nan below three mu.
+
+    ValueError names the first tank whose norms are not finite.  A state that
+    overflows makes every tank's norms nan through the product (0 * inf), so
+    then the first tank whose own state, or the limit's, is not finite is named.
     """
     mu_list = tuple(float(mu) for mu in mu_list)
-    K = zeta0.size - 1
+    K, n_mu = zeta0.size - 1, len(mu_list)
     # mode 0 is the same in every system (omega_0 = 0, f_0 = -1/sqrt(pi)), so its error is 0: step modes 1..K
     modes = [(w[1:], f[1:]) for w, f in [limit_system(K)] + [water_system(mu, K) for mu in mu_list]]
-    # each tank's elevation and velocity rows less the limit's: a squared norm is a row of them times its column
-    diff = _aligned((2, len(mu_list), K))
-    rows, cols = diff[..., None, :], diff[..., :, None]
+    weights, differences, select = _sweep_reduction(modes)
+    pairs = _aligned(weights.shape)
+    diff = _aligned((n_mu, 2 * K))
     # squared norms, their roots and the roots' step-to-step changes, one row per step
-    block, norms = np.empty((2, _SWEEP_BLOCK + 1, 2, len(mu_list)))
-    products = block[..., None, None]  # the block's entries as (1, 1) matrices
-    steps = np.empty((_SWEEP_BLOCK, 2, len(mu_list)))
+    block, norms = np.empty((2, _SWEEP_BLOCK + 1, 2, n_mu))
+    rows, squares = list(block), diff.T  # the block's rows and the squared differences as the selector's operand
+    steps = np.empty((_SWEEP_BLOCK, 2, n_mu))
     # the norms start at 0: every system starts from the same finite data
-    sup, slack = np.zeros((2, len(mu_list))), np.zeros((2, len(mu_list)))
+    sup, slack = np.zeros((2, n_mu)), np.zeros((2, n_mu))
 
     def fold(n):
         """Fold the squared norms in rows 0..n of the block into sup and slack; row n starts the next block."""
@@ -139,18 +166,23 @@ def run_sweep(mu_list: Sequence[float], zeta0: np.ndarray, zeta1: np.ndarray, ru
     # overflow surfaces as a non-finite norm, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         filled = -1
-        for state in _propagate(zeta0[1:], zeta1[1:], modes, runs, dt, np.sqrt(sobolev_weights(K, 0.5)[1:])):
+        for state in _rotate(zeta0[1:], zeta1[1:], modes, runs, dt):
             filled += 1
-            np.subtract(state[:, 1:], state[:, :1], out=diff)
-            np.matmul(rows, cols, out=products[filled])
+            np.multiply(state, weights, out=pairs)
+            np.matmul(differences, pairs, out=diff)
+            np.square(diff, out=diff)
+            np.matmul(select, squares, out=rows[filled])
             if filled == _SWEEP_BLOCK:
                 fold(filled)
                 filled = 0
         if filled:
             fold(filled)
-    bad = np.flatnonzero(~np.all(np.isfinite(sup) & np.isfinite(slack), axis=0))
-    if bad.size:
-        mu = mu_list[bad[0]]
+    bad = ~np.all(np.isfinite(sup) & np.isfinite(slack), axis=0)
+    if bad.any():
+        own = ~np.isfinite(state).all(axis=1)
+        if own.any():
+            bad = own[0] | own[1:]
+        mu = mu_list[np.argmax(bad)]
         raise ValueError(f"error norms at mu={mu:g} are not finite: the data or input overflow float64")
     (eh, ed), (sh, sd) = sup, slack
     fits = len(mu_list) >= 3
@@ -223,6 +255,12 @@ def _oracle_modes(k_max: int) -> np.ndarray:
     return k[np.diff(k, prepend=0.0) != 0.0]
 
 
+def _mode_blocks(k_max: int):
+    """The modes 1..k_max as float arrays of at most _AUDIT_BLOCK consecutive modes, in order."""
+    for first in range(1, k_max + 1, _AUDIT_BLOCK):
+        yield np.arange(first, min(first + _AUDIT_BLOCK, k_max + 1), dtype=float)
+
+
 def audit_kernels(
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
     k_max: int = 10_000,
@@ -235,29 +273,37 @@ def audit_kernels(
     with its spread across shallowness decades reported and bounded.  The
     lateral sum is the closed form over the whole grid; the series truncated
     at l_modes must match it within its certified tail on up to
-    ORACLE_K_SAMPLES log-spaced k <= k_max per shallowness.
+    ORACLE_K_SAMPLES log-spaced k <= k_max per shallowness.  The kernels are
+    evaluated over blocks of _AUDIT_BLOCK modes, so the memory is one block's.
     """
     mu_grid = _grid(mu_grid, k_max)
-    k = np.arange(1, k_max + 1, dtype=float)
     k_oracle = _oracle_modes(k_max)
-    i_oracle = k_oracle.astype(np.intp) - 1  # positions of the oracle modes in k
-    root_k, env = np.sqrt(k), np.empty_like(k)
-    ratio_f, ratio_i, ratio_h1, ratio_h2, ratio_oracle = [], [], [], [], []
-    fit_g, fit_j = [], []
-    for mu in mu_grid:
-        rmu = math.sqrt(mu)
-        # the kernels are this call's own arrays, so every ratio is formed in place on them; rounding is monotone,
-        # so a division by a positive number after the max gives the max of the divided values, bit for bit
-        F, G, I, J, H = comparison_kernels(mu, k)
-        series, tail = kernel_H_sum(mu, k_oracle, l_modes)
-        ratio_oracle.append(np.max(np.abs(H[i_oracle] - series)) / tail)
-        ratio_h1.append(np.max(H) / (mu / 2.0))
-        ratio_h2.append(np.max(np.multiply(H, k, out=H)) / (2.0 * rmu))
-        ratio_f.append(np.max(np.multiply(np.abs(F, out=F), k, out=F)) / rmu)
-        ratio_i.append(np.max(np.divide(np.abs(I, out=I), np.multiply(rmu, k, out=env), out=I)))
-        g_env = np.minimum(rmu, np.divide(mu**0.25, root_k, out=env), out=env)
-        fit_g.append(np.max(np.divide(np.abs(G, out=G), g_env, out=G)))
-        fit_j.append(np.max(np.divide(np.abs(J, out=J), np.multiply(mu**0.25, root_k, out=env), out=J)))
+    # the truncated series and its certified tail at the oracle modes, per mu; the closed form is set against it
+    # block by block
+    series, tails = zip(*(kernel_H_sum(mu, k_oracle, l_modes) for mu in mu_grid))
+    ratio_f, ratio_i, ratio_h1, ratio_h2, ratio_oracle, fit_g, fit_j = [], [], [], [], [], [], []
+    for k in _mode_blocks(k_max):
+        here = (k_oracle >= k[0]) & (k_oracle <= k[-1])
+        at = (k_oracle[here] - k[0]).astype(np.intp)  # positions of this block's oracle modes in k
+        root_k, env = np.sqrt(k), np.empty_like(k)
+        fit_g.append([])
+        fit_j.append([])
+        for mu, sums, tail in zip(mu_grid, series, tails):
+            rmu = math.sqrt(mu)
+            # the kernels are this call's own arrays, so every ratio is formed in place on them; rounding is
+            # monotone, so a division by a positive number after the max gives the max of the divided values, bit
+            # for bit, and the largest of the blocks' maxima is the max over all modes
+            F, G, I, J, H = comparison_kernels(mu, k)
+            if at.size:
+                ratio_oracle.append(np.max(np.abs(H[at] - sums[here])) / tail)
+            ratio_h1.append(np.max(H) / (mu / 2.0))
+            ratio_h2.append(np.max(np.multiply(H, k, out=H)) / (2.0 * rmu))
+            ratio_f.append(np.max(np.multiply(np.abs(F, out=F), k, out=F)) / rmu)
+            ratio_i.append(np.max(np.divide(np.abs(I, out=I), np.multiply(rmu, k, out=env), out=I)))
+            g_env = np.minimum(rmu, np.divide(mu**0.25, root_k, out=env), out=env)
+            fit_g[-1].append(np.max(np.divide(np.abs(G, out=G), g_env, out=G)))
+            fit_j[-1].append(np.max(np.divide(np.abs(J, out=J), np.multiply(mu**0.25, root_k, out=env), out=J)))
+    fit_g, fit_j = np.max(fit_g, axis=0), np.max(fit_j, axis=0)
     # the decade spreads of the fitted constants are diagnostics: they settle
     # near 1 only once the grid reaches the saturation regime k ~ 1/sqrt(mu),
     # so they carry no hard limit here (the acceptance suite pins them on the
@@ -283,15 +329,16 @@ def audit_resolvents(mu_grid: Sequence[float] = DEFAULT_MU_GRID, K: int = 256) -
     for the tank and k^2 for the string, so on a probe p the gap is -F_k p_k
     mode by mode (zero on mode 0).  Its sup over unit probes on modes 0..K is
     therefore max_{1<=k<=K} |F_k|, proven <= sqrt(mu); the square-root channel
-    is likewise max |G_k|, whose constant over sqrt(mu) is only fitted.
+    is likewise max |G_k|, whose constant over sqrt(mu) is only fitted.  The
+    maxima are taken over blocks of _AUDIT_BLOCK modes.
     """
     mu_grid = _grid(mu_grid, K)
-    k = np.arange(1, K + 1, dtype=float)
     gap_f, gap_g = [], []
-    for mu in mu_grid:
-        kern = comparison_kernels(mu, k)
-        gap_f.append(np.max(np.abs(kern.F)) / math.sqrt(mu))
-        gap_g.append(np.max(np.abs(kern.G)) / math.sqrt(mu))
+    for k in _mode_blocks(K):
+        for mu in mu_grid:
+            kern = comparison_kernels(mu, k)
+            gap_f.append(np.max(np.abs(kern.F)) / math.sqrt(mu))
+            gap_g.append(np.max(np.abs(kern.G)) / math.sqrt(mu))
     rows = (
         KernelAuditRow("F", "sup |p|=1 resolvent gap / sqrt(mu)", float(np.max(gap_f)), _proven(1.0)),
         KernelAuditRow("G", "sup |p|=1 sqrt-channel gap / sqrt(mu)", float(np.max(gap_g)), None),

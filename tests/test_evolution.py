@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavetank.cli import ConfigError, make_signal
-from wavetank.evolution import _propagate, _rows, limit_system, water_system
+from wavetank.evolution import _propagate, _rotate, _rows, limit_system, water_system
 
 from oracles import (
     energy,
@@ -349,38 +349,65 @@ def test_propagate_yields_read_only_views_that_the_second_step_reuses():
     assert not any(np.shares_memory(a, samples[2]) for a in (zeta0, zeta1))
 
 
-# finite floats away from the subnormal range, so that no product of a few steps rounds on the subnormal grid,
-# where scaling by a power of two is not exact
-_NORMAL = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 2.0**-64)
-
-
 @st.composite
-def _normal_batches(draw):
-    """(systems, zeta0, zeta1, dt, input values, per-mode power-of-two scales) for one batch sharing K."""
-    K = draw(st.integers(1, 6))
-    vectors = st.lists(_NORMAL, min_size=K + 1, max_size=K + 1).map(np.array)
-    omega = st.lists(st.floats(0.1, 100.0), min_size=K, max_size=K).map(lambda w: np.array([0.0, *w]))
-    systems = draw(st.lists(st.tuples(omega, vectors.map(lambda f: f / 10.0)), min_size=1, max_size=3))
-    values = draw(st.lists(_NORMAL, min_size=1, max_size=20))
-    scale = 2.0 ** np.array(draw(st.lists(st.integers(-8, 8), min_size=K + 1, max_size=K + 1)))
-    return systems, draw(vectors), draw(vectors), draw(st.floats(1e-3, 10.0)), values, scale
+def _moving_batches(draw):
+    """(systems, zeta0, zeta1, dt, input values) for one batch sharing m modes, every omega in (0, 50]."""
+    m = draw(st.integers(1, 6))
+    rows = st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m).map(np.array)
+    omega = st.lists(st.floats(0.0, 50.0, exclude_min=True), min_size=m, max_size=m).map(np.array)
+    systems = draw(st.lists(st.tuples(omega, rows), min_size=1, max_size=4))
+    vectors = st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m).map(np.array)
+    # runs of u = 0 between the nonzero ones, as a pulse makes
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=1, max_size=30))
+    return systems, draw(vectors), draw(vectors), draw(st.floats(1e-3, 10.0)), values
 
 
-@settings(deadline=None)
-@example(batch=(*_SIGNED_ZEROS, np.array([0.5, 4.0, 0.25])))
-@example(batch=(*_NEGATIVE_FORCING, np.array([2.0, 0.125, 8.0])))
-@given(batch=_normal_batches())
-def test_propagate_folds_a_power_of_two_scale_into_the_elevation_rows_exactly(batch):
-    # scaling by a power of two is exact away from overflow and the subnormals, so with the elevation rows
-    # stepped as s zeta (M = [S s, -W/s], u terms [f Q s, f S]) every sample is bitwise s times the unscaled
-    # elevation, and the velocity rows are bitwise the unscaled ones
-    systems, z0, z1, dt, values, scale = batch
+@settings(deadline=None, max_examples=200)
+@given(batch=_moving_batches())
+def test_rotate_agrees_with_propagate_and_conserves_the_mode_energy(batch):
+    # Both kernels step the exact flow at the phase theta = fl(omega dt).  In the energy norm
+    # |(zeta_t, omega zeta)| = |chi| that flow rotates chi and adds T u, |T u| = 2 |f u sin(theta/2)| / omega,
+    # so it carries an error without growth.  With sin and cos within 2 ulp, a step of `_rotate` rounds its
+    # rotation, one complex product and its input term, each bounded by B = |zeta_t| + |omega zeta| + |T u|,
+    # at most 8 times by eps/2, and a step of `_propagate`, mapped into the norm (its elevation row times omega),
+    # rounds its coefficients and its terms, each within B after that mapping, at most 16 times by eps/2: a
+    # step adds at most 12 eps B to the difference, and forming chi from either adds eps/2 B.  After m steps
+    # the two differ by at most 16 (m + 1) eps A, A the largest B so far.  On the subnormal grid a rounding
+    # errs by eps tiny / 2 instead, which the elevation row's mapping multiplies by omega: A gains
+    # (1 + max omega) tiny.  Under u = 0 a step moves |chi| by the modulus error of r = e^(-i theta) and the
+    # product's rounding, at most 3 eps |chi|, and measuring |chi| twice adds eps |chi|.
+    systems, z0, z1, dt, values = batch
+    omega, forcing = (np.stack(rows) for rows in zip(*systems))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    input_term = 2.0 * np.abs(forcing * np.sin(0.5 * omega * dt)) / omega
+    rotated = [pairs.view(complex).copy() for pairs in _rotate(z0, z1, systems, runs_of(values), dt)]
     plain = _samples(z0, z1, systems, values, dt)
-    scaled = [sample.copy() for sample in _propagate(z0, z1, systems, runs_of(values), dt, scale)]
-    assert len(scaled) == len(plain) == len(values) + 1
-    for a, b in zip(plain, scaled):
-        np.testing.assert_array_equal(_bits(b[0]), _bits(scale * a[0]))
-        np.testing.assert_array_equal(_bits(b[1]), _bits(a[1]))
+    assert len(rotated) == len(plain) == len(values) + 1
+    floor, scale = (1.0 + omega.max()) * tiny, 0.0
+    for m, (chi, (zeta, zeta_t)) in enumerate(zip(rotated, plain)):
+        reference = zeta_t - 1j * (omega * zeta)
+        u = abs(values[m - 1]) if m else 0.0
+        scale = max(scale, (np.abs(zeta_t) + np.abs(omega * zeta) + u * input_term).max())
+        assert np.abs(chi - reference).max() <= 16 * (m + 1) * eps * (scale + floor)
+    free = [np.abs(pairs.view(complex)) for pairs in _rotate(z0, z1, systems, runs_of(np.zeros(len(values))), dt)]
+    for m, size in enumerate(free):
+        assert np.all(np.abs(size - free[0]) <= 4 * (m + 1) * eps * (free[0] + tiny))
+
+
+def test_rotate_rejects_a_mode_at_rest_and_steps_one_buffer():
+    zeta0, zeta1 = unit(1, 3)[1:], unit(2, 3)[1:]
+    moving = tuple(part[1:] for part in limit_system(3))
+    with pytest.raises(ValueError, match="omega > 0 only"):
+        next(_rotate(unit(1, 3), unit(2, 3), [limit_system(3)], [(0.0, 1)], 0.1))
+    with pytest.raises(ValueError, match="mode count mismatch"):
+        next(_rotate(zeta0, zeta1[1:], [moving], [(0.0, 1)], 0.1))
+    samples = _rotate(zeta0, zeta1, [moving, moving], [(1.0, 2)], 0.1)
+    first = next(samples)
+    # the pairs (zeta_t, -omega zeta) of each mode, side by side
+    assert first.shape == (2, 6) and not first.flags.writeable
+    np.testing.assert_array_equal(first, [np.column_stack([zeta1, -moving[0] * zeta0]).ravel()] * 2)
+    assert np.shares_memory(first, next(samples))
+    assert not any(np.shares_memory(a, first) for a in (zeta0, zeta1))
 
 
 @pytest.mark.parametrize("on, off, amplitude", [(0.25, 1.5, 1.5), (0.0, math.inf, 0.75)], ids=["pulse", "const"])

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetank import lab
 from wavetank.basis import sobolev_weights
 from wavetank.cli import make_signal
-from wavetank.evolution import _propagate, limit_system, water_system
+from wavetank.evolution import _rotate, limit_system, water_system
 from wavetank.lab import (
     _SWEEP_BLOCK,
     DEFAULT_MU_GRID,
@@ -18,6 +19,7 @@ from wavetank.lab import (
     ORACLE_K_SAMPLES,
     KernelAudit,
     _oracle_modes,
+    _sweep_reduction,
     audit_kernels,
     audit_resolvents,
     bmu_rate_table,
@@ -135,15 +137,16 @@ def _state_scale(mu_list, zeta0, zeta1, values, dt):
 )
 def test_run_sweep_matches_per_system_reference_to_roundoff(data, K, n, dt, mu):
     # The reference steps zeta one system at a time by the plain per-step formula and sums w (zeta_mu - zeta)^2
-    # pairwise; the sweep steps s zeta, s = sqrt(1+k) = sqrt(w), and sums squares by dot products, so the two
-    # differ by roundoff only, bounded here.  Per mode k >= 1 the exact step rotates (omega zeta, zeta_t) and
-    # adds the forcing, so it carries roundoff without growth.  A step of either stepper rounds each row at
-    # most 4 times, by eps/2 relative to B = |omega zeta| + |zeta_t| + 2 |f u| / omega, so it adds at most
-    # 4 eps B; with the rounded initial data a stepper stays within 4 (n+1) eps A of the exact flow, A the
-    # largest B, and a difference of two systems from two steppers within 16 (n+1) eps A.  The elevation
-    # weighs s <= 1.63 omega (omega_k^2 >= k tanh 1 for mu in (0, 1]), so over K modes a norm moves by at most
-    # 26.1 (n+1) sqrt(K) eps A, taken as 32; forming the differences and the sums of squares moves it by at
-    # most (K+4) eps relative.  A slack, the difference of two norms, moves by at most twice as much.
+    # pairwise; the sweep rotates chi = zeta_t - i omega zeta, weighs its imaginary part by s / omega,
+    # s = sqrt(1+k) = sqrt(w), and sums squares by matrix products, so the two differ by roundoff only, bounded
+    # here.  Per mode k >= 1 the exact step rotates (omega zeta, zeta_t) and adds the forcing, so it carries
+    # roundoff without growth.  A step of either stepper rounds each row (or each part of chi) at most 4 times,
+    # by eps/2 relative to B = |omega zeta| + |zeta_t| + 2 |f u| / omega, so it adds at most 4 eps B; with the
+    # rounded initial data a stepper stays within 4 (n+1) eps A of the exact flow, A the largest B, and a
+    # difference of two systems from two steppers within 16 (n+1) eps A.  The elevation weighs
+    # s <= 1.63 omega (omega_k^2 >= k tanh 1 for mu in (0, 1]), so over K modes a norm moves by at most
+    # 26.1 (n+1) sqrt(K) eps A, taken as 32; weighing, forming the differences and the sums of squares moves
+    # it by at most (K+4) eps relative.  A slack, the difference of two norms, moves by at most twice as much.
     def vector(bound):
         return np.array(data.draw(st.lists(st.floats(-bound, bound), min_size=K + 1, max_size=K + 1)))
 
@@ -160,15 +163,15 @@ def test_run_sweep_matches_per_system_reference_to_roundoff(data, K, n, dt, mu):
 
 def _kernel_squared_norms(mu_list, zeta0, zeta1, values, dt):
     """The squared error norms of every step as the sweep forms them, shape (n + 1, 2, len(mu_list)): the
-    kernel steps modes 1..K with sqrt(1+k) folded into the elevation rows, and each norm is the dot product
-    of a row of differences with itself."""
+    rotation kernel steps modes 1..K, its float view times the weights gives each system's pairs
+    (zeta_t, sqrt(1+k) zeta), and the selector sums the squares of the pairs' differences from the limit's."""
     K = zeta0.size - 1
     modes = [(w[1:], f[1:]) for w, f in [limit_system(K)] + [water_system(mu, K) for mu in mu_list]]
-    scale = np.sqrt(sobolev_weights(K, 0.5)[1:])
+    weights, differences, select = _sweep_reduction(modes)
     norms = []
-    for state in _propagate(zeta0[1:], zeta1[1:], modes, runs_of(values), dt, scale):
-        diff = state[:, 1:] - state[:, :1]
-        norms.append([[np.dot(row, row) for row in half] for half in diff])
+    for state in _rotate(zeta0[1:], zeta1[1:], modes, runs_of(values), dt):
+        diff = differences @ (state * weights)
+        norms.append(select @ np.square(diff).T)
     return np.array(norms)
 
 
@@ -194,6 +197,18 @@ def test_run_sweep_matches_the_reference_across_folded_blocks():
     # an overflow after the first block still names the first shallowness
     with pytest.raises(ValueError, match=r"^error norms at mu=0\.1 are not finite"):
         run_sweep(mu, zeta0, zeta1, [(0.0, 2 * B + 10), (1e308, 3)], dt)
+
+
+def test_an_overflowing_tank_state_is_named_and_spoils_no_other_tank():
+    # At mu = 1e-300, h = 1 exactly, so that tank steps bitwise as the string and its errors stay 0.  The tank at
+    # mu = 1 is stepped at half its period, omega dt = pi, and the input flips sign every step: its state grows
+    # by about 1.4 u a step and overflows, while the string's stays below 4 u.  Its non-finite state turns
+    # every difference that the sweep's product takes into nan (0 * inf); the message still names the tank
+    # whose own state overflowed, not the first tank
+    dt, u = math.pi / water_system(1.0, 1)[0][1], 1e307
+    runs = [(u * (-1) ** i, 1) for i in range(40)]
+    with pytest.raises(ValueError, match=r"^error norms at mu=1 are not finite"):
+        run_sweep((1e-300, 1.0), np.zeros(2), np.zeros(2), runs, dt)
 
 
 @settings(deadline=None)
@@ -245,6 +260,21 @@ def test_kernel_audit_small_grid():
     assert named[("F", "max |F| k / sqrt(mu)")].value <= 1.0 + 1e-12
     table = audit.table()
     assert "PASS" in table and "FAIL" not in table
+
+
+def test_audits_over_blocks_of_modes_equal_one_block_bitwise(monkeypatch):
+    # the audits' blocks of modes bound their memory; every max over modes is exact, so the rows of a k_max
+    # spanning several blocks, the last one partial, are bitwise those of one block over all modes
+    def rows(k_max):
+        audits = audit_kernels(DEFAULT_MU_GRID, k_max, l_modes=1000), audit_resolvents(DEFAULT_MU_GRID, k_max)
+        return [(row.check, row.value.hex()) for audit in audits for row in audit.rows]
+
+    for block, k_max in ((lab._AUDIT_BLOCK, 3 * lab._AUDIT_BLOCK + 5), (300, 1000)):
+        assert k_max > 3 * block
+        monkeypatch.setattr(lab, "_AUDIT_BLOCK", block)
+        blocked = rows(k_max)
+        monkeypatch.setattr(lab, "_AUDIT_BLOCK", k_max)
+        assert rows(k_max) == blocked
 
 
 @given(k_max=st.integers(1, 10**6))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import tracemalloc
@@ -151,6 +152,27 @@ def test_writer_memory_is_independent_of_the_row_count():
     peaks = [_peak_bytes(grid_rows(x[:n], y, values[:n])) for n in (150, 600)]
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
     assert max(peaks) < 16 * block_text
+
+
+def _peak_of(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_holds_one_block_of_text_at_a_time(tmp_path):
+    # formatting alone, each block dropped before the next is formatted, against the writer over 4 and 16 full
+    # blocks: the writer adds its file buffer, well under half a block's text, and not the block it just wrote
+    rows = np.random.default_rng(7).standard_normal((4096, 64))
+    block_text = len(next(row_blocks(rows)))
+    for n in (1024, 4096):
+        alone = _peak_of(lambda: collections.deque(row_blocks(rows[:n]), maxlen=0))
+        written = _peak_of(lambda: write_csv(tmp_path / "rows.csv", "header", row_blocks(rows[:n])))
+        assert written - alone < block_text / 2, (written - alone, block_text)
+    assert (tmp_path / "rows.csv").read_bytes() == b"header\n" + b"".join(row_blocks(rows))
 
 
 def _interleaved(*generators):
