@@ -2,10 +2,10 @@
 evaluation, unit modes, the mode-weighted norm and Simpson projection, a pulse's per-step input and the
 conversions between per-step inputs and runs of constant input, one-system stepping over the package's
 kernel, d'Alembert's solution of the string under a boundary pulse with its cosine coefficients in closed
-form, interior grids and lateral profiles, the 5-point harmonicity residual, the lateral-series forcing with
-its certified tail, one-line formulas of the comparison kernels, each evaluating h on its own, the two field
-extensions as broadcast expressions, and the CSV writer's tables built all at once by exact integer
-arithmetic."""
+form, interior grids and lateral profiles, the 5-point harmonicity residual, the lateral series summed term by
+term and the forcing built on it with its certified tail, one-line formulas of the comparison kernels, each
+evaluating h on its own, the two field extensions as broadcast expressions, and the CSV writer's tables built
+all at once by exact integer arithmetic."""
 
 import math
 
@@ -14,9 +14,9 @@ import numpy as np
 from wavetank.basis import _SQRT_2_OVER_PI, _SQRT_PI, _phi, sobolev_weights
 from wavetank.evolution import _propagate, _rows
 from wavetank.fields import FieldGrid, _psi
-from wavetank.operators import _h, _odd_sums
+from wavetank.operators import _h
 
-# f_k = -FORCING_TAIL_CONST * _odd_sums(mu, k, inf) for k >= 1; dropping the
+# f_k = -FORCING_TAIL_CONST * direct_odd_sums(mu, k, inf) for k >= 1; dropping the
 # lateral modes l > L changes f_k by at most FORCING_TAIL_CONST/(2L-1)
 FORCING_TAIL_CONST = 8.0 * math.sqrt(2.0) / (math.sqrt(math.pi) * math.pi**2)
 
@@ -205,6 +205,26 @@ def verify_harmonic(values_fn, mu, x, y, h: float = 1e-3) -> float:
     return float(np.abs(mu * d2x + d2y).max())
 
 
+def direct_odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
+    """sum_{l=1..L} 1 / ((2l-1)^2 + y^2), y = 2 sqrt(mu) k / pi, term by term: the reference of `operators._odd_sums`.
+
+    The terms are formed in one reused block of max(1, 2^16 // L) rows of L
+    values, by in-place add and reciprocal, and each row is summed pairwise, so
+    the memory is O(L) plus the block.
+    """
+    if not (isinstance(L, (int, np.integer)) and L >= 1):
+        raise ValueError(f"l_modes must be a positive integer, got {L!r}")
+    odd2 = (2.0 * np.arange(1, L + 1) - 1.0) ** 2
+    y2 = (2.0 * math.sqrt(mu) / math.pi * np.asarray(k, dtype=float)) ** 2
+    out = np.empty(y2.shape)
+    rows = max(1, (1 << 16) // L)
+    block = np.empty((min(rows, y2.size), L))
+    for i in range(0, y2.size, rows):
+        blk = np.add(odd2, y2[i : i + rows, None], out=block[: min(rows, y2.size - i)])
+        np.reciprocal(blk, out=blk).sum(axis=1, out=out[i : i + rows])
+    return out
+
+
 def ntn_forcing(mu, K: int, l_modes: int):
     """(f, tail_bound): forcing coefficients f_k of modes 0..K by the lateral series, the reference of
     `wave_maker_forcing`.
@@ -213,7 +233,7 @@ def ntn_forcing(mu, K: int, l_modes: int):
     pi^2/8); modes k >= 1 sum l_modes lateral terms, and tail_bound bounds the
     sup-over-k truncation error.
     """
-    f = -FORCING_TAIL_CONST * _odd_sums(mu, np.arange(K + 1), l_modes)
+    f = -FORCING_TAIL_CONST * direct_odd_sums(mu, np.arange(K + 1), l_modes)
     f[0] = -1.0 / math.sqrt(math.pi)
     return f, FORCING_TAIL_CONST / (2.0 * l_modes - 1.0)
 

@@ -11,6 +11,7 @@ from wavetank.evolution import water_system
 from wavetank.lab import PROVEN_TOL
 from wavetank.operators import (
     _odd_sums,
+    _tail_table,
     bmu_dual_norm_gap,
     comparison_kernels,
     kernel_H_sum,
@@ -18,7 +19,7 @@ from wavetank.operators import (
     wave_maker_forcing,
 )
 
-from oracles import KERNEL_FORMULAS, norm, ntn_forcing
+from oracles import KERNEL_FORMULAS, direct_odd_sums, norm, ntn_forcing
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -230,10 +231,14 @@ class TestForcingGap:
 def test_closed_lateral_sum_within_series_certificate(log_mu, log_k, log_l):
     mu = 10.0**log_mu
     k = np.array([10.0**log_k])
+    L = min(5000, round(10.0**log_l))
     (closed,) = comparison_kernels(mu, k).H_sum
-    (series,), tail = kernel_H_sum(mu, k, min(5000, round(10.0**log_l)))
-    diff = closed - series
-    assert -1e-14 * closed <= diff <= tail * (1.0 + PROVEN_TOL)
+    (series,), tail = kernel_H_sum(mu, k, L)
+    # the production series, and the same series summed term by term apart from the package
+    (direct,) = 4.0 * mu / math.pi**2 * direct_odd_sums(mu, k, L)
+    for s in (series, direct):
+        diff = closed - s
+        assert -1e-14 * closed <= diff <= tail * (1.0 + PROVEN_TOL)
 
 
 @settings(deadline=None)
@@ -248,25 +253,83 @@ def test_comparison_kernels_equal_one_line_formulas_bitwise(mu, k):
         np.testing.assert_array_equal(getattr(kern, name).view(np.uint64), formula(mu, k).view(np.uint64), err_msg=name)
 
 
-# the oracle's block holds 2^16 values: max(1, 2^16 // L) rows of L terms
+# the direct reference's block holds 2^16 values: max(1, 2^16 // L) rows of L terms
 _BLOCK_VALUES = 1 << 16
+_U = 2.0**-53
 
 
-@settings(deadline=None, max_examples=50)
+def _odd_sums_roundoff(L: int) -> float:
+    """A relative bound, derived from the operations, on |_odd_sums - direct_odd_sums| / direct_odd_sums.
+
+    Every number is positive or, in the tail series, alternating with ratio at
+    most 1/4, and numpy sums a run of n values pairwise with at most
+    log2(n) + 26 roundings along any path.  Counting roundings along a path:
+    - reference: 2 per term (add, reciprocal) + the pairwise sum: log2(L) + 28;
+    - head: the same, + 1 per further run of 2^16 terms: log2(L) + 29 + L / 2^16;
+    - tail table T: 1 (c / (2l-1)^2) + 2n + 1 (the power by doubling)
+      + 37 (pairwise over a block of 2^11 l) + L / 2^11 (blocks of a segment)
+      + 4 per segment of the top-down combination (ratio, its weighted power, product, sum)
+      + 1 (division by c); the dot with (-q)^n: 1 (q) + 2n (its power)
+      + 1 (product) + 31 (pairwise over 28 terms).  Terms n >= 1 weigh at most
+      4^-n, so the 4n roundings add at most 4 in all; the alternating sum has
+      condition at most (4/3) / (3/4) < 2: 2 (78 + 4 log2(L) + L / 2^11);
+    - head plus tail: 1.
+    """
+    log_l = math.log2(L)
+    reference = log_l + 28
+    head = log_l + 29 + L / 2**16
+    tail = 2 * (78 + 4 * log_l + L / 2**11)
+    return (reference + max(head, tail) + 1) * _U
+
+
+def _modes_at_the_splits(mu: float, L: int) -> list:
+    """For every split b = 2^j <= L: the last float mode with 4 y^2 <= (2b - 1)^2 and the first beyond it.
+
+    y = 2 sqrt(mu) k / pi as `_odd_sums` rounds it, so these rows sit exactly
+    at a split (q = 1/4 at l = b) when y lands on it, else one ulp either side.
+    """
+    scale = 2.0 * math.sqrt(mu) / math.pi
+    if scale == 0.0:
+        return []
+    modes = []
+    for j in range(L.bit_length()):
+        c = (2.0 ** (j + 1) - 1.0) ** 2
+        k = math.sqrt(c) / 2.0 / scale
+        while 4.0 * (scale * k) ** 2 > c:
+            k = math.nextafter(k, 0.0)
+        while 4.0 * (scale * math.nextafter(k, math.inf)) ** 2 <= c:
+            k = math.nextafter(k, math.inf)
+        modes += [k, math.nextafter(k, math.inf)]
+    return modes
+
+
+@settings(deadline=None, max_examples=150)
 @given(
     data=st.data(),
-    mu=st.floats(1e-300, 1.0),
-    L=st.one_of(st.integers(1_000, 5_000), st.integers(_BLOCK_VALUES + 1, _BLOCK_VALUES + 5_000)),
+    mu=st.one_of(st.floats(1e-300, 1.0), st.floats(5e-324, 2.2e-308), st.just(1.0)),
+    L=st.one_of(
+        st.integers(1_000, 5_000),
+        st.integers(_BLOCK_VALUES + 1, _BLOCK_VALUES + 5_000),
+        st.builds(lambda p, d: max(1, 2**p + d), st.integers(0, 16), st.integers(-1, 1)),
+    ),
 )
-def test_odd_sums_equal_row_at_a_time_reference_bitwise(data, mu, L):
-    rows = max(1, _BLOCK_VALUES // L)
-    n = data.draw(st.integers(1, 2 * rows + 1), label="number of k")
-    k = np.array(data.draw(st.lists(st.integers(0, 10**4), min_size=n, max_size=n)), dtype=float)
-    odd2 = (2.0 * np.arange(1, L + 1) - 1.0) ** 2
-    y2 = (2.0 * math.sqrt(mu) / math.pi * k) ** 2
-    expected = np.array([(1.0 / (odd2 + y2_i)).sum() for y2_i in y2])
-    got = _odd_sums(mu, k, L)
-    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+def test_odd_sums_agree_with_the_direct_sum_within_roundoff(data, mu, L):
+    # enough rows to span several of the reference's blocks, at most 300
+    n = data.draw(st.integers(1, min(2 * max(1, _BLOCK_VALUES // L) + 1, 300)), label="number of k")
+    drawn = data.draw(st.lists(st.integers(0, 10**4), min_size=n, max_size=n), label="k")
+    # every split, rows of k = 0, and the drawn modes in drawn order
+    k = np.array([0, *drawn, *_modes_at_the_splits(mu, L)], dtype=float)
+    got, expected = _odd_sums(mu, k, L), direct_odd_sums(mu, k, L)
+    assert got.shape == expected.shape
+    np.testing.assert_array_less(np.abs(got - expected), _odd_sums_roundoff(L) * expected)
+
+
+def test_odd_sums_agree_with_the_direct_sum_at_a_million_lateral_modes():
+    L = 10**6
+    for mu in (1.0, 1e-3, 1e-300):
+        k = np.array([0.0, 1.0, 7.0, 1e3, 1e6, 3e6, *_modes_at_the_splits(mu, L)[::7]])
+        got, expected = _odd_sums(mu, k, L), direct_odd_sums(mu, k, L)
+        np.testing.assert_array_less(np.abs(got - expected), _odd_sums_roundoff(L) * expected)
 
 
 def _peak_bytes(fn):
@@ -283,3 +346,10 @@ def test_series_oracles_need_one_block_not_k_times_l():
     k = np.geomspace(1.0, 1e4, 64)
     assert _peak_bytes(lambda: kernel_H_sum(1e-3, k, 100_000)) < 4e6
     assert _peak_bytes(lambda: ntn_forcing(1e-3, 1024, 10_000)) < 2e6
+
+
+def test_series_oracle_memory_does_not_grow_with_l_modes():
+    # one block whatever l_modes is, the table of the tail sums included: the term-by-term sum needs 16 MB here
+    k = np.geomspace(1.0, 1e4, 64)
+    _tail_table.cache_clear()
+    assert _peak_bytes(lambda: kernel_H_sum(1e-3, k, 1_000_000)) < 2e6

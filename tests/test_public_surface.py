@@ -105,9 +105,9 @@ NOT_RUN_BY_A_COMMAND = {
 def test_every_src_function_runs_under_a_command(tmp_path):
     from wavetank._writer import _digit_table, _exponent_table
     from wavetank.cli import main
-    from wavetank.operators import _dual_weights
+    from wavetank.operators import _dual_weights, _tail_table
 
-    for table in (_digit_table, _exponent_table, _dual_weights):
+    for table in (_digit_table, _exponent_table, _dual_weights, _tail_table):
         table.cache_clear()  # built once per process: let the traced commands build it
     small = ["--k-modes", "4", "--tau", "0.1", "--dt", "0.05", "--k-max", "10", "--l-modes", "10"]
     runs = [
