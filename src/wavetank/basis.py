@@ -17,7 +17,7 @@ The package's one cosine evaluator is `_phi` (the points-by-modes matrix
 phi_k(x_i)), which `fields` uses off its regular grid; `_readonly` gives the
 read-only views that every frozen dataclass and the parsed initial data hold
 and the stepping kernel yields, and `_aligned` the 64-byte-aligned buffers of
-the stepping kernel, the sweep and the CSV writer.
+the one stepping kernel, the sweep's reduction and the CSV writer.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ def _aligned(shape, dtype=np.float64) -> np.ndarray:
 
     malloc promises 16 bytes only.  On an AVX-512 Xeon an elementwise ufunc
     over 7 x 1025 values runs a fifth to a third slower from a 16-, 32- or
-    48-byte offset, so without this the speed of the stepping loop, the
-    sweep's reduction and the CSV writer would depend on what the heap held
-    before.
+    48-byte offset, so without this the speed of the stepping kernel
+    (`evolution._rotate`, which both `simulate` and the sweep step through),
+    the sweep's reduction and the CSV writer would depend on what the heap
+    held before.
     """
     size, step = int(np.prod(shape)), np.dtype(dtype).itemsize
     raw = np.empty(size + 64 // step - 1, dtype)

@@ -44,6 +44,9 @@ _FIELD_L_MODES_CAP = 512
 # steps of one simulate or sweep run, at most: 10^9 steps of sweep at K = 1024
 # take about ten hours on a 2-core VM, and a count far past it is a typo in tau or dt
 _MAX_STEPS = 10**9
+# lateral modes of the series oracle, at most: its table of tail sums takes time linear in l_modes (0.4 s at 10^7
+# on a 2-core VM), its tail is certified only below 10^16 lateral modes, and 2l - 1 is exact only below 2^52
+_MAX_L_MODES = 10**9
 
 # key: (default, flag metavar, help); each key is also the flag --key, with '-' for '_'.
 # Order fixes the serialized layout.
@@ -55,7 +58,7 @@ CONFIG_KEYS = {
     "l_modes": (
         "10000",
         "L",
-        "lateral-series truncation, >= 1: verify/sweep oracle; "
+        f"lateral-series truncation, 1 to {_MAX_L_MODES}: verify/sweep oracle; "
         f"field Neumann profile, capped at {_FIELD_L_MODES_CAP}",
     ),
     "dt": ("", "DT", "time step; empty selects 1e-3*tau"),
@@ -201,6 +204,9 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     dt = _to_float("dt", raw["dt"], math.inf) if raw["dt"] else 1e-3 * tau
     if dt == 0.0:
         raise ConfigError(f"the default dt = 1e-3*tau underflows to 0 at tau={tau:g}; give dt")
+    l_modes = _to_int("l_modes", raw["l_modes"], 1)
+    if l_modes > _MAX_L_MODES:
+        raise ConfigError(f"l_modes must be <= {_MAX_L_MODES}, got {l_modes}")
     system = raw["system"]
     if system not in ("water", "limit"):
         raise ConfigError(f"system must be water or limit, got {system!r}")
@@ -210,7 +216,7 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
         mu=mu,
         mu_list=mu_list,
         k_modes=_to_int("k_modes", raw["k_modes"], 1),
-        l_modes=_to_int("l_modes", raw["l_modes"], 1),
+        l_modes=l_modes,
         dt=dt,
         tau=tau,
         grid=grid,

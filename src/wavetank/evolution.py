@@ -26,19 +26,21 @@ and `limit_system` return, and an input is dt together with the runs
 (u, count) of constant u that it holds, in step order: u_m on
 [m dt, (m+1) dt), step by step.
 
-Stepping goes through two private generators, each over a batch of systems
-that share the data and the input, with the coefficients computed once and
-the u terms once per run.  `_propagate` steps every mode, omega = 0 included,
-as one stacked (2, n_sys, m) state, the elevation rows over the velocity
-rows; `simulate` copies its samples into one reused block of rows through
-`_rows`.  `_rotate` steps modes with omega > 0 as one complex (n_sys, m)
-array chi = zeta_t - i omega zeta, whose exact step is a rotation plus the
-input term, chi' = e^(-i omega dt) chi + f u (S - i omega Q): one complex
-multiply, and an add inside a run of nonzero u.  |chi|^2 is the mode energy.
-The sweep steps modes 1..K that way and reduces each sample in O(n_sys K).
+Stepping goes through one private generator, `_rotate`, over a batch of
+systems that share the data and the input, with the coefficients computed
+once and the u terms once per run.  It steps the modes with omega > 0 as one
+complex (n_sys, m) array psi = zeta + i zeta_t/omega, whose exact step is a
+rotation plus the input term, psi' = e^(-i omega dt) psi + f u (Q + i S/omega):
+one complex multiply, and an add inside a run of nonzero u.  omega^2 |psi|^2
+is the mode energy.  The sweep steps modes 1..K that way and reduces each
+sample in O(n_sys K); `simulate` reads zeta = Re psi and zeta_t = omega Im psi
+of one system into one reused block of rows through `_rows`, which steps mode
+0, at rest, by the exact quadratic as Python floats.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -67,110 +69,55 @@ def limit_system(K: int):
     return np.arange(K + 1, dtype=float), limit_forcing(K)
 
 
-def _stack(zeta0: np.ndarray, zeta1: np.ndarray, systems):
-    """The omegas and the forcings of a batch as two (n_sys, m) arrays; ValueError unless the data and every
-    system agree on the number m of modes."""
+def _rotate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
+    """The stepping loop: exact steps of a batch of systems' modes with omega > 0, in psi = zeta + i zeta_t/omega.
+
+    Every system starts from zeta = zeta0 and zeta_t = zeta1 and is stepped
+    with u held at each run's u for its count of steps.  Yields psi's float
+    view at t = 0, dt, ..., n dt, n the total count: the (n_sys, 2m) pairs
+    (Re psi_k, Im psi_k) = (zeta_k, zeta_t_k/omega_k), read-only views of two
+    buffers that the steps overwrite in turn, so a consumer that keeps a
+    sample copies it.  ValueError unless the data and every system agree on
+    the number m of modes and every omega > 0 (not nan).
+
+    A step is psi' = r psi, r = e^(-i omega dt), plus u T, T = f (Q + i S/omega)
+    formed once per run, inside a run of nonzero u.  |r| = 1, so under u = 0
+    |psi| moves by roundoff only.  zeta1/omega can overflow where zeta1 does
+    not: psi then starts non-finite, and stays so, under the caller's np.errstate.
+    """
     for w, _ in systems:
         if not zeta0.shape == zeta1.shape == w.shape:
             raise ValueError(
                 f"mode count mismatch: zeta0 K={zeta0.size - 1}, zeta1 K={zeta1.size - 1}, system K={w.size - 1}"
             )
-    return np.stack([w for w, _ in systems]), np.stack([f for _, f in systems])
-
-
-def _propagate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
-    """The stepping loop: exact steps of a batch of systems from the same data under one input.
-
-    Every system starts from zeta = zeta0 and zeta_t = zeta1 and is stepped
-    with u held at each run's u for its count of steps.  Yields the stacked
-    state Z of shape (2, n_sys, m) at t = 0, dt, ..., n dt, n the total count:
-    Z[0] = zeta and Z[1] = zeta_t.  Z is a read-only view of a buffer that the
-    next step overwrites, so a consumer that keeps a sample copies it.  zeta0
-    and zeta1 are the coefficients of the m modes stepped; ValueError if they
-    and a system disagree on m.
-
-    Each step maps Z into a second buffer as Z' = c Z + M Z[::-1] (+ G), one
-    multiply-add pass over the whole stack each, with M = [S, -W] and
-    G = u [f Q, f S], and the buffers swap; the cos row c is held once per
-    system and broadcast over both halves.  G is formed once per run and not
-    added when its every entry is -0.0: x + (-0.0) is x for every float x,
-    signed zeros included, and c zeta_t + (-W) zeta is c zeta_t - W zeta.
-    So every sample is bit-identical to the plain per-step formula
-    zeta' = (c zeta + S zeta_t) + (f Q) u, zeta_t' = (c zeta_t - W zeta) + (f S) u.
-    """
-    omega, forcing = _stack(zeta0, zeta1, systems)
-    shape = (2,) + omega.shape
-    Z, Z_n, M, G, term = (_aligned(shape) for _ in range(5))
-    c = _aligned(shape[1:])
-    wdt, still = omega * dt, omega == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # omega = 0 takes the limits
-        np.cos(wdt, out=c)
-        S = np.where(still, dt, np.sin(wdt) / omega)
-        W = omega * np.sin(wdt)
-        Q = np.where(still, 0.5 * dt * dt, 2.0 * np.square(np.sin(0.5 * wdt) / omega))
-    M[0], M[1] = S, -W
-    u_terms = np.stack([forcing * Q, forcing * S])
-    Z[0], Z[1] = zeta0, zeta1
-    # each buffer with its halves swapped and its read-only view
-    state, spare = ((z, z[::-1], _readonly(z)) for z in (Z, Z_n))
-    yield state[2]
-    for u, count in runs:
-        add = not _negative_zeros(np.multiply(u_terms, u, out=G))
-        for _ in range(count):
-            (z, swapped, _), (z_n, _, view) = state, spare
-            np.multiply(c, z, out=z_n)
-            np.add(z_n, np.multiply(M, swapped, out=term), out=z_n)
-            if add:
-                np.add(z_n, G, out=z_n)
-            state, spare = spare, state
-            yield view
-
-
-def _rotate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
-    """The stepping loop of modes with omega > 0, in the complex variable chi = zeta_t - i omega zeta.
-
-    Starts and steps the batch as `_propagate` does and yields chi's float
-    view at t = 0, dt, ..., n dt: the (n_sys, 2m) pairs
-    (Re chi_k, Im chi_k) = (zeta_t_k, -omega_k zeta_k), a read-only view of the
-    one buffer that every step overwrites in place.  ValueError if the data and
-    a system disagree on m, or if a mode has omega <= 0 (or nan).
-
-    Each step is chi <- r chi, r = e^(-i omega dt), and inside a run of nonzero
-    u then chi <- chi + u T, T = f (sin(omega dt) - 2i sin(omega dt/2)^2) / omega
-    formed once per run.  |r| = 1, so under u = 0 |chi|^2 moves by roundoff
-    only.  omega zeta0 can overflow where zeta0 does not: chi then starts
-    non-finite, and stays so, under the caller's np.errstate.
-    """
-    omega, forcing = _stack(zeta0, zeta1, systems)
+    omega, forcing = np.stack([w for w, _ in systems]), np.stack([f for _, f in systems])
     if not (omega > 0.0).all():
         raise ValueError("the rotation kernel steps modes with omega > 0 only")
-    rotation, term, chi, uterm = (_aligned(omega.shape, complex) for _ in range(4))
+    rotation, term, uterm, psi, spare = (_aligned(omega.shape, complex) for _ in range(5))
     wdt = omega * dt
-    sin, half = np.sin(wdt), np.sin(0.5 * wdt)
+    sin = np.sin(wdt)
     np.cos(wdt, out=rotation.real)
     np.negative(sin, out=rotation.imag)
-    np.multiply(forcing, sin / omega, out=term.real)
-    # 2 sin(omega dt/2)^2 / omega as 2 half (half / omega), which does not underflow where half^2 would
-    np.multiply(forcing, -2.0 * half * (half / omega), out=term.imag)
-    chi.real = zeta1
-    np.multiply(omega, zeta0, out=chi.imag)
-    np.negative(chi.imag, out=chi.imag)
-    view = _readonly(chi.view(float))
-    yield view
+    # Q and S/omega each divided by omega twice, which overflows nowhere that omega^2 would
+    np.multiply(forcing, 2.0 * np.square(np.sin(0.5 * wdt) / omega), out=term.real)
+    np.multiply(forcing, sin / omega / omega, out=term.imag)
+    psi.real = zeta0
+    np.divide(zeta1, omega, out=psi.imag)
+    # each step writes the other buffer: numpy multiplies a one-element array in place without the fused
+    # multiply-add of its vector loop, so in place a batch of one mode would not step as a longer one does
+    state, other = ((b, _readonly(b.view(float))) for b in (psi, spare))
+    yield state[1]
     for u, count in runs:
         add = u != 0.0
         if add:
             np.multiply(term, u, out=uterm)
         for _ in range(count):
-            np.multiply(chi, rotation, out=chi)
+            (z, _), (z_n, view) = state, other
+            np.multiply(z, rotation, out=z_n)
             if add:
-                np.add(chi, uterm, out=chi)
+                np.add(z_n, uterm, out=z_n)
+            state, other = other, state
             yield view
-
-
-def _negative_zeros(a) -> bool:
-    """Whether every entry of a is -0.0 (a NaN is nonzero)."""
-    return bool(np.signbit(a).all()) and not a.any()
 
 
 def _rows(zeta0: np.ndarray, zeta1: np.ndarray, runs, dt: float, system, rows: int):
@@ -178,16 +125,28 @@ def _rows(zeta0: np.ndarray, zeta1: np.ndarray, runs, dt: float, system, rows: i
 
     Every block is a view of one reused (rows, 2K+3) array whose row i is
     t_i, zeta_0..zeta_K, zeta_t_0..zeta_t_K; the next block overwrites it.
+    Modes 1..K are zeta = Re psi and zeta_t = omega Im psi of `_rotate`; mode
+    0, at rest, steps as Python floats by z' = (z + dt v) + (f dt^2/2) u and
+    v' = (v + (-0.0) z) + (f dt) u, bit for bit the 2x2 step at c = 1, S = dt,
+    W = 0 (c v - W z is v + (-0.0) z, signed zeros and the nan at z = inf alike).
     ValueError names the first time at which the state is not finite.
     """
-    n, width = sum(count for _, count in runs) + 1, system[0].size
+    (omega, forcing), width = system, system[0].size
+    n = sum(count for _, count in runs) + 1
     buf = np.empty((min(rows, n), 2 * width + 1))
-    samples = _propagate(zeta0, zeta1, [system], runs, dt)
+    samples = _rotate(zeta0[1:], zeta1[1:], [(omega[1:], forcing[1:])], runs, dt)
+    f, z, v = float(forcing[0]), float(zeta0[0]), float(zeta1[0])
+    # the u terms (f Q) u and (f S) u of mode 0, step by step; the step after the last sample is not used
+    terms = chain.from_iterable(repeat((f * (0.5 * dt * dt) * u, f * dt * u), count) for u, count in runs)
     for start in range(0, n, rows):
         block = buf[: min(rows, n - start)]
         np.multiply(dt, np.arange(start, start + len(block)), out=block[:, 0])
-        for row, z in zip(block, samples):
-            row[1:] = z.reshape(-1)
+        for row, psi in zip(block, samples):
+            row[1], row[width + 1] = z, v
+            row[2 : width + 1] = psi[0, ::2]
+            np.multiply(omega[1:], psi[0, 1::2], out=row[width + 2 :])
+            Qu, Su = next(terms, (0.0, 0.0))
+            z, v = (z + dt * v) + Qu, (v + (-0.0) * z) + Su
         bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
         if bad.size:
             raise ValueError(f"the state is not finite at t={block[bad[0], 0]:g}: the data or input overflow float64")

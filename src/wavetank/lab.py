@@ -104,8 +104,8 @@ def fit_rate(mu: Sequence[float], err: Sequence[float]) -> float:
 def _sweep_reduction(modes):
     """The fixed operands of the sweep's per-step reduction, for the limit's modes and then each tank's.
 
-    weights (n_sys, 2K), 1 on the real and -sqrt(1+k)/omega on the imaginary
-    slots, turn chi's float view into the pairs (zeta_t, sqrt(1+k) zeta).
+    weights (n_sys, 2K), sqrt(1+k) on the real and omega on the imaginary
+    slots, turn psi's float view into the pairs (sqrt(1+k) zeta, zeta_t).
     differences [-1 | I] take each tank's pairs less the limit's, bitwise the
     subtraction on finite data (every product by 0 or +-1 and every added zero
     is exact).  select (2, 2K) picks the elevation slots in row 0 and the
@@ -114,11 +114,11 @@ def _sweep_reduction(modes):
     omega = np.stack([w for w, _ in modes])
     n_sys, K = omega.shape
     weights = _aligned((n_sys, K, 2))
-    weights[..., 0] = 1.0
-    np.divide(-np.sqrt(sobolev_weights(K, 0.5)[1:]), omega, out=weights[..., 1])
+    weights[..., 0] = np.sqrt(sobolev_weights(K, 0.5)[1:])
+    weights[..., 1] = omega
     differences = np.hstack([np.full((n_sys - 1, 1), -1.0), np.eye(n_sys - 1)])
     select = np.zeros((2, K, 2))
-    select[0, :, 1] = select[1, :, 0] = 1.0
+    select[0, :, 0] = select[1, :, 1] = 1.0
     return weights.reshape(n_sys, 2 * K), differences, select.reshape(2, 2 * K)
 
 
@@ -128,8 +128,8 @@ def run_sweep(mu_list: Sequence[float], zeta0: np.ndarray, zeta1: np.ndarray, ru
     K comes from the data; the input holds each run's u for its count of
     steps of dt, in order, so the horizon is the total count times dt.  Mode 0
     is the same in every system, so its error is 0 and only modes 1..K are
-    stepped, by `evolution._rotate`.  Each step weighs chi's float view into
-    the pairs (zeta_t, sqrt(1+k) zeta), takes every tank's pairs less the
+    stepped, by `evolution._rotate`.  Each step weighs psi's float view into
+    the pairs (sqrt(1+k) zeta, zeta_t), takes every tank's pairs less the
     limit's with one product by [-1 | I], squares them and sums both squared
     error norms of every tank with one product by a 0/1 selector, into one row
     of a fixed block of _SWEEP_BLOCK + 1 rows.  A full block is folded into the

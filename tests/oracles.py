@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from wavetank.basis import _SQRT_2_OVER_PI, _SQRT_PI, _phi, sobolev_weights
-from wavetank.evolution import _propagate, _rows
+from wavetank.evolution import _rows
 from wavetank.fields import FieldGrid, _psi
 from wavetank.operators import _h
 
@@ -111,8 +111,8 @@ def expand(runs) -> np.ndarray:
 def step(state, u: float, dt: float, system):
     """Advance one system's state (zeta, zeta_t), two (K+1)-arrays, one step of length dt with the input held
     at u."""
-    *_, last = _propagate(*map(np.asarray, state), [system], [(float(u), 1)], float(dt))
-    return last[0, 0].copy(), last[1, 0].copy()
+    _, zeta, zeta_t = evolve(*map(np.asarray, state), [(float(u), 1)], float(dt), system)
+    return zeta[1].copy(), zeta_t[1].copy()
 
 
 def evolve(zeta0, zeta1, runs, dt, system):

@@ -1,8 +1,9 @@
 """Independent one-system steppers: plain per-step formulas, with a temporary for every term.
 
-`reference_step` is the kernel's exact step in (zeta, zeta_t), which the kernel must match bit for bit.
-`reference_advance` is the earlier rotation stepper in (alpha, beta, z0) = (zeta_t, omega zeta, zeta_0), a
-different arithmetic for the same exact flow, which the kernel must match to roundoff.
+`reference_step` is the exact 2x2 step in (zeta, zeta_t), which mode 0 of a simulated trajectory must match bit
+for bit and the rotation kernel's other modes to roundoff.  `reference_advance` is an earlier rotation stepper in
+(alpha, beta, z0) = (zeta_t, omega zeta, zeta_0), a different arithmetic for the same exact flow, which a simulated
+trajectory must match to roundoff.
 """
 
 import numpy as np

@@ -358,6 +358,13 @@ def test_step_count_is_capped():
         parse_config("simulate", overrides={"tau": "1000000001", "dt": "1"})
 
 
+def test_l_modes_is_capped():
+    # the cap itself is accepted and one more is a config error, both at parsing, before the oracle runs
+    assert parse_config("verify", overrides={"l_modes": "1000000000"}).l_modes == 10**9
+    with pytest.raises(ConfigError, match="^l_modes must be <= 1000000000, got 1000000001$"):
+        parse_config("verify", overrides={"l_modes": "1000000001"})
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_initial_elevation_overflow_exits_1_naming_the_mode(tmp_path, capsys, command):
     # the two terms of mode 2 sum past float64; the message quotes the spec that names it

@@ -137,16 +137,16 @@ def _state_scale(mu_list, zeta0, zeta1, values, dt):
 )
 def test_run_sweep_matches_per_system_reference_to_roundoff(data, K, n, dt, mu):
     # The reference steps zeta one system at a time by the plain per-step formula and sums w (zeta_mu - zeta)^2
-    # pairwise; the sweep rotates chi = zeta_t - i omega zeta, weighs its imaginary part by s / omega,
-    # s = sqrt(1+k) = sqrt(w), and sums squares by matrix products, so the two differ by roundoff only, bounded
+    # pairwise; the sweep rotates psi = zeta + i zeta_t / omega, weighs its real part by s = sqrt(1+k) = sqrt(w) and
+    # its imaginary part by omega, and sums squares by matrix products, so the two differ by roundoff only, bounded
     # here.  Per mode k >= 1 the exact step rotates (omega zeta, zeta_t) and adds the forcing, so it carries
-    # roundoff without growth.  A step of either stepper rounds each row (or each part of chi) at most 4 times,
-    # by eps/2 relative to B = |omega zeta| + |zeta_t| + 2 |f u| / omega, so it adds at most 4 eps B; with the
-    # rounded initial data a stepper stays within 4 (n+1) eps A of the exact flow, A the largest B, and a
-    # difference of two systems from two steppers within 16 (n+1) eps A.  The elevation weighs
-    # s <= 1.63 omega (omega_k^2 >= k tanh 1 for mu in (0, 1]), so over K modes a norm moves by at most
-    # 26.1 (n+1) sqrt(K) eps A, taken as 32; weighing, forming the differences and the sums of squares moves
-    # it by at most (K+4) eps relative.  A slack, the difference of two norms, moves by at most twice as much.
+    # roundoff without growth.  A step of either stepper rounds each row (or each part of omega psi) at most 4
+    # times, by eps/2 relative to B = |omega zeta| + |zeta_t| + 2 |f u| / omega, so it adds at most 4 eps B; with
+    # the rounded initial data a stepper stays within 4 (n+1) eps A of the exact flow, A the largest B, and a
+    # difference of two systems from two steppers within 16 (n+1) eps A.  The elevation weighs s <= 1.63 omega
+    # (omega_k^2 >= k tanh 1 for mu in (0, 1]), so over K modes a norm moves by at most 26.1 (n+1) sqrt(K) eps A,
+    # taken as 32; weighing, forming the differences and the sums of squares moves it by at most (K+4) eps relative.
+    # A slack, the difference of two norms, moves by at most twice as much.
     def vector(bound):
         return np.array(data.draw(st.lists(st.floats(-bound, bound), min_size=K + 1, max_size=K + 1)))
 
@@ -164,7 +164,7 @@ def test_run_sweep_matches_per_system_reference_to_roundoff(data, K, n, dt, mu):
 def _kernel_squared_norms(mu_list, zeta0, zeta1, values, dt):
     """The squared error norms of every step as the sweep forms them, shape (n + 1, 2, len(mu_list)): the
     rotation kernel steps modes 1..K, its float view times the weights gives each system's pairs
-    (zeta_t, sqrt(1+k) zeta), and the selector sums the squares of the pairs' differences from the limit's."""
+    (sqrt(1+k) zeta, zeta_t), and the selector sums the squares of the pairs' differences from the limit's."""
     K = zeta0.size - 1
     modes = [(w[1:], f[1:]) for w, f in [limit_system(K)] + [water_system(mu, K) for mu in mu_list]]
     weights, differences, select = _sweep_reduction(modes)
