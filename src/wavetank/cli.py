@@ -31,7 +31,7 @@ import numpy as np
 
 from ._writer import block_rows, table_blocks, write_csv, write_text
 from .basis import _readonly
-from .evolution import _rows, limit_system, water_system
+from .evolution import _rows, water_system
 from .fields import FieldGrid, _constant_profile, dirichlet_extension, neumann_extension, write_field_csv
 from .lab import audit_kernels, audit_resolvents, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
 
@@ -359,10 +359,7 @@ def _n_steps(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
-    if cfg.system == "water":
-        system = water_system(cfg.mu, cfg.k_modes)
-    else:
-        system = limit_system(cfg.k_modes)
+    system = water_system(cfg.mu if cfg.system == "water" else 0.0, cfg.k_modes)
     modes = range(cfg.k_modes + 1)
     header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
     rows = block_rows(2 * cfg.k_modes + 3)
@@ -402,7 +399,7 @@ def _cmd_field(cfg: RunConfig, out: _OutputSet) -> int:
 
 
 def dispatch(cfg: RunConfig) -> int:
-    """Run one command; on failure remove any files written by this invocation."""
+    """Run one command; on failure or interrupt remove any files written by this invocation."""
     runner = {
         "simulate": _cmd_simulate,
         "sweep": _cmd_sweep,
@@ -412,7 +409,7 @@ def dispatch(cfg: RunConfig) -> int:
     out = _OutputSet(cfg.out)
     try:
         return runner(cfg, out)
-    except Exception:
+    except BaseException:
         out.discard()
         raise
 

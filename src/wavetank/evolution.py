@@ -1,14 +1,14 @@
 """Time evolution of the tank and its zero-depth limit in modal form.
 
-Both systems decouple mode by mode.  The state is the paper's
+Every system decouples mode by mode.  The state is the paper's
 z = (zeta, d(zeta)/dt), and each cosine mode k is the forced oscillator
 
     zeta_k'' + omega_k^2 zeta_k = f_k u,
 
-where omega_k is the mode frequency (k sqrt(h(sqrt(mu) k)) for the tank, k for
-the limit string, so omega_0 = 0) and f_k the wave-maker forcing
-coefficient.  For input u held constant over a step of length dt the step is
-exact, one 2x2 map per mode:
+where omega_k = k sqrt(h(sqrt(mu) k)) is the mode frequency (omega_0 = 0) and
+f_k = -phi_k(0) h(sqrt(mu) k) the wave-maker forcing coefficient.  The limit
+string is mu = 0, where h = 1.  For input u held constant over a step of
+length dt the step is exact, one 2x2 map per mode:
 
     zeta'   = c zeta   + S zeta_t + f Q u,
     zeta_t' = c zeta_t - W zeta   + f S u,
@@ -22,7 +22,7 @@ exact quadratic in t.  With u = 0 the map conserves
 E = ||zeta_t||^2 + ||omega zeta||^2, so E is conserved to roundoff whatever dt.
 
 A system is the pair (omega, forcing) of (K+1)-arrays that `water_system`
-and `limit_system` return, and an input is dt together with the runs
+returns, and an input is dt together with the runs
 (u, count) of constant u that it holds, in step order: u_m on
 [m dt, (m+1) dt), step by step.
 
@@ -44,29 +44,30 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .basis import _aligned, _readonly
-from .operators import _h, limit_forcing
+from .basis import _SQRT_2_OVER_PI, _SQRT_PI, _aligned, _readonly
+from .operators import _h
 
-__all__ = [
-    "water_system",
-    "limit_system",
-]
+__all__ = ["water_system"]
 
 
 def water_system(mu: float, K: int):
-    """(omega, forcing) of the tank at shallowness mu, modes 0..K.
+    """(omega, forcing) of the tank at shallowness mu in [0, 1], modes 0..K >= 1.
 
     omega_k = k sqrt(h(sqrt(mu) k)) and f_k = -phi_k(0) h(sqrt(mu) k), from one
-    evaluation of h.
+    evaluation of h.  h(0) = 1, so mu = 0 gives the zero-depth limit exactly: the
+    string with omega_k = k and the boundary point mass f_k = -phi_k(0).
     """
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     k = np.arange(K + 1, dtype=float)
     h = _h(np.sqrt(mu) * k)
-    return k * np.sqrt(h), limit_forcing(K) * h
-
-
-def limit_system(K: int):
-    """(omega, forcing) of the zero-depth limit: the string with omega_k = k and point-mass forcing."""
-    return np.arange(K + 1, dtype=float), limit_forcing(K)
+    forcing = np.full(K + 1, -_SQRT_2_OVER_PI)
+    forcing[0] = -1.0 / _SQRT_PI
+    forcing *= h
+    # omega in h's buffer: no further array of K + 1 values
+    omega = np.sqrt(h, out=h)
+    omega *= k
+    return omega, forcing
 
 
 def _rotate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):

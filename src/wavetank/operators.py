@@ -18,14 +18,15 @@ lateral series exactly,
     sum_l H(k, l) = (mu/2) h(sqrt(mu) k),    f_k = -phi_k(0) h(sqrt(mu) k),
     h(x) = tanh(x)/x,
 
-so production code uses the closed forms (`wave_maker_forcing`, and the
-`H_sum` field of `comparison_kernels`).  The truncated series `kernel_H_sum`
-is kept as an independent oracle: it takes the lateral truncation l_modes and
-returns the pair (sum, certified tail bound); the kernel audit checks the
-closed form against it.  The oracle uses neither tanh nor any closed form.
-With y = 2 sqrt(mu) k / pi it sums 1 / ((2l-1)^2 + y^2) directly for l below
-a split b, the smallest power of two with 2b - 1 >= 2y, and the tail l >= b,
-where q = y^2 / (2l-1)^2 <= 1/4, as the power series
+so production code uses the closed forms: `evolution.water_system` builds the
+forcing, the string's at mu = 0, and `comparison_kernels` the lateral sum
+H_sum.  The truncated series `kernel_H_sum` is kept as an independent oracle:
+it takes the lateral truncation l_modes and returns the pair (sum, certified
+tail bound); the kernel audit checks the closed form against it.  The oracle
+uses neither tanh nor any closed form.  With y = 2 sqrt(mu) k / pi it sums
+1 / ((2l-1)^2 + y^2) directly for l below a split b, the smallest power of two
+with 2b - 1 >= 2y, and the tail l >= b, where q = y^2 / (2l-1)^2 <= 1/4, as
+the power series
 
     sum_{n<N} (-y^2)^n P_n(b),   P_n(b) = sum_{b<=l<=l_modes} (2l-1)^(-2(n+1)),
 
@@ -47,23 +48,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import _SQRT_2_OVER_PI, _SQRT_PI, _readonly, sobolev_weights
+from .basis import _readonly
 
-__all__ = [
-    "limit_forcing",
-    "comparison_kernels",
-    "kernel_H_sum",
-    "wave_maker_forcing",
-    "bmu_dual_norm_gap",
-]
+__all__ = ["comparison_kernels", "kernel_H_sum"]
 
 
 def _h(x):
     """tanh(x)/x extended continuously by h(0) = 1.  Decreasing on [0, inf)."""
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
     nz = x != 0.0
-    np.divide(np.tanh(x, where=nz, out=np.zeros_like(x)), x, where=nz, out=out)
+    out = np.tanh(x, out=np.empty_like(x))
+    np.divide(out, x, where=nz, out=out)
+    out[~nz] = 1.0
     return out
 
 
@@ -185,15 +181,6 @@ def _tail_table(L: int):
     return _readonly(c), _readonly(U)
 
 
-def limit_forcing(K: int) -> np.ndarray:
-    """Zero-depth forcing b0_k = -phi_k(0), the boundary point mass, for modes 0..K."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    b0 = np.full(K + 1, -_SQRT_2_OVER_PI)
-    b0[0] = -1.0 / _SQRT_PI
-    return b0
-
-
 def _check_kernel_args(k):
     ka = np.asarray(k, dtype=float)
     # nan fails both comparisons, so it is rejected with inf
@@ -254,30 +241,3 @@ def kernel_H_sum(mu: float, k, l_modes: int):
     ka = _check_kernel_args(k)
     scale = 4.0 * mu / math.pi**2
     return scale * _odd_sums(mu, ka, l_modes), scale / (2.0 * l_modes - 1.0)
-
-
-def wave_maker_forcing(mu: float, K: int) -> np.ndarray:
-    """Forcing coefficients f_k = -phi_k(0) h(sqrt(mu) k) for modes 0..K, in closed form.
-
-    h(0) = 1 gives the exact mode-0 value -1/sqrt(pi).
-    """
-    k = np.arange(K + 1, dtype=float)
-    return limit_forcing(K) * _h(math.sqrt(mu) * k)
-
-
-def bmu_dual_norm_gap(mu: float, K: int) -> float:
-    """Distance of the unit-input forcing from its zero-depth limit.
-
-    Measured in the dual of the first-order scale space, realized with mode
-    weights (1+k)^(-2) (exponent -1 in this package's weight family), the
-    Fourier realization of the dual norm in which the forcing convergence is
-    proved.  Mode 0 cancels exactly.
-    """
-    gap = wave_maker_forcing(mu, K) - limit_forcing(K)
-    return float(np.sqrt(np.sum(_dual_weights(K) * gap**2)))
-
-
-@functools.cache
-def _dual_weights(K: int) -> np.ndarray:
-    """sobolev_weights(K, -1.0), read-only: built once per K, however many mu share it."""
-    return _readonly(sobolev_weights(K, -1.0))

@@ -226,8 +226,8 @@ def direct_odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
 
 
 def ntn_forcing(mu, K: int, l_modes: int):
-    """(f, tail_bound): forcing coefficients f_k of modes 0..K by the lateral series, the reference of
-    `wave_maker_forcing`.
+    """(f, tail_bound): forcing coefficients f_k of modes 0..K by the lateral series, the reference of the
+    closed-form forcing of `water_system`.
 
     Mode 0 is the exact -1/sqrt(pi) (termwise integration, sum 1/(2l-1)^2 =
     pi^2/8); modes k >= 1 sum l_modes lateral terms, and tail_bound bounds the

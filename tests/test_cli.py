@@ -429,6 +429,24 @@ def test_output_error_exits_1_with_one_line(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["summary.txt"]
 
 
+def test_an_interrupted_command_leaves_no_partial_outputs(tmp_path, monkeypatch):
+    # field writes field_dirichlet.csv, then is interrupted while it writes field_neumann.csv: the interrupt
+    # propagates, and the CSV already written is removed, as after an error
+    write, calls = cli.write_field_csv, []
+
+    def interrupted_second_write(grid, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        write(grid, path)
+
+    monkeypatch.setattr(cli, "write_field_csv", interrupted_second_write)
+    with pytest.raises(KeyboardInterrupt):
+        main(["field", "--out", str(tmp_path), "--k-modes", "4", "--l-modes", "8", "--grid", "3,3"])
+    assert [p.name for p in calls] == ["field_dirichlet.csv", "field_neumann.csv"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_default_dt_reaches_horizon():
     for tau in ("0.1", "1", "7.3", "10", "20", "12345.678"):
         cfg = parse_config("simulate", overrides={"tau": tau})

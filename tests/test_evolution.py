@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavetank.cli import ConfigError, make_signal
-from wavetank.evolution import _rotate, _rows, limit_system, water_system
+from wavetank.evolution import _rotate, _rows, water_system
 
 from oracles import (
     energy,
@@ -39,13 +39,13 @@ def _moving(system):
 
 
 def test_rotate_shape_errors():
-    moving = _moving(limit_system(4))
+    moving = _moving(water_system(0.0, 4))
     with pytest.raises(ValueError, match="mode count mismatch"):
         next(_rotate(np.zeros(3), np.zeros(4), [moving], [(0.0, 1)], 0.1))
     with pytest.raises(ValueError, match="mode count mismatch"):
         next(_rotate(np.zeros(5), np.zeros(5), [moving], [(0.0, 1)], 0.1))
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_rotate(np.zeros(4), np.zeros(4), [moving, _moving(limit_system(5))], [(0.0, 1)], 0.1))
+        next(_rotate(np.zeros(4), np.zeros(4), [moving, _moving(water_system(0.0, 5))], [(0.0, 1)], 0.1))
 
 
 def test_full_period_rotation_returns_to_start():
@@ -62,7 +62,7 @@ def test_full_period_rotation_returns_to_start():
 def test_single_mode_closed_form_any_dt():
     # exactness: zeta_k(t) = cos(omega_k t) independent of step size
     K = 3
-    limit = limit_system(K)
+    limit = water_system(0.0, K)
     for dt in (0.5, 0.037, 1e-3):
         st = (unit(1, K), np.zeros(K + 1))
         t = 0.0
@@ -105,7 +105,7 @@ def test_trajectory_memory_is_independent_of_the_horizon():
 def test_energy_conserved_per_step():
     K = 32
     rng = np.random.default_rng(2)
-    for system in (limit_system(K), water_system(1e-3, K)):
+    for system in (water_system(0.0, K), water_system(1e-3, K)):
         st = (rng.standard_normal(K + 1), rng.standard_normal(K + 1))
         e0 = energy(st, system)
         for _ in range(50):
@@ -118,7 +118,7 @@ def test_unitarity_long_run():
     rng = np.random.default_rng(42)
     z0 = rng.standard_normal(K + 1)
     z1 = rng.standard_normal(K + 1)
-    for system in (limit_system(K), water_system(1.0, K)):
+    for system in (water_system(0.0, K), water_system(1.0, K)):
         e0 = energy((z0, z1), system)
         _, zeta, zeta_t = evolve(z0, z1, [(0.0, 1000)], 1e-3, system)
         assert abs(energy((zeta[-1], zeta_t[-1]), system) - e0) / e0 < 1e-10
@@ -126,14 +126,14 @@ def test_unitarity_long_run():
 
 def test_evolve_zero_everything():
     K = 4
-    limit = limit_system(K)
+    limit = water_system(0.0, K)
     _, zeta, zeta_t = evolve(np.zeros(K + 1), np.zeros(K + 1), [(0.0, 10)], 0.1, limit)
     assert np.all(zeta == 0.0) and np.all(zeta_t == 0.0)
 
 
 def test_mode0_quadratic_under_constant_input():
     K = 2
-    limit = limit_system(K)
+    limit = water_system(0.0, K)
     times, zeta, _ = evolve(np.zeros(K + 1), np.zeros(K + 1), [(1.0, 1000)], 0.01, limit)
     expected = -times**2 / (2.0 * math.sqrt(math.pi))
     err = np.abs(zeta[:, 0] - expected) / np.maximum(1.0, np.abs(expected))
@@ -171,7 +171,7 @@ def test_weak_form_identity_second_order_in_dt():
     alpha_j(t) - alpha_j(0) + j^2 int zeta_j + phi_j(0) int u = 0
     must vanish at O(dt^2) for the limit system."""
     K = 6
-    limit = limit_system(K)
+    limit = water_system(0.0, K)
     z0 = np.exp(-0.7 * np.arange(K + 1.0))
     residuals = []
     for dt in (0.02, 0.01):
@@ -395,9 +395,9 @@ def test_rotate_agrees_with_the_per_step_reference_and_conserves_its_modulus(bat
 
 def test_rotate_rejects_a_mode_at_rest_and_steps_two_buffers_in_turn():
     zeta0, zeta1 = unit(1, 3)[1:], unit(2, 3)[1:]
-    moving = _moving(limit_system(3))
+    moving = _moving(water_system(0.0, 3))
     with pytest.raises(ValueError, match="omega > 0 only"):
-        next(_rotate(unit(1, 3), unit(2, 3), [limit_system(3)], [(0.0, 1)], 0.1))
+        next(_rotate(unit(1, 3), unit(2, 3), [water_system(0.0, 3)], [(0.0, 1)], 0.1))
     samples = _rotate(zeta0, zeta1, [moving, moving], [(1.0, 2)], 0.1)
     first = next(samples)
     # the pairs (zeta, zeta_t / omega) of each mode, side by side
@@ -415,7 +415,7 @@ def test_string_matches_dalembert_across_reflections(on, off, amplitude):
     # every sampled t, before, between and after reflections off x = pi and x = 0
     K, dt = 64, 2.0**-6
     values = pulse_values(on, off, amplitude, dt, 800)
-    _, zeta, _ = evolve(np.zeros(K + 1), np.zeros(K + 1), runs_of(values), dt, limit_system(K))
+    _, zeta, _ = evolve(np.zeros(K + 1), np.zeros(K + 1), runs_of(values), dt, water_system(0.0, K))
     x, w = quadrature_nodes(4096)
     phi = np.array([eval_basis(k, x) for k in range(9)]).T
     for n in (16, 96, 201, 402, 500, 640, 800):

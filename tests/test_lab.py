@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wavetank import lab
 from wavetank.basis import sobolev_weights
 from wavetank.cli import make_signal
-from wavetank.evolution import _rotate, limit_system, water_system
+from wavetank.evolution import _rotate, water_system
 from wavetank.lab import (
     _SWEEP_BLOCK,
     DEFAULT_MU_GRID,
@@ -28,7 +28,7 @@ from wavetank.lab import (
     sweep_summary,
     write_sweep_csv,
 )
-from wavetank.operators import comparison_kernels, limit_forcing, wave_maker_forcing
+from wavetank.operators import comparison_kernels
 
 from oracles import pulse_values, runs_of, unit
 from reference_stepper import reference_step
@@ -96,7 +96,7 @@ def _reference_trajectory(zeta0, zeta1, values, dt, system):
 
 def _reference_norms(mu_list, zeta0, zeta1, values, dt):
     """The (elevation, velocity) error norms of each shallowness at every step, from full trajectories."""
-    zeta_lim, zeta_t_lim = _reference_trajectory(zeta0, zeta1, values, dt, limit_system(zeta0.size - 1))
+    zeta_lim, zeta_t_lim = _reference_trajectory(zeta0, zeta1, values, dt, water_system(0.0, zeta0.size - 1))
     w = sobolev_weights(zeta0.size - 1, 0.5)
     norms = []
     for mu in mu_list:
@@ -120,7 +120,7 @@ def _state_scale(mu_list, zeta0, zeta1, values, dt):
     and modes k >= 1."""
     K = zeta0.size - 1
     scale = 0.0
-    for omega, forcing in [limit_system(K)] + [water_system(mu, K) for mu in mu_list]:
+    for omega, forcing in [water_system(mu, K) for mu in (0.0, *mu_list)]:
         zeta, zeta_t = _reference_trajectory(zeta0, zeta1, values, dt, (omega, forcing))
         state = np.abs(omega[1:] * zeta[:, 1:]) + np.abs(zeta_t[:, 1:])
         scale = max(scale, (state + 2.0 * np.abs(values).max() * np.abs(forcing[1:]) / omega[1:]).max())
@@ -166,7 +166,7 @@ def _kernel_squared_norms(mu_list, zeta0, zeta1, values, dt):
     rotation kernel steps modes 1..K, its float view times the weights gives each system's pairs
     (sqrt(1+k) zeta, zeta_t), and the selector sums the squares of the pairs' differences from the limit's."""
     K = zeta0.size - 1
-    modes = [(w[1:], f[1:]) for w, f in [limit_system(K)] + [water_system(mu, K) for mu in mu_list]]
+    modes = [(w[1:], f[1:]) for w, f in [water_system(mu, K) for mu in (0.0, *mu_list)]]
     weights, differences, select = _sweep_reduction(modes)
     norms = []
     for state in _rotate(zeta0[1:], zeta1[1:], modes, runs_of(values), dt):
@@ -216,7 +216,7 @@ def test_an_overflowing_tank_state_is_named_and_spoils_no_other_tank():
 def test_every_tank_is_the_limit_in_mode_0(mu, K):
     # h(0) = 1 exactly, so omega_0 = 0 and f_0 = -1/sqrt(pi) in every tank: mode 0 of a tank steps bitwise as
     # the string's, its error is exactly 0, and the sweep steps modes 1..K only
-    for tank, string in zip(water_system(mu, K), limit_system(K)):
+    for tank, string in zip(water_system(mu, K), water_system(0.0, K)):
         assert tank[:1].tobytes() == string[:1].tobytes()
 
 
@@ -343,9 +343,10 @@ def test_bmu_rate_table_scaling():
 
 
 def test_bmu_rate_table_rows_equal_an_uncached_per_mu_reference_bitwise():
-    # the dual-norm weights are built once per K and shared by every mu; each row stays the per-mu formula
+    # the dual-norm weights and the string's forcing are built once per call and shared by every mu; each row
+    # stays the per-mu formula, the tank's forcing less the string's, mu = 0
     def scaled_gap(mu, K):
-        gap = wave_maker_forcing(mu, K) - limit_forcing(K)
+        gap = water_system(mu, K)[1] - water_system(0.0, K)[1]
         return float(np.sqrt(np.sum(sobolev_weights(K, -1.0) * gap**2))) * mu ** (-0.25)
 
     for mu_grid, K in ((GAP_MU_GRID, GAP_K), ((1.0, 1e-3, 1e-9), 37), (GAP_MU_GRID, GAP_K)):

@@ -1,3 +1,7 @@
+"""The tank's diagonal operators: the frequencies and the closed-form forcing that `water_system` builds (the string
+at mu = 0) against the lateral-series oracle, the comparison kernels, and the dual-norm forcing gap of
+`bmu_rate_table`."""
+
 import math
 import tracemalloc
 
@@ -8,16 +12,8 @@ from hypothesis import strategies as st
 
 from wavetank.basis import _phi
 from wavetank.evolution import water_system
-from wavetank.lab import PROVEN_TOL
-from wavetank.operators import (
-    _odd_sums,
-    _tail_table,
-    bmu_dual_norm_gap,
-    comparison_kernels,
-    kernel_H_sum,
-    limit_forcing,
-    wave_maker_forcing,
-)
+from wavetank.lab import PROVEN_TOL, bmu_rate_table
+from wavetank.operators import _h, _odd_sums, _tail_table, comparison_kernels, kernel_H_sum
 
 from oracles import KERNEL_FORMULAS, direct_odd_sums, norm, ntn_forcing
 
@@ -93,13 +89,14 @@ class TestForcing:
         # at mu = 1e-300; the series must stay within its certificate anyway
         for mu in (1.0, 1e-6, 1e-200, 1e-300):
             f, tail = ntn_forcing(mu, 64, 10_000)
-            assert np.abs(f - wave_maker_forcing(mu, 64)).max() <= tail
+            assert np.abs(f - water_system(mu, 64)[1]).max() <= tail
         _, forcing = water_system(1e-300, 64)
         np.testing.assert_allclose(forcing[1:], -SQ2PI, rtol=0.0, atol=1e-15)
-        # water_system builds its forcing from the h of its frequencies: the same bits
+        # the tank's forcing is the string's, mu = 0, scaled by the h of its frequencies: the same bits
         for mu in (1.0, 0.3, 1e-2, 1e-6, 1e-300, 5e-324):
             for K in (1, 7, 1024):
-                assert water_system(mu, K)[1].tobytes() == wave_maker_forcing(mu, K).tobytes()
+                h = _h(np.sqrt(mu) * np.arange(K + 1.0))
+                assert water_system(mu, K)[1].tobytes() == (water_system(0.0, K)[1] * h).tobytes()
 
     def test_linearity_scaling(self):
         f, _ = ntn_forcing(0.5, 4, 10_000)
@@ -113,19 +110,23 @@ class TestForcing:
 
 
 class TestLimitOperators:
+    """The zero-depth limit, the string, is the tank at mu = 0."""
+
     def test_values(self):
-        b0 = limit_forcing(8)
+        _, b0 = water_system(0.0, 8)
         assert b0[0] == -1.0 / math.sqrt(math.pi)
         assert b0[5] == -SQ2PI
 
     @pytest.mark.parametrize("K", [1, 4, 1024, 65536])
     def test_equals_the_cosine_evaluator_at_the_wave_maker_bitwise(self, K):
-        assert limit_forcing(K).tobytes() == (-_phi(np.arange(K + 1), 0.0)).tobytes()
+        omega, forcing = water_system(0.0, K)
+        assert forcing.tobytes() == (-_phi(np.arange(K + 1), 0.0)).tobytes()
+        assert omega.tobytes() == np.arange(K + 1.0).tobytes()
         with pytest.raises(ValueError, match="K must be >= 1"):
-            limit_forcing(0)
+            water_system(0.0, 0)
 
     def test_forcing_converges_to_limit(self):
-        b0 = limit_forcing(8)
+        _, b0 = water_system(0.0, 8)
         prev = None
         for mu in (1e-2, 1e-4, 1e-6):
             f, _ = ntn_forcing(mu, 8, 10_000)
@@ -197,16 +198,22 @@ class TestKernels:
             assert np.all(np.isfinite(kern.J))
 
 
+def dual_norm_gap(mu, K):
+    """The unscaled dual-norm forcing gap of `bmu_rate_table`'s row at mu."""
+    row, _ = bmu_rate_table((mu,), K).rows
+    return row.value * mu**0.25
+
+
 class TestForcingGap:
     def test_nonnegative(self):
-        assert bmu_dual_norm_gap(0.5, 32) >= 0.0
+        assert dual_norm_gap(0.5, 32) >= 0.0
 
     def test_monotone_decreasing_and_frozen(self):
         # frozen from the closed-form forcing
         expected = {1e-2: 0.14322321193994964, 1e-3: 0.07346478958006918, 1e-4: 0.028232961988608023}
         gaps = []
         for mu in (1e-2, 1e-3, 1e-4):
-            g = bmu_dual_norm_gap(mu, 256)
+            g = dual_norm_gap(mu, 256)
             gaps.append(g)
             assert g == pytest.approx(expected[mu], rel=1e-6)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -215,11 +222,12 @@ class TestForcingGap:
         for mu in (1e-2, 1e-4):
             k = np.arange(257)
             f_oracle = np.array([closed_form_forcing(mu, kk) if kk else -1 / math.sqrt(math.pi) for kk in k])
-            b0 = limit_forcing(256)
+            b0 = -_phi(k, 0.0)
             oracle = norm(f_oracle - b0, -1.0)
-            assert bmu_dual_norm_gap(mu, 256) == pytest.approx(oracle, rel=1e-12)
+            assert dual_norm_gap(mu, 256) == pytest.approx(oracle, rel=1e-12)
             # the weighted sum in the order of the norm, so the same bits
-            assert bmu_dual_norm_gap(mu, 256) == norm(wave_maker_forcing(mu, 256) - limit_forcing(256), -1.0)
+            row, _ = bmu_rate_table((mu,), 256).rows
+            assert row.value == norm(water_system(mu, 256)[1] - water_system(0.0, 256)[1], -1.0) * mu ** (-0.25)
 
 
 @settings(deadline=None)

@@ -27,10 +27,10 @@ def test_module_all_names_exist(name):
 # every public name of the package, the modules' __all__ together; a change to the public surface shows here
 PUBLIC_NAMES = [
     "ConfigError", "DEFAULT_MU_GRID", "FieldGrid", "GAP_MU_GRID", "KernelAudit", "KernelAuditRow", "RunConfig",
-    "SweepReport", "audit_kernels", "audit_resolvents", "bmu_dual_norm_gap", "bmu_rate_table", "comparison_kernels",
-    "dirichlet_extension", "dirichlet_values", "dispatch", "fit_rate", "kernel_H_sum", "limit_forcing",
-    "limit_system", "main", "neumann_extension", "neumann_values", "parse_config", "run_sweep", "sobolev_weights",
-    "sweep_summary", "water_system", "wave_maker_forcing", "write_field_csv", "write_sweep_csv",
+    "SweepReport", "audit_kernels", "audit_resolvents", "bmu_rate_table", "comparison_kernels", "dirichlet_extension",
+    "dirichlet_values", "dispatch", "fit_rate", "kernel_H_sum", "main", "neumann_extension", "neumann_values",
+    "parse_config", "run_sweep", "sobolev_weights", "sweep_summary", "water_system", "write_field_csv",
+    "write_sweep_csv",
 ]
 
 def test_public_names_are_the_pinned_list():
@@ -105,9 +105,9 @@ NOT_RUN_BY_A_COMMAND = {
 def test_every_src_function_runs_under_a_command(tmp_path):
     from wavetank._writer import _digit_table, _exponent_table
     from wavetank.cli import main
-    from wavetank.operators import _dual_weights, _tail_table
+    from wavetank.operators import _tail_table
 
-    for table in (_digit_table, _exponent_table, _dual_weights, _tail_table):
+    for table in (_digit_table, _exponent_table, _tail_table):
         table.cache_clear()  # built once per process: let the traced commands build it
     small = ["--k-modes", "4", "--tau", "0.1", "--dt", "0.05", "--k-max", "10", "--l-modes", "10"]
     runs = [
