@@ -3,8 +3,8 @@
 Commands
     simulate   evolve one system and write the trajectory as CSV
     sweep      run a shallowness sweep; write error CSV and a text summary
-    verify     print the kernel, resolvent and forcing-gap audit tables and a
-               verdict line; exit 0 iff every row with a limit holds it
+    verify     print the kernel and forcing-gap audit tables and a verdict
+               line; exit 0 iff every row with a limit holds it
     field      write both boundary-data extensions on a grid as CSV
 
 Configuration is a flat key=value file (one pair per line, `#` comments);
@@ -33,7 +33,7 @@ from ._writer import block_rows, table_blocks, write_csv, write_text
 from .basis import _readonly
 from .evolution import _rows, water_system
 from .fields import FieldGrid, _constant_profile, dirichlet_extension, neumann_extension, write_field_csv
-from .lab import audit_kernels, audit_resolvents, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
+from .lab import audit_kernels, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dispatch", "main"]
 
@@ -52,7 +52,7 @@ _MAX_L_MODES = 10**9
 # Order fixes the serialized layout.
 CONFIG_KEYS = {
     "out": ("out", "DIR", "output directory"),
-    "mu": ("0.01", "MU", "shallowness parameter, in (0, 1]"),
+    "mu": ("0.01", "MU", "shallowness parameter, in [0, 1] (0 is the string); field needs (0, 1]"),
     "mu_list": ("1e-1,1e-2,1e-3,1e-4", "M1,M2,...", "comma-separated decreasing shallowness values in (0, 1]"),
     "k_modes": ("256", "K", "number of nonzero surface modes, >= 1"),
     "l_modes": (
@@ -67,7 +67,6 @@ CONFIG_KEYS = {
     "signal": ("pulse:0:1:1", "SPEC", "input signal: zero | const:AMP | pulse:T0:T1:AMP"),
     "init": ("smooth8", "SPEC", "initial elevation: zero | cos1 | smooth8 | mode:K:AMP[+...]"),
     "init1": ("zero", "INIT1", "initial velocity, same mini-language as init"),
-    "system": ("water", "SYSTEM", "simulate target: water | limit"),
     "seed": (
         "20260809",
         "SEED",
@@ -97,7 +96,6 @@ class RunConfig:
     signal: str
     init: str
     init1: str
-    system: str
     seed: int
     k_max: int
 
@@ -151,14 +149,14 @@ def _parse_pairs(text: str, source: str) -> dict:
     return pairs
 
 
-def _to_float(key: str, raw: str, hi: float) -> float:
-    """A finite number in (0, hi]; ConfigError otherwise."""
+def _to_float(key: str, raw: str, hi: float, zero: bool = False) -> float:
+    """A finite number in (0, hi], or in [0, hi] with zero; ConfigError otherwise."""
     try:
         val = float(raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    if not (math.isfinite(val) and 0.0 < val <= hi):
-        raise ConfigError(f"{key} must be in (0, {hi:g}], got {raw}")
+    if not (math.isfinite(val) and (0.0 < val or zero and val == 0.0) and val <= hi):
+        raise ConfigError(f"{key} must be in {'[' if zero else '('}0, {hi:g}], got {raw}")
     return val
 
 
@@ -189,7 +187,10 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
                 raise ConfigError(f"{k} must contain neither '#' nor a line break, got {v!r}")
             raw[k] = v.strip()
 
-    mu = _to_float("mu", raw["mu"], 1.0)
+    mu = _to_float("mu", raw["mu"], 1.0, zero=True)
+    # the wave-maker extension divides by sqrt(mu)
+    if command == "field" and mu == 0.0:
+        raise ConfigError(f"mu must be in (0, 1] for field, got {raw['mu']}")
     items = raw["mu_list"].split(",")
     if not any(s.strip() for s in items):
         raise ConfigError("mu_list must contain at least one value")
@@ -207,9 +208,6 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     l_modes = _to_int("l_modes", raw["l_modes"], 1)
     if l_modes > _MAX_L_MODES:
         raise ConfigError(f"l_modes must be <= {_MAX_L_MODES}, got {l_modes}")
-    system = raw["system"]
-    if system not in ("water", "limit"):
-        raise ConfigError(f"system must be water or limit, got {system!r}")
     cfg = RunConfig(
         command=command,
         out=raw["out"],
@@ -223,7 +221,6 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
         signal=raw["signal"],
         init=raw["init"],
         init1=raw["init1"],
-        system=system,
         seed=_to_int("seed", raw["seed"], 0),
         k_max=_to_int("k_max", raw["k_max"], 1),
     )
@@ -359,7 +356,7 @@ def _n_steps(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, out: _OutputSet) -> int:
-    system = water_system(cfg.mu if cfg.system == "water" else 0.0, cfg.k_modes)
+    system = water_system(cfg.mu, cfg.k_modes)
     modes = range(cfg.k_modes + 1)
     header = ",".join(["t", *(f"zeta_{k}" for k in modes), *(f"dzeta_{k}" for k in modes)])
     rows = block_rows(2 * cfg.k_modes + 3)
@@ -379,7 +376,7 @@ def _cmd_sweep(cfg: RunConfig, out: _OutputSet) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out: _OutputSet) -> int:
-    audits = (audit_kernels(k_max=cfg.k_max, l_modes=cfg.l_modes), audit_resolvents(K=cfg.k_modes), bmu_rate_table())
+    audits = (audit_kernels(k_max=cfg.k_max, l_modes=cfg.l_modes), bmu_rate_table())
     ok = all(audit.passed for audit in audits)
     verdict = "verify: " + ("all proven bounds hold" if ok else "BOUND VIOLATION")
     text = "\n\n".join([*(audit.table() for audit in audits), verdict]) + "\n"

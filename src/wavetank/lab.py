@@ -10,10 +10,10 @@ over the step grid, and fits the empirical rate err ~ C mu^p by least squares
 in log-log coordinates.  Every audit is a KernelAudit: a titled table of
 rows, each a measured value with a hard limit where the bound is proven and
 none where the constant is only fitted.  The kernel audit sweeps the
-comparison kernels over a (mu, k) grid; the resolvent audit takes the exact
-operator-norm gap of the shifted resolvents, which are diagonal, as a max over
-modes; the forcing audit tabulates the dual-norm gap of each tank's forcing
-from the string's against mu^(1/4).
+comparison kernels over a (mu, k) grid, and with them the exact operator-norm
+gap of the shifted resolvents, which are diagonal, as a max over modes; the
+forcing audit tabulates the dual-norm gap of each tank's forcing from the
+string's against mu^(1/4).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "run_sweep",
     "fit_rate",
     "audit_kernels",
-    "audit_resolvents",
     "bmu_rate_table",
     "write_sweep_csv",
     "sweep_summary",
@@ -276,13 +275,21 @@ def audit_kernels(
     at l_modes must match it within its certified tail on up to
     ORACLE_K_SAMPLES log-spaced k <= k_max per shallowness.  The kernels are
     evaluated over blocks of _AUDIT_BLOCK modes, so the memory is one block's.
+
+    The resolvent rows are exact operator-norm gaps, not samples.  The
+    shifted resolvents (I + A)^(-1) act coefficient-wise, with A = lambda_k/mu
+    = k^2 h(sqrt(mu) k) for the tank and k^2 for the string, so on a probe p
+    the gap is -F_k p_k mode by mode (zero on mode 0).  Its sup over unit
+    probes on modes 0..k_max is therefore max |F_k|, proven <= sqrt(mu); the
+    square-root channel is likewise max |G_k|, whose constant over sqrt(mu)
+    is only fitted.
     """
     mu_grid = _grid(mu_grid, k_max)
     k_oracle = _oracle_modes(k_max)
     # the truncated series and its certified tail at the oracle modes, per mu; the closed form is set against it
     # block by block
     series, tails = zip(*(kernel_H_sum(mu, k_oracle, l_modes) for mu in mu_grid))
-    ratio_f, ratio_i, ratio_h1, ratio_h2, ratio_oracle, fit_g, fit_j = [], [], [], [], [], [], []
+    ratio_f, gap_f, gap_g, ratio_i, ratio_h1, ratio_h2, ratio_oracle, fit_g, fit_j = [], [], [], [], [], [], [], [], []
     for k in _mode_blocks(k_max):
         here = (k_oracle >= k[0]) & (k_oracle <= k[-1])
         at = (k_oracle[here] - k[0]).astype(np.intp)  # positions of this block's oracle modes in k
@@ -299,10 +306,12 @@ def audit_kernels(
                 ratio_oracle.append(np.max(np.abs(H[at] - sums[here])) / tail)
             ratio_h1.append(np.max(H) / (mu / 2.0))
             ratio_h2.append(np.max(np.multiply(H, k, out=H)) / (2.0 * rmu))
-            ratio_f.append(np.max(np.multiply(np.abs(F, out=F), k, out=F)) / rmu)
+            gap_f.append(np.max(np.abs(F, out=F)) / rmu)
+            ratio_f.append(np.max(np.multiply(F, k, out=F)) / rmu)
             ratio_i.append(np.max(np.divide(np.abs(I, out=I), np.multiply(rmu, k, out=env), out=I)))
             g_env = np.minimum(rmu, np.divide(mu**0.25, root_k, out=env), out=env)
-            fit_g[-1].append(np.max(np.divide(np.abs(G, out=G), g_env, out=G)))
+            gap_g.append(np.max(np.abs(G, out=G)) / rmu)
+            fit_g[-1].append(np.max(np.divide(G, g_env, out=G)))
             fit_j[-1].append(np.max(np.divide(np.abs(J, out=J), np.multiply(mu**0.25, root_k, out=env), out=J)))
     fit_g, fit_j = np.max(fit_g, axis=0), np.max(fit_j, axis=0)
     # the decade spreads of the fitted constants are diagnostics: they settle
@@ -311,40 +320,18 @@ def audit_kernels(
     # full default grid)
     rows = (
         KernelAuditRow("F", "max |F| k / sqrt(mu)", float(np.max(ratio_f)), _proven(1.0)),
+        KernelAuditRow("F", "sup |p|=1 resolvent gap / sqrt(mu)", float(np.max(gap_f)), _proven(1.0)),
         KernelAuditRow("I", "max |I| / (sqrt(mu) k)", float(np.max(ratio_i)), _proven(1.0)),
         KernelAuditRow("H_sum", "max sum_l H / (mu/2)", float(np.max(ratio_h1)), _proven(1.0)),
         KernelAuditRow("H_sum", "max sum_l H k / (2 sqrt(mu))", float(np.max(ratio_h2)), _proven(1.0)),
         KernelAuditRow("H_sum", "max |closed - series| / certified tail", float(np.max(ratio_oracle)), _proven(1.0)),
         KernelAuditRow("G", "fitted C over min(sqrt(mu), mu^1/4 k^-1/2)", float(np.max(fit_g)), _proven(2.0)),
         KernelAuditRow("G", "fitted C spread across decades", float(np.max(fit_g) / np.min(fit_g)), None),
+        KernelAuditRow("G", "sup |p|=1 sqrt-channel gap / sqrt(mu)", float(np.max(gap_g)), None),
         KernelAuditRow("J", "fitted C over mu^1/4 k^1/2", float(np.max(fit_j)), None),
         KernelAuditRow("J", "fitted C spread across decades", float(np.max(fit_j) / np.min(fit_j)), None),
     )
     return KernelAudit(f"kernel audit over mu in {list(mu_grid)}, k <= {k_max}", rows)
-
-
-def audit_resolvents(mu_grid: Sequence[float] = DEFAULT_MU_GRID, K: int = 256) -> KernelAudit:
-    """Exact operator-norm gaps between the shifted resolvents of the tank and of the string.
-
-    (I + A)^(-1) acts coefficient-wise, with A = lambda_k/mu = k^2 h(sqrt(mu) k)
-    for the tank and k^2 for the string, so on a probe p the gap is -F_k p_k
-    mode by mode (zero on mode 0).  Its sup over unit probes on modes 0..K is
-    therefore max_{1<=k<=K} |F_k|, proven <= sqrt(mu); the square-root channel
-    is likewise max |G_k|, whose constant over sqrt(mu) is only fitted.  The
-    maxima are taken over blocks of _AUDIT_BLOCK modes.
-    """
-    mu_grid = _grid(mu_grid, K)
-    gap_f, gap_g = [], []
-    for k in _mode_blocks(K):
-        for mu in mu_grid:
-            kern = comparison_kernels(mu, k)
-            gap_f.append(np.max(np.abs(kern.F)) / math.sqrt(mu))
-            gap_g.append(np.max(np.abs(kern.G)) / math.sqrt(mu))
-    rows = (
-        KernelAuditRow("F", "sup |p|=1 resolvent gap / sqrt(mu)", float(np.max(gap_f)), _proven(1.0)),
-        KernelAuditRow("G", "sup |p|=1 sqrt-channel gap / sqrt(mu)", float(np.max(gap_g)), None),
-    )
-    return KernelAudit(f"resolvent audit (exact sup over unit probes) over mu in {list(mu_grid)}, k <= {K}", rows)
 
 
 def bmu_rate_table(mu_grid: Sequence[float] = GAP_MU_GRID, K: int = GAP_K) -> KernelAudit:

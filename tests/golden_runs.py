@@ -25,7 +25,7 @@ _FIELD = ["field", "--k-modes", "16", "--grid", "5,4", "--init", "mode:1:1+mode:
 
 # run name: the command line, less --out
 RUNS = {
-    "simulate_string": [*_SIMULATE, "--system", "limit"],
+    "simulate_string": [*_SIMULATE, "--mu", "0"],
     "simulate_tank": [*_SIMULATE, "--mu", "0.01"],
     "sweep": ["sweep", "--k-modes", "64", "--mu-list", "1e-1,1e-2,1e-3", "--tau", "2", "--dt", "0.01",
               "--k-max", "100", "--l-modes", "100"],

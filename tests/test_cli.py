@@ -26,10 +26,13 @@ def test_defaults_for_verify():
 
 
 def test_mu_range_error_message():
-    with pytest.raises(ConfigError, match=r"mu must be in \(0, 1\]"):
-        parse_config("simulate", overrides={"mu": "0"})
-    with pytest.raises(ConfigError, match=r"mu must be in \(0, 1\]"):
-        parse_config("simulate", "mu=1.5\n")
+    # mu = 0 is the string, which every command but field accepts
+    assert parse_config("simulate", overrides={"mu": "0"}).mu == 0.0
+    for bad in ("-1e-300", "1.5"):
+        with pytest.raises(ConfigError, match=r"^mu must be in \[0, 1\], got "):
+            parse_config("simulate", f"mu={bad}\n")
+    with pytest.raises(ConfigError, match=r"^mu must be in \(0, 1\] for field, got 0$"):
+        parse_config("field", overrides={"mu": "0"})
 
 
 def test_mu_list_parsing():
@@ -100,7 +103,7 @@ def _padded(values):
 
 _FLAG_VALUES = {
     "out": st.one_of(st.text(max_size=12), _padded(st.text(max_size=8))),
-    "mu": _padded(st.floats(0.0, 1.0, exclude_min=True).map(repr)),
+    "mu": _padded(st.one_of(st.just(0.0), st.floats(0.0, 1.0)).map(repr)),
     "mu_list": _padded(st.sampled_from(["1e-1,1e-2", "0.5 , 0.25", "1e-1,1e-2,3e-7"])),
     "k_modes": _padded(st.integers(1, 64).map(str)),
     "dt": _padded(st.sampled_from(["", "0.01", "1e-3"])),
@@ -108,7 +111,6 @@ _FLAG_VALUES = {
     "signal": _padded(st.sampled_from(["zero", "const:2", "pulse:0:1:1", "pulse: 0:1 :1"])),
     "init": _padded(st.sampled_from(["smooth8", "cos1", "mode:1:0.5 + mode:2:1"])),
     "init1": _padded(st.sampled_from(["zero", "mode:0:1e-3"])),
-    "system": _padded(st.sampled_from(["water", "limit"])),
     "seed": _padded(st.integers(0, 10**6).map(str)),
 }
 
@@ -238,7 +240,7 @@ def test_mini_languages_raise_only_config_error(terms, t0, t1, amp):
 
 def test_main_usage_errors_exit_1(capsys):
     assert main(["frobnicate"]) == 1
-    assert main(["simulate", "--mu", "0"]) == 1
+    assert main(["simulate", "--mu", "1.5"]) == 1
     assert "mu must be in" in capsys.readouterr().err
     assert main(["simulate", "--config", "/nonexistent/path.cfg"]) == 1
     assert main(["simulate", "--init", "mode:1:nan"]) == 1
@@ -260,13 +262,32 @@ def test_simulate_zero_run(tmp_path):
 
 def test_simulate_limit_system(tmp_path):
     rc = main(
-        ["simulate", "--out", str(tmp_path), "--system", "limit", "--k-modes", "2",
+        ["simulate", "--out", str(tmp_path), "--mu", "0", "--k-modes", "2",
          "--tau", "1.0", "--dt", "0.5", "--init", "cos1", "--signal", "zero"]
     )
     assert rc == 0
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     last = [float(v) for v in lines[-1].split(",")]
     assert last[2] == pytest.approx(math.cos(1.0), abs=1e-12)
+
+
+def test_field_at_mu_0_and_the_gone_system_key_exit_1_writing_nothing(tmp_path, capsys):
+    # field's wave-maker extension divides by sqrt(mu), so it alone rejects the string's mu = 0; the system key
+    # that once chose the string is gone, as a flag and as a config file's key
+    (tmp_path / "limit.cfg").write_text("system=limit\n")
+    runs = {
+        ("field", "--mu", "0"): "wavetank: config error: mu must be in (0, 1] for field, got 0",
+        ("simulate", "--system", "limit"): (
+            "wavetank: usage error: unknown flag --system (wavetank --help lists the flags)"
+        ),
+        ("simulate", "--config", str(tmp_path / "limit.cfg")): (
+            f"wavetank: config error: {tmp_path / 'limit.cfg'}:1: unknown key 'system'; {cli._KNOWN_KEYS}"
+        ),
+    }
+    for argv, message in runs.items():
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+    assert [p.name for p in tmp_path.iterdir()] == ["limit.cfg"]
 
 
 def test_simulate_streams_the_rows_of_evolve(tmp_path):
@@ -369,7 +390,7 @@ def test_l_modes_is_capped():
 def test_initial_elevation_overflow_exits_1_naming_the_mode(tmp_path, capsys, command):
     # the two terms of mode 2 sum past float64; the message quotes the spec that names it
     spec = "mode:1:1+mode:2:1e308+mode:2:1e308"
-    args = [command, "--out", str(tmp_path), "--system", "limit", "--k-modes", "3", "--init", spec,
+    args = [command, "--out", str(tmp_path), "--mu", "0", "--k-modes", "3", "--init", spec,
             "--tau", "0.1", "--dt", "0.05", "--mu-list", "1e-1,1e-2", "--k-max", "10"]
     assert main(args) == 1
     err = capsys.readouterr().err.splitlines()
@@ -380,7 +401,7 @@ def test_initial_elevation_overflow_exits_1_naming_the_mode(tmp_path, capsys, co
 def test_finite_initial_data_run_until_the_state_or_the_norms_overflow(tmp_path, capsys):
     # omega_2 zeta0_2 = 2e308 is not a float64, but the state (zeta, zeta_t) is:
     # simulate starts from it, while the sweep's squared errors overflow
-    args = ["--system", "limit", "--k-modes", "2", "--init", "mode:2:1e308", "--tau", "0.1", "--dt", "0.05"]
+    args = ["--mu", "0", "--k-modes", "2", "--init", "mode:2:1e308", "--tau", "0.1", "--dt", "0.05"]
     assert main(["simulate", "--out", str(tmp_path / "simulate"), *args]) == 0
     first = (tmp_path / "simulate" / "trajectory.csv").read_text().splitlines()[1]
     assert first.split(",") == ["0", "0", "0", "1e+308", "0", "0", "0"]

@@ -21,7 +21,6 @@ from wavetank.lab import (
     _oracle_modes,
     _sweep_reduction,
     audit_kernels,
-    audit_resolvents,
     bmu_rate_table,
     fit_rate,
     run_sweep,
@@ -266,8 +265,7 @@ def test_audits_over_blocks_of_modes_equal_one_block_bitwise(monkeypatch):
     # the audits' blocks of modes bound their memory; every max over modes is exact, so the rows of a k_max
     # spanning several blocks, the last one partial, are bitwise those of one block over all modes
     def rows(k_max):
-        audits = audit_kernels(DEFAULT_MU_GRID, k_max, l_modes=1000), audit_resolvents(DEFAULT_MU_GRID, k_max)
-        return [(row.check, row.value.hex()) for audit in audits for row in audit.rows]
+        return [(row.check, row.value.hex()) for row in audit_kernels(DEFAULT_MU_GRID, k_max, l_modes=1000).rows]
 
     for block, k_max in ((lab._AUDIT_BLOCK, 3 * lab._AUDIT_BLOCK + 5), (300, 1000)):
         assert k_max > 3 * block
@@ -287,13 +285,14 @@ def test_oracle_modes_equal_unique_of_the_rounded_grid(k_max):
 def test_kernel_audit_rejects_empty():
     with pytest.raises(ValueError):
         audit_kernels(mu_grid=(), k_max=10)
+    with pytest.raises(ValueError):
+        audit_kernels(mu_grid=(1e-2,), k_max=0)
 
 
-def test_resolvent_audit_rejects_empty():
-    with pytest.raises(ValueError):
-        audit_resolvents(mu_grid=(), K=8)
-    with pytest.raises(ValueError):
-        audit_resolvents(mu_grid=(1e-2,), K=0)
+def _resolvent_rows(mu, K):
+    """The kernel audit's two resolvent rows over modes 1..K at one shallowness: the gap and its sqrt channel."""
+    named = {row.check: row for row in audit_kernels(mu_grid=(mu,), k_max=K, l_modes=100).rows}
+    return named["sup |p|=1 resolvent gap / sqrt(mu)"], named["sup |p|=1 sqrt-channel gap / sqrt(mu)"]
 
 
 def _probe_gaps(mu, K, probes):
@@ -308,7 +307,7 @@ def _probe_gaps(mu, K, probes):
 def test_resolvent_audit_unit_probes_match_closed_form():
     # shifted resolvents at mu = 1/4: mode 2 has lambda_2/mu = 2 tanh(1)/0.5 against 2^2, and it
     # is the worst of modes 1 and 2
-    f_row, _ = audit_resolvents(mu_grid=(0.25,), K=2).rows
+    f_row, _ = _resolvent_rows(0.25, 2)
     gap = abs(1.0 / (1.0 + 2.0 * math.tanh(1.0) / 0.5) - 1.0 / 5.0)
     assert f_row.value * math.sqrt(0.25) == pytest.approx(gap, rel=1e-15)
     plain, _ = _probe_gaps(0.25, 2, np.eye(3))
@@ -322,7 +321,7 @@ def test_exact_resolvent_sup_bounds_seeded_probes():
     probes = np.random.default_rng(20260809).standard_normal((100, K + 1))
     norms = np.linalg.norm(probes, axis=1)
     for mu in DEFAULT_MU_GRID:
-        f_row, g_row = audit_resolvents(mu_grid=(mu,), K=K).rows
+        f_row, g_row = _resolvent_rows(mu, K)
         sup_f, sup_g = f_row.value * math.sqrt(mu), g_row.value * math.sqrt(mu)
         plain, sqrt_channel = _probe_gaps(mu, K, probes)
         assert np.all(plain <= sup_f * norms * (1.0 + 1e-12))
