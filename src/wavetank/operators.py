@@ -206,10 +206,13 @@ def comparison_kernels(mu: float, k) -> _Kernels:
       F = 1/(1+k^2) - 1/(1+s)                  resolvent gap,     |F| <= sqrt(mu)/k
       G = k/(1+k^2) - sqrt(s)/(1+s)            square-root gap
       I = sqrt(h) - 1                          frequency gap,     |I| <= sqrt(mu) k
-      J = (1+k)/(1 + k sqrt(h)) - 1            graph-norm gap
+      J = (1+k)/(1 + k sqrt(h)) - 1            graph-norm gap,    0 <= J <= mu^1/4 k^1/2
       H_sum = (mu/2) h = sum_{l>=1} H(k, l)    the full lateral sum in closed form
     H_sum obeys the envelopes mu/2 and sqrt(mu)/(2k), so the audited 2 sqrt(mu)/k
-    holds with a factor 4 to spare.
+    holds with a factor 4 to spare.  J's envelope: with x = sqrt(mu) k and
+    r = sqrt(h(x)) <= 1, J = k (1-r)/(1 + k r) <= (1-r)/r = 1/sqrt(h) - 1, and
+    1/h = x coth x = x + 2x/(e^(2x) - 1) <= 1 + x <= (1 + sqrt x)^2, so
+    J <= sqrt(x) = mu^1/4 k^1/2.
     """
     ka = _check_kernel_args(k)
     h = _h(math.sqrt(mu) * ka)

@@ -261,6 +261,21 @@ def test_comparison_kernels_equal_one_line_formulas_bitwise(mu, k):
         np.testing.assert_array_equal(getattr(kern, name).view(np.uint64), formula(mu, k).view(np.uint64), err_msg=name)
 
 
+@settings(deadline=None)
+@given(
+    mu=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.floats(5e-324, 2.0**-1022), st.just(5e-324), st.just(1.0)),
+    k=st.lists(st.one_of(st.floats(1.0, 1e12), st.just(1e12)), min_size=1, max_size=50),
+)
+def test_J_is_the_proofs_quotient_and_holds_its_proven_envelope(mu, k):
+    # comparison_kernels' proof: with r = sqrt(h(sqrt(mu) k)), J = k (1-r)/(1 + k r) <= mu^1/4 k^1/2.  The quotient
+    # agrees with the production J to its rounding, a few ulps of 1 + J; the envelope holds as the audit's ratio
+    k = np.array(k)
+    J = comparison_kernels(mu, k).J
+    r = np.sqrt(_h(math.sqrt(mu) * k))
+    assert np.all(np.abs(J - k * (1.0 - r) / (1.0 + k * r)) <= 8.0 * 2.0**-52 * (1.0 + J))
+    assert np.max(np.abs(J) / (mu**0.25 * np.sqrt(k))) <= 1.0 + PROVEN_TOL
+
+
 # the direct reference's block holds 2^16 values: max(1, 2^16 // L) rows of L terms
 _BLOCK_VALUES = 1 << 16
 _U = 2.0**-53
