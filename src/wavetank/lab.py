@@ -54,7 +54,7 @@ GAP_K = 16_384
 ORACLE_K_SAMPLES = 64
 # steps whose error norms run_sweep folds into sup and slack together
 _SWEEP_BLOCK = 256
-# modes whose comparison kernels an audit evaluates at once, so its memory is one block's, whatever k_max or K
+# modes whose comparison kernels the kernel audit evaluates at once, so its memory is one block's, whatever k_max
 _AUDIT_BLOCK = block_rows(1)
 
 PROVEN_TOL = 1e-12  # relative slack allowed on proven envelopes
@@ -255,12 +255,6 @@ def _oracle_modes(k_max: int) -> np.ndarray:
     return k[np.diff(k, prepend=0.0) != 0.0]
 
 
-def _mode_blocks(k_max: int):
-    """The modes 1..k_max as float arrays of at most _AUDIT_BLOCK consecutive modes, in order."""
-    for first in range(1, k_max + 1, _AUDIT_BLOCK):
-        yield np.arange(first, min(first + _AUDIT_BLOCK, k_max + 1), dtype=float)
-
-
 def audit_kernels(
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
     k_max: int = 10_000,
@@ -290,7 +284,8 @@ def audit_kernels(
     # block by block
     series, tails = zip(*(kernel_H_sum(mu, k_oracle, l_modes) for mu in mu_grid))
     ratio_f, gap_f, gap_g, ratio_i, ratio_h1, ratio_h2, ratio_oracle, fit_g, ratio_j = [], [], [], [], [], [], [], [], []
-    for k in _mode_blocks(k_max):
+    for first in range(1, k_max + 1, _AUDIT_BLOCK):
+        k = np.arange(first, min(first + _AUDIT_BLOCK, k_max + 1), dtype=float)
         here = (k_oracle >= k[0]) & (k_oracle <= k[-1])
         at = (k_oracle[here] - k[0]).astype(np.intp)  # positions of this block's oracle modes in k
         root_k, env = np.sqrt(k), np.empty_like(k)

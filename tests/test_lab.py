@@ -262,7 +262,7 @@ def test_kernel_audit_small_grid():
 
 
 def test_audits_over_blocks_of_modes_equal_one_block_bitwise(monkeypatch):
-    # the audits' blocks of modes bound their memory; every max over modes is exact, so the rows of a k_max
+    # the kernel audit's blocks of modes bound its memory; every max over modes is exact, so the rows of a k_max
     # spanning several blocks, the last one partial, are bitwise those of one block over all modes
     def rows(k_max):
         return [(row.check, row.value.hex()) for row in audit_kernels(DEFAULT_MU_GRID, k_max, l_modes=1000).rows]
