@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from wavetank.cli import main
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # the file under GOLDEN that names the recording platform
 PLATFORM_FILE = "PLATFORM"
@@ -52,8 +54,6 @@ def platform_key() -> str:
 
 def run(name: str, out: Path) -> int:
     """Run one golden command line with its outputs under `out`, its stdout discarded; the exit code."""
-    from wavetank.cli import main
-
     with contextlib.redirect_stdout(io.StringIO()):
         return main([*RUNS[name], "--out", str(out)])
 
