@@ -32,15 +32,14 @@ import numpy as np
 from ._writer import block_rows, table_blocks, write_csv, write_text
 from .basis import _readonly
 from .evolution import _rows, water_system
-from .fields import FieldGrid, _constant_profile, dirichlet_extension, neumann_extension, write_field_csv
+from .fields import _constant_profile, dirichlet_extension, neumann_extension, write_field_csv
 from .lab import audit_kernels, bmu_rate_table, run_sweep, sweep_summary, write_sweep_csv
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dispatch", "main"]
 
 COMMANDS = ("simulate", "sweep", "verify", "field")
-# lateral modes of the field command's Neumann profile, at most; keeps `field`
-# fast at the default l_modes
-_FIELD_L_MODES_CAP = 512
+# lateral modes of the field command's Neumann profile
+_FIELD_L_MODES = 512
 # steps of one simulate or sweep run, at most: 10^9 steps of sweep at K = 1024
 # take about ten hours on a 2-core VM, and a count far past it is a typo in tau or dt
 _MAX_STEPS = 10**9
@@ -55,12 +54,7 @@ CONFIG_KEYS = {
     "mu": ("0.01", "MU", "shallowness parameter, in [0, 1] (0 is the string); field needs (0, 1]"),
     "mu_list": ("1e-1,1e-2,1e-3,1e-4", "M1,M2,...", "comma-separated decreasing shallowness values in (0, 1]"),
     "k_modes": ("256", "K", "number of nonzero surface modes, >= 1"),
-    "l_modes": (
-        "10000",
-        "L",
-        f"lateral-series truncation, 1 to {_MAX_L_MODES}: verify/sweep oracle; "
-        f"field Neumann profile, capped at {_FIELD_L_MODES_CAP}",
-    ),
+    "l_modes": ("10000", "L", f"lateral-series truncation of the verify/sweep oracle, 1 to {_MAX_L_MODES}"),
     "dt": ("", "DT", "time step; empty selects 1e-3*tau"),
     "tau": ("10.0", "TAU", "time horizon, > 0"),
     "grid": ("50,50", "NX,NY", "field grid resolution NX,NY (>= 2 each)"),
@@ -386,12 +380,13 @@ def _cmd_verify(cfg: RunConfig, out: _OutputSet) -> int:
 
 
 def _cmd_field(cfg: RunConfig, out: _OutputSet) -> int:
-    grid = FieldGrid.regular(*cfg.grid)
-    profile = _constant_profile(1.0, min(cfg.l_modes, _FIELD_L_MODES_CAP))
-    # overflow surfaces as non-finite field values, which FieldGrid rejects
+    nx, ny = cfg.grid
+    x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
+    profile = _constant_profile(_FIELD_L_MODES)
+    # overflow surfaces as non-finite field values, which write_field_csv rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        write_field_csv(dirichlet_extension(cfg.init_modes, cfg.mu, grid), out.path("field_dirichlet.csv"))
-        write_field_csv(neumann_extension(profile, cfg.mu, grid), out.path("field_neumann.csv"))
+        write_field_csv(dirichlet_extension(cfg.init_modes, cfg.mu, x, y), out.path("field_dirichlet.csv"), x, y)
+        write_field_csv(neumann_extension(profile, cfg.mu, x, y), out.path("field_neumann.csv"), x, y)
     return 0
 
 

@@ -16,26 +16,26 @@ by its coefficients v_1..v_n in psi_k(y) = sqrt(2) cos[(2k-1)(pi/2)(y+1)].
 The `field` command's profile, v = 1, has them in closed form
 (`_constant_profile`).
 
-Both hyperbolic ratios are evaluated in exponent-shifted form; the naive
-cosh/sinh quotients overflow once sqrt(mu) k exceeds a few hundred, while the
-shifted forms use only nonpositive exponents and stay finite for any mu and
-mode index.  Where an exponent is below -746, `_exp` writes exp's +0.0
-without calling exp, whose underflow path is slow.
+Both hyperbolic ratios are one kernel, `_decay`, in exponent-shifted form;
+the naive cosh/sinh quotients overflow once sqrt(mu) k exceeds a few
+hundred, while the shifted form uses only nonpositive exponents and stays
+finite for any mu and mode index.  Where an exponent is below -746, `_exp`
+writes exp's +0.0 without calling exp, whose underflow path is slow.
 
-On the regular grid of `FieldGrid.regular` (x_i = i pi/n, y_j + 1 = j/n) each
-field is a cosine series whose phases are multiples of pi/(2n), and
-cos(k pi i/n) depends only on k mod 2n: `_lattice_cosine_sum` folds the mode
-rows mod 2n and sums them with one real FFT of length 2n per grid line, a
-DCT-I along x for the surface extension and, with a half-sample twiddle,
-along y for the wave-maker extension.  The mode rows are built, folded and
-transformed a block of `_writer.block_rows(width)` grid lines at a time
-(width K+1 or n), so the evaluation needs O(nx ny) memory plus one block,
-whatever the mode counts.  At any other points each field is one matrix
-product over the modes: the x factors (`basis._phi`, or the lateral ratios)
-times the coefficient-scaled y factors (the depth ratios, or `_psi`, the one
-evaluator of the lateral family psi_k).  Both routes keep every partial sum
-below sum_k |b_k| for the scaled coefficients b_k, so both stay finite
-whenever that sum does.
+On the regular grid np.linspace(0, pi, nx) x np.linspace(-1, 0, ny)
+(x_i = i pi/n, y_j + 1 = j/n) each field is a cosine series whose phases are
+multiples of pi/(2n), and cos(k pi i/n) depends only on k mod 2n:
+`_lattice_cosine_sum` folds the mode rows mod 2n and sums them with one real
+FFT of length 2n per grid line, a DCT-I along x for the surface extension
+and, with a half-sample twiddle, along y for the wave-maker extension.
+`_lattice_fill` builds, folds and transforms the mode rows a block of
+`_writer.block_rows(width)` grid lines at a time (width K+1 or n), so the
+evaluation needs O(nx ny) memory plus one block, whatever the mode counts.
+At any other points each field is one matrix product over the modes: the x
+factors (`basis._phi`, or the lateral ratios) times the coefficient-scaled y
+factors (the depth ratios, or `_psi`, the one evaluator of the lateral
+family psi_k).  Both routes keep every partial sum below sum_k |b_k| for the
+scaled coefficients b_k, so both stay finite whenever that sum does.
 
 `write_field_csv` writes a field as x,y,value rows through `_writer.grid_rows`,
 which formats each of the nx + ny grid coordinates once per file and the field
@@ -45,70 +45,20 @@ values with the writer's vectorized number format, a bounded block at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import numpy.fft
 
 from ._writer import block_rows, grid_rows, write_csv
-from .basis import _SQRT_2_OVER_PI, _SQRT_PI, _phi, _readonly
+from .basis import _SQRT_2_OVER_PI, _SQRT_PI, _phi
 
-__all__ = [
-    "FieldGrid",
-    "dirichlet_values",
-    "dirichlet_extension",
-    "neumann_values",
-    "neumann_extension",
-    "write_field_csv",
-]
+__all__ = ["dirichlet_extension", "neumann_extension", "write_field_csv"]
 
 
-@dataclass(frozen=True, eq=False)
-class FieldGrid:
-    """Tensor grid in the rectangle; values[i, j] samples the field at (x[i], y[j])."""
-
-    x: np.ndarray
-    y: np.ndarray
-    values: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        if x.size < 2 or y.size < 2:
-            raise ValueError("grid needs nx, ny >= 2")
-        if np.any(x < 0) or np.any(x > math.pi):
-            raise ValueError("grid x must lie in [0, pi]")
-        if np.any(y < -1) or np.any(y > 0):
-            raise ValueError("grid y must lie in [-1, 0]")
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "y", _readonly(y))
-        if self.values is not None:
-            v = np.asarray(self.values, dtype=float)
-            if v.shape != (x.size, y.size):
-                raise ValueError(f"values shape {v.shape} does not match grid ({x.size}, {y.size})")
-            if not np.all(np.isfinite(v)):
-                raise ValueError("field values must be finite")
-            object.__setattr__(self, "values", _readonly(v))
-
-    @property
-    def nx(self) -> int:
-        return self.x.size
-
-    @property
-    def ny(self) -> int:
-        return self.y.size
-
-    @classmethod
-    def regular(cls, nx: int, ny: int) -> "FieldGrid":
-        """nx-by-ny grid including the boundary."""
-        return cls(np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny))
-
-
-def _constant_profile(amplitude: float, n: int) -> np.ndarray:
-    """Lateral coefficients of v = amplitude on [-1, 0]: <v, psi_k> = 2 sqrt(2) (-1)^(k+1) amplitude / ((2k-1) pi)."""
+def _constant_profile(n: int) -> np.ndarray:
+    """Lateral coefficients of v = 1 on [-1, 0]: <v, psi_k> = 2 sqrt(2) (-1)^(k+1) / ((2k-1) pi)."""
     k = np.arange(1, n + 1)
-    return 2.0 * math.sqrt(2.0) * (-1.0) ** (k + 1) * float(amplitude) / ((2 * k - 1) * math.pi)
+    return 2.0 * math.sqrt(2.0) * (-1.0) ** (k + 1) / ((2 * k - 1) * math.pi)
 
 
 def _psi(n: int, y: np.ndarray) -> np.ndarray:
@@ -135,22 +85,17 @@ def _one_plus_exp(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _depth(y: np.ndarray, a: np.ndarray, den: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """coef times the depth factors of `dirichlet_values` at the points y (axis 0), den = 1 + exp(-2a)."""
-    depth = _exp(np.multiply.outer(y, a))
-    depth *= _one_plus_exp(np.multiply.outer(y + 1.0, -2.0 * a))
-    depth /= den
-    depth *= coef
-    return depth
+def _decay(s: np.ndarray, rate: np.ndarray, span: float, den: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """coef exp(-rate s) (1 + exp(-2 rate (span - s))) / den, points s along axis 0 and modes along axis 1.
 
-
-def _ratio(x: np.ndarray, c: np.ndarray, den: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """coef times the lateral ratios of `neumann_values` at the column of points x (axis 0), den = 1 - exp(-2 c pi)."""
-    ratio = _exp(np.multiply(-c, x))
-    ratio *= _one_plus_exp(np.multiply(-2.0 * c, math.pi - x))
-    ratio /= den
-    ratio *= coef
-    return ratio
+    The depth factors of `dirichlet_extension` take s = -y and span 1, the
+    lateral ratios of `neumann_extension` s = x and span pi.
+    """
+    decay = _exp(np.multiply.outer(s, -rate))
+    decay *= _one_plus_exp(np.multiply.outer(span - s, -2.0 * rate))
+    decay /= den
+    decay *= coef
+    return decay
 
 
 def _on_lattice(a: np.ndarray, start: float, stop: float) -> bool:
@@ -177,7 +122,15 @@ def _lattice_cosine_sum(b: np.ndarray, n: int, odd: int) -> np.ndarray:
     return f.real * np.cos(theta) + f.imag * np.sin(theta)
 
 
-def dirichlet_values(eta: np.ndarray, mu: float, x, y) -> np.ndarray:
+def _lattice_fill(out: np.ndarray, s: np.ndarray, rate: np.ndarray, span: float, den: np.ndarray,
+                  coef: np.ndarray, odd: int) -> None:
+    """out[i] = the lattice cosine sum of the `_decay` row at s[i]; a block of rows at a time, each freed as stored."""
+    step = block_rows(coef.size)
+    for i in range(0, s.size, step):
+        out[i : i + step] = _lattice_cosine_sum(_decay(s[i : i + step], rate, span, den, coef), out.shape[1] - 1, odd)
+
+
+def dirichlet_extension(eta: np.ndarray, mu: float, x, y) -> np.ndarray:
     """Surface extension field of the coefficients eta_0..eta_K at the tensor points (x_i, y_j), shape (nx, ny).
 
     Per mode the depth factor cosh[a(y+1)]/cosh(a), a = sqrt(mu) k, is computed
@@ -188,30 +141,23 @@ def dirichlet_values(eta: np.ndarray, mu: float, x, y) -> np.ndarray:
     a = math.sqrt(mu) * np.arange(eta.size)
     den = _one_plus_exp(-2.0 * a)
     if not _on_lattice(xa, 0.0, math.pi):
-        return _phi(np.arange(eta.size), xa) @ _depth(ya, a, den, eta).T
+        return _phi(np.arange(eta.size), xa) @ _decay(-ya, a, 1.0, den, eta).T
     # phi_k(x_i) = phi_k(0) cos(k pi i/n)
     scaled = eta * _SQRT_2_OVER_PI
     scaled[0] = eta[0] / _SQRT_PI
-    # a block of y rows at a time, each freed as its sums are stored
     values = np.empty((xa.size, ya.size))
-    step = block_rows(eta.size)
-    for j in range(0, ya.size, step):
-        values[:, j : j + step] = _lattice_cosine_sum(_depth(ya[j : j + step], a, den, scaled), xa.size - 1, 0).T
+    _lattice_fill(values.T, -ya, a, 1.0, den, scaled, 0)
     return values
 
 
-def dirichlet_extension(eta: np.ndarray, mu: float, grid: FieldGrid) -> FieldGrid:
-    return FieldGrid(grid.x, grid.y, dirichlet_values(eta, mu, grid.x, grid.y))
-
-
-def neumann_values(profile: np.ndarray, mu: float, x, y) -> np.ndarray:
+def neumann_extension(profile: np.ndarray, mu: float, x, y) -> np.ndarray:
     """Wave-maker extension field of the lateral coefficients v_1..v_n at the tensor points (x_i, y_j), shape (nx, ny).
 
     Per lateral mode the ratio cosh[c(x-pi)]/sinh(c pi) is computed as
     exp(-c x) (1 + exp(-2c(pi-x))) / (1 - exp(-2 c pi)); the field decays like
     exp(-c_1 x) away from the wave maker (boundary layer of width ~sqrt(mu)).
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     odd = 2 * np.arange(1, profile.size + 1) - 1
     c = odd * math.pi / (2.0 * math.sqrt(mu))
@@ -219,22 +165,18 @@ def neumann_values(profile: np.ndarray, mu: float, x, y) -> np.ndarray:
     # a_k psi_k / sqrt(2), a_k = 2 sqrt(2 mu) v_k / ((2k-1) pi)
     amp = 2.0 * math.sqrt(mu) * profile / (odd * math.pi)
     if not _on_lattice(ya, -1.0, 0.0):
-        return _ratio(xa, c, den, amp) @ _psi(profile.size, ya).T
-    # psi_k(y_j) = sqrt(2) cos((2k-1) pi j/(2n)); a block of x rows at a time
+        return _decay(xa, c, math.pi, den, amp) @ _psi(profile.size, ya).T
+    # psi_k(y_j) = sqrt(2) cos((2k-1) pi j/(2n))
     amp *= math.sqrt(2.0)
     values = np.empty((xa.size, ya.size))
-    step = block_rows(profile.size)
-    for i in range(0, xa.size, step):
-        values[i : i + step] = _lattice_cosine_sum(_ratio(xa[i : i + step], c, den, amp), ya.size - 1, 1)
+    _lattice_fill(values, xa, c, math.pi, den, amp, 1)
     return values
 
 
-def neumann_extension(profile: np.ndarray, mu: float, grid: FieldGrid) -> FieldGrid:
-    return FieldGrid(grid.x, grid.y, neumann_values(profile, mu, grid.x, grid.y))
-
-
-def write_field_csv(grid: FieldGrid, path) -> None:
-    """Serialize a filled grid as x,y,value rows (x outer, y inner), 17 significant digits."""
-    if grid.values is None:
-        raise ValueError("grid has no values to serialize")
-    write_csv(path, "x,y,value", grid_rows(grid.x, grid.y, grid.values))
+def write_field_csv(values: np.ndarray, path, x: np.ndarray, y: np.ndarray) -> None:
+    """Serialize values[i, j], the field at (x[i], y[j]), as x,y,value rows (x outer, y inner), 17 digits."""
+    if values.shape != (x.size, y.size):
+        raise ValueError(f"values shape {values.shape} does not match grid ({x.size}, {y.size})")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    write_csv(path, "x,y,value", grid_rows(x, y, values))

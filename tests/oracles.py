@@ -13,7 +13,7 @@ import numpy as np
 
 from wavetank.basis import _SQRT_2_OVER_PI, _SQRT_PI, _phi, sobolev_weights
 from wavetank.evolution import _rows
-from wavetank.fields import FieldGrid, _psi
+from wavetank.fields import _psi
 from wavetank.operators import _h
 
 # f_k = -FORCING_TAIL_CONST * direct_odd_sums(mu, k, inf) for k >= 1; dropping the
@@ -173,9 +173,9 @@ def string_dalembert_coeffs(K: int, t: float, on: float, off: float, amplitude: 
     return zeta
 
 
-def interior(nx: int, ny: int) -> FieldGrid:
-    """nx-by-ny uniform grid strictly inside the rectangle."""
-    return FieldGrid(np.linspace(0.0, math.pi, nx + 2)[1:-1], np.linspace(-1.0, 0.0, ny + 2)[1:-1])
+def interior(nx: int, ny: int):
+    """(x, y) of the nx-by-ny uniform grid strictly inside the rectangle."""
+    return np.linspace(0.0, math.pi, nx + 2)[1:-1], np.linspace(-1.0, 0.0, ny + 2)[1:-1]
 
 
 def lateral_unit(k: int, n_modes: int) -> np.ndarray:
@@ -254,7 +254,7 @@ KERNEL_FORMULAS = {
 
 
 def dirichlet_reference(eta, mu, x, y) -> np.ndarray:
-    """`fields.dirichlet_values` as one broadcast expression, each step in a new array: its bitwise reference."""
+    """`fields.dirichlet_extension` as one broadcast expression, each step in a new array: its bitwise reference."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     k = np.arange(eta.size)
@@ -265,7 +265,7 @@ def dirichlet_reference(eta, mu, x, y) -> np.ndarray:
 
 
 def neumann_reference(profile, mu, x, y) -> np.ndarray:
-    """`fields.neumann_values` as one broadcast expression, each step in a new array: its bitwise reference."""
+    """`fields.neumann_extension` as one broadcast expression, each step in a new array: its bitwise reference."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     odd = 2 * np.arange(1, profile.size + 1) - 1

@@ -12,7 +12,7 @@ import numpy as np
 
 from wavetank.cli import make_signal
 from wavetank.evolution import water_system
-from wavetank.fields import dirichlet_values, neumann_values
+from wavetank.fields import dirichlet_extension, neumann_extension
 from wavetank.lab import (
     audit_kernels,
     bmu_rate_table,
@@ -178,34 +178,35 @@ def test_criterion_6_unitarity():
 def test_criterion_7_field_verification():
     t0 = time.time()
     mu = 0.25
-    grid = interior(50, 50)
+    gx, gy = interior(50, 50)
     eta = unit(1, 4)
     profile = lateral_unit(1, 1)
-    res_d = verify_harmonic(lambda x, y: dirichlet_values(eta, mu, x, y), mu, grid.x, grid.y, h=1e-3)
-    res_n = verify_harmonic(lambda x, y: neumann_values(profile, mu, x, y), mu, grid.x, grid.y, h=1e-3)
+    res_d = verify_harmonic(lambda x, y: dirichlet_extension(eta, mu, x, y), mu, gx, gy, h=1e-3)
+    res_n = verify_harmonic(lambda x, y: neumann_extension(profile, mu, x, y), mu, gx, gy, h=1e-3)
 
     # boundary traces
     xs = np.linspace(0.0, math.pi, 41)
-    surf = dirichlet_values(eta, mu, xs, np.array([0.0]))[:, 0]
+    surf = dirichlet_extension(eta, mu, xs, np.array([0.0]))[:, 0]
     trace_d = float(np.abs(surf - math.sqrt(2 / math.pi) * np.cos(xs)).max())
     hs = 1e-4
     bottom = (
-        -3 * dirichlet_values(eta, mu, xs, np.array([-1.0]))[:, 0]
-        + 4 * dirichlet_values(eta, mu, xs, np.array([-1.0 + hs]))[:, 0]
-        - dirichlet_values(eta, mu, xs, np.array([-1.0 + 2 * hs]))[:, 0]
+        -3 * dirichlet_extension(eta, mu, xs, np.array([-1.0]))[:, 0]
+        + 4 * dirichlet_extension(eta, mu, xs, np.array([-1.0 + hs]))[:, 0]
+        - dirichlet_extension(eta, mu, xs, np.array([-1.0 + 2 * hs]))[:, 0]
     ) / (2 * hs)
     ys = np.linspace(-0.9, -0.1, 9)
-    top_n = float(np.abs(neumann_values(profile, mu, xs, np.array([0.0]))).max())
+    top_n = float(np.abs(neumann_extension(profile, mu, xs, np.array([0.0]))).max())
     right = (
-        3 * neumann_values(profile, mu, np.array([math.pi]), ys)[0]
-        - 4 * neumann_values(profile, mu, np.array([math.pi - hs]), ys)[0]
-        + neumann_values(profile, mu, np.array([math.pi - 2 * hs]), ys)[0]
+        3 * neumann_extension(profile, mu, np.array([math.pi]), ys)[0]
+        - 4 * neumann_extension(profile, mu, np.array([math.pi - hs]), ys)[0]
+        + neumann_extension(profile, mu, np.array([math.pi - 2 * hs]), ys)[0]
     ) / (2 * hs)
     traces_ok = trace_d <= 1e-12 and np.abs(bottom).max() <= 1e-8 and top_n <= 1e-12 and np.abs(right).max() <= 1e-8
 
     # overflow safety at extreme shallowness
-    vals1 = dirichlet_values(unit(10_000, 10_000), 1e-8, np.array([0.0, math.pi / 2, math.pi]), np.array([-1.0, -0.5, 0.0]))
-    vals2 = neumann_values(lateral_unit(10_000, 10_000), 1e-8, np.array([0.0, 1e-4, math.pi]), np.array([-1.0, -0.5, 0.0]))
+    depths = np.array([-1.0, -0.5, 0.0])
+    vals1 = dirichlet_extension(unit(10_000, 10_000), 1e-8, np.array([0.0, math.pi / 2, math.pi]), depths)
+    vals2 = neumann_extension(lateral_unit(10_000, 10_000), 1e-8, np.array([0.0, 1e-4, math.pi]), depths)
     finite_ok = bool(np.all(np.isfinite(vals1)) and np.all(np.isfinite(vals2)))
 
     elapsed = time.time() - t0

@@ -116,14 +116,3 @@ def test_sobolev_weights_shape():
     assert w[0] == 1.0
     np.testing.assert_allclose(w[1:], 1.0 + np.arange(1, 6))
 
-
-def test_constructors_leave_the_callers_arrays_writeable():
-    from wavetank.fields import FieldGrid
-
-    x, y, v = np.linspace(0.0, math.pi, 3), np.linspace(-1.0, 0.0, 2), np.zeros((3, 2))
-    grid = FieldGrid(x, y, v)
-    assert all(a.flags.writeable for a in (x, y, v))
-    held = (grid.x, grid.y, grid.values)
-    assert not any(a.flags.writeable for a in held)
-    # read-only views, not copies
-    assert all(np.shares_memory(a, b) for a, b in zip(held, (x, y, v)))

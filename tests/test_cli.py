@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetank import cli
+from wavetank import cli, fields
 from wavetank.cli import ConfigError, main, make_signal, parse_config, parse_initial_spec
 from wavetank.evolution import water_system
 from wavetank.lab import KernelAudit, KernelAuditRow
@@ -455,11 +455,11 @@ def test_an_interrupted_command_leaves_no_partial_outputs(tmp_path, monkeypatch)
     # propagates, and the CSV already written is removed, as after an error
     write, calls = cli.write_field_csv, []
 
-    def interrupted_second_write(grid, path):
+    def interrupted_second_write(values, path, x, y):
         calls.append(path)
         if len(calls) == 2:
             raise KeyboardInterrupt
-        write(grid, path)
+        write(values, path, x, y)
 
     monkeypatch.setattr(cli, "write_field_csv", interrupted_second_write)
     with pytest.raises(KeyboardInterrupt):
@@ -520,13 +520,27 @@ def test_field_outputs(tmp_path):
         assert v == pytest.approx(math.sqrt(2 / math.pi) * math.cos(x), abs=1e-12)
 
 
-def test_field_neumann_profile_capped_at_512_lateral_modes(tmp_path):
+def test_field_ignores_l_modes(tmp_path):
+    # the wave-maker profile has a fixed 512 lateral modes; l_modes only truncates the series oracle
+    args = ["field", "--k-modes", "4", "--grid", "6,5"]
     outputs = []
-    for l_modes in ("512", "10000"):
-        out = tmp_path / l_modes
-        assert main(["field", "--out", str(out), "--k-modes", "4", "--grid", "6,5", "--l-modes", l_modes]) == 0
-        outputs.append((out / "field_neumann.csv").read_bytes())
+    for extra in (["--l-modes", "1"], []):
+        out = tmp_path / str(len(outputs))
+        assert main([*args, *extra, "--out", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in ("field_dirichlet.csv", "field_neumann.csv")})
     assert outputs[0] == outputs[1]
+
+
+def test_field_grid_is_the_lattice(tmp_path, monkeypatch):
+    # field's np.linspace grid is the lattice, where both series are folds and real FFTs; the general-point
+    # factors are never built
+    def general_points(*args):
+        raise AssertionError("field summed off the lattice")
+
+    monkeypatch.setattr(fields, "_phi", general_points)
+    monkeypatch.setattr(fields, "_psi", general_points)
+    for grid in ("2,2", "7,5", "50,50"):
+        assert main(["field", "--out", str(tmp_path / grid), "--k-modes", "4", "--grid", grid]) == 0
 
 
 def test_verify_quick_grid(tmp_path):

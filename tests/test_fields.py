@@ -8,17 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wavetank import fields
-from wavetank.fields import (
-    FieldGrid,
-    _constant_profile,
-    _exp,
-    _psi,
-    dirichlet_extension,
-    dirichlet_values,
-    neumann_extension,
-    neumann_values,
-    write_field_csv,
-)
+from wavetank.fields import _constant_profile, _exp, _psi, dirichlet_extension, neumann_extension, write_field_csv
 
 from oracles import (_simpson, dirichlet_reference, eval_basis, interior, lateral_projection, lateral_unit,
                      neumann_reference, ntn_forcing, quadrature_nodes, unit, verify_harmonic)
@@ -44,21 +34,16 @@ def one_sided_dx(values_fn, x0, y, h, into_domain):
 
 
 class TestGridAndProfile:
-    def test_grid_validation(self):
-        with pytest.raises(ValueError, match="pi"):
-            FieldGrid(np.array([-0.1, 0.2]), np.array([-0.5, 0.0]))
-        with pytest.raises(ValueError, match="-1, 0"):
-            FieldGrid(np.array([0.1, 0.2]), np.array([-0.5, 0.5]))
-        with pytest.raises(ValueError, match=">= 2"):
-            FieldGrid(np.array([0.1]), np.array([-0.5, 0.0]))
-        g = interior(50, 50)
-        assert g.nx == g.ny == 50
-        assert g.x[0] > 0 and g.x[-1] < math.pi
-        with pytest.raises(ValueError, match="shape"):
-            FieldGrid(np.array([0.5, 0.7]), np.array([-0.5, 0.0]), np.zeros((3, 2)))
+    def test_grid_validation(self, tmp_path):
+        x, y = interior(50, 50)
+        assert x.size == y.size == 50
+        assert x[0] > 0 and x[-1] < math.pi
+        with pytest.raises(ValueError, match=r"^values shape \(3, 2\) does not match grid \(2, 2\)$"):
+            write_field_csv(np.zeros((3, 2)), tmp_path / "f.csv", np.array([0.5, 0.7]), np.array([-0.5, 0.0]))
+        assert not any(tmp_path.iterdir())
 
     def test_profile_constant_coefficients(self):
-        prof = _constant_profile(1.0, 4)
+        prof = _constant_profile(4)
         k = np.arange(1, 5)
         expected = 2 * math.sqrt(2) * (-1.0) ** (k + 1) / ((2 * k - 1) * math.pi)
         np.testing.assert_allclose(prof, expected, rtol=1e-15)
@@ -80,58 +65,58 @@ class TestGridAndProfile:
 
 class TestDirichletExtension:
     def test_zero_data(self):
-        g = dirichlet_extension(np.zeros(9), MU, FieldGrid.regular(9, 7))
-        assert np.all(g.values == 0.0)
+        vals = dirichlet_extension(np.zeros(9), MU, np.linspace(0.0, math.pi, 9), np.linspace(-1.0, 0.0, 7))
+        assert vals.shape == (9, 7) and np.all(vals == 0.0)
 
     def test_surface_trace_exact(self):
         rng = np.random.default_rng(1)
         eta = rng.standard_normal(9)
         x = np.linspace(0, math.pi, 33)
-        vals = dirichlet_values(eta, MU, x, np.array([0.0]))[:, 0]
+        vals = dirichlet_extension(eta, MU, x, np.array([0.0]))[:, 0]
         exact = sum(eta[k] * np.asarray(eval_basis(k, x)) for k in range(9))
         np.testing.assert_allclose(vals, exact, atol=1e-12)
 
     def test_corner_value(self):
         eta = unit(1, 2)
-        val = dirichlet_values(eta, 1.0, np.array([0.0]), np.array([-1.0]))[0, 0]
+        val = dirichlet_extension(eta, 1.0, np.array([0.0]), np.array([-1.0]))[0, 0]
         assert val == pytest.approx(math.sqrt(2 / math.pi) / math.cosh(1.0), rel=1e-14)
 
     def test_bottom_flux_vanishes(self):
         eta = unit(2, 4)
         x = np.linspace(0.3, 2.8, 9)
-        dy = one_sided_dy(lambda xx, yy: dirichlet_values(eta, 0.5, xx, yy), x, -1.0, 1e-4, +1)
+        dy = one_sided_dy(lambda xx, yy: dirichlet_extension(eta, 0.5, xx, yy), x, -1.0, 1e-4, +1)
         assert np.abs(dy).max() < 1e-8
 
     def test_dtn_consistency(self):
         # surface flux projected on a mode recovers the eigenvalue
         eta = unit(1, 2)
         xq, wq = quadrature_nodes(64)
-        dy = one_sided_dy(lambda xx, yy: dirichlet_values(eta, MU, xx, yy), xq, 0.0, 1e-4, -1)
+        dy = one_sided_dy(lambda xx, yy: dirichlet_extension(eta, MU, xx, yy), xq, 0.0, 1e-4, -1)
         proj = float((dy * np.asarray(eval_basis(1, xq)) * wq).sum())
         assert proj == pytest.approx(math.sqrt(MU) * math.tanh(math.sqrt(MU)), abs=1e-8)
 
 
 class TestNeumannExtension:
     def test_zero_profile(self):
-        g = neumann_extension(np.zeros(3), MU, FieldGrid.regular(5, 5))
-        assert np.all(g.values == 0.0)
+        vals = neumann_extension(np.zeros(3), MU, np.linspace(0.0, math.pi, 5), np.linspace(-1.0, 0.0, 5))
+        assert vals.shape == (5, 5) and np.all(vals == 0.0)
 
     def test_surface_trace_vanishes(self):
-        prof = _constant_profile(1.0, 16)
+        prof = _constant_profile(16)
         x = np.linspace(0, math.pi, 21)
-        vals = neumann_values(prof, MU, x, np.array([0.0]))[:, 0]
+        vals = neumann_extension(prof, MU, x, np.array([0.0]))[:, 0]
         assert np.abs(vals).max() < 1e-15
 
     def test_wavemaker_flux_reconstructs_profile(self):
         prof = lateral_unit(1, 1)
         y = np.linspace(-0.95, -0.05, 11)
-        dx = one_sided_dx(lambda xx, yy: neumann_values(prof, MU, xx, yy), 0.0, y, 1e-4, +1)
+        dx = one_sided_dx(lambda xx, yy: neumann_extension(prof, MU, xx, yy), 0.0, y, 1e-4, +1)
         np.testing.assert_allclose(dx, -_psi(prof.size, y) @ prof, atol=1e-6)
 
     def test_far_wall_flux_vanishes(self):
         prof = lateral_unit(1, 1)
         y = np.linspace(-0.9, -0.1, 7)
-        dx = one_sided_dx(lambda xx, yy: neumann_values(prof, MU, xx, yy), math.pi, y, 1e-4, -1)
+        dx = one_sided_dx(lambda xx, yy: neumann_extension(prof, MU, xx, yy), math.pi, y, 1e-4, -1)
         assert np.abs(dx).max() < 1e-10
 
     def test_ntn_consistency_matched_truncation(self):
@@ -139,9 +124,9 @@ class TestNeumannExtension:
         mu * f_j at the same lateral truncation; fine x-quadrature resolves the
         wave-maker boundary layers of every retained lateral mode."""
         L = 64
-        prof = _constant_profile(1.0, L)
+        prof = _constant_profile(L)
         xq, wq = _simpson(0.0, math.pi, 20000)
-        dy = one_sided_dy(lambda xx, yy: neumann_values(prof, MU, xx, yy), xq, 0.0, 1e-4, -1)
+        dy = one_sided_dy(lambda xx, yy: neumann_extension(prof, MU, xx, yy), xq, 0.0, 1e-4, -1)
         matched, matched_tail = ntn_forcing(MU, 8, L)
         full, _ = ntn_forcing(MU, 8, 10_000)
         # matched mode-0 reference: the truncated lateral sum (ntn_forcing pins
@@ -158,7 +143,7 @@ class TestNeumannExtension:
     def test_boundary_layer_decay(self):
         # for small mu the field is confined near the wave maker
         prof = lateral_unit(1, 1)
-        vals = neumann_values(prof, 1e-4, np.array([0.0, 0.5, 1.0]), np.array([-0.5]))
+        vals = neumann_extension(prof, 1e-4, np.array([0.0, 0.5, 1.0]), np.array([-0.5]))
         assert abs(vals[1, 0]) < abs(vals[0, 0]) * 1e-30
         assert abs(vals[2, 0]) < abs(vals[0, 0]) * 1e-60
 
@@ -174,17 +159,17 @@ class TestHarmonicity:
 
     def test_dirichlet_residual_second_order(self):
         eta = unit(1, 2)
-        g = interior(20, 20)
-        fn = lambda x, y: dirichlet_values(eta, MU, x, y)
-        r1 = verify_harmonic(fn, MU, g.x, g.y, h=2e-3)
-        r2 = verify_harmonic(fn, MU, g.x, g.y, h=1e-3)
+        x, y = interior(20, 20)
+        fn = lambda x, y: dirichlet_extension(eta, MU, x, y)
+        r1 = verify_harmonic(fn, MU, x, y, h=2e-3)
+        r2 = verify_harmonic(fn, MU, x, y, h=1e-3)
         assert 3.5 < r1 / r2 < 4.5
 
     def test_neumann_residual_small(self):
         prof = lateral_unit(1, 1)
-        g = interior(50, 50)
-        fn = lambda x, y: neumann_values(prof, MU, x, y)
-        assert verify_harmonic(fn, MU, g.x, g.y, h=1e-3) < 1e-6
+        x, y = interior(50, 50)
+        fn = lambda x, y: neumann_extension(prof, MU, x, y)
+        assert verify_harmonic(fn, MU, x, y, h=1e-3) < 1e-6
 
 
 class TestOverflowSafety:
@@ -192,10 +177,10 @@ class TestOverflowSafety:
         eta = unit(10_000, 10_000)
         xs = np.array([0.0, 1e-3, math.pi / 2, math.pi])
         ys = np.array([-1.0, -0.5, -1e-3, 0.0])
-        vals = dirichlet_values(eta, 1e-8, xs, ys)
+        vals = dirichlet_extension(eta, 1e-8, xs, ys)
         assert np.all(np.isfinite(vals))
         prof = lateral_unit(10_000, 10_000)
-        vals = neumann_values(prof, 1e-8, xs, ys)
+        vals = neumann_extension(prof, 1e-8, xs, ys)
         assert np.all(np.isfinite(vals))
 
     @pytest.mark.parametrize("nx, ny", [(3, 3), (41, 23), (300, 300)])
@@ -205,29 +190,31 @@ class TestOverflowSafety:
         c = rng.uniform(0.5, 1.0, 64) * rng.choice([-1.0, 1.0], 64)
         c *= 0.999 * np.finfo(float).max / np.abs(c).sum()
         x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
-        got = dirichlet_values(c, MU, x, y), neumann_values(c, MU, x, y)
+        got = dirichlet_extension(c, MU, x, y), neumann_extension(c, MU, x, y)
         # a single point along the transform axis is off the lattice: the matrix product
-        general = (np.vstack([dirichlet_values(c, MU, xi, y) for xi in x]),
-                   np.hstack([neumann_values(c, MU, x, yj) for yj in y]))
+        general = (np.vstack([dirichlet_extension(c, MU, xi, y) for xi in x]),
+                   np.hstack([neumann_extension(c, MU, x, yj) for yj in y]))
         for fft, product in zip(got, general):
             assert np.all(np.isfinite(fft))
             assert np.all(np.abs(fft - product) <= 1e-13 * np.abs(c).sum())
 
 
 def test_field_csv_format(tmp_path):
-    g = FieldGrid(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), np.array([[1.0, 2.0], [3.0, 4.5]]))
+    x, y = np.array([0.0, 1.0]), np.array([-1.0, 0.0])
     path = tmp_path / "f.csv"
-    write_field_csv(g, path)
+    write_field_csv(np.array([[1.0, 2.0], [3.0, 4.5]]), path, x, y)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,value"
     assert lines[1] == "0,-1,1"
     assert lines[4] == "1,0,4.5"
-    with pytest.raises(ValueError):
-        write_field_csv(FieldGrid.regular(3, 3), tmp_path / "g.csv")
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            write_field_csv(np.array([[1.0, 2.0], [bad, 4.5]]), tmp_path / "g.csv", x, y)
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
 
 def _dirichlet_loop(eta, mu, x, y):
-    """Per-mode reference for dirichlet_values (the loop it replaced)."""
+    """Per-mode reference for dirichlet_extension (the loop it replaced)."""
     rmu = math.sqrt(mu)
     out = np.zeros((x.size, y.size))
     for k in range(eta.size):
@@ -239,7 +226,7 @@ def _dirichlet_loop(eta, mu, x, y):
 
 
 def _neumann_loop(profile, mu, x, y):
-    """Per-mode reference for neumann_values (the loop it replaced)."""
+    """Per-mode reference for neumann_extension (the loop it replaced)."""
     rmu = math.sqrt(mu)
     out = np.zeros((x.size, y.size))
     for i in range(profile.size):
@@ -252,9 +239,9 @@ def _neumann_loop(profile, mu, x, y):
 
 
 def _assert_match_per_mode_loops(mu, x, y, eta, prof):
-    got = dirichlet_values(eta, mu, x, y)
+    got = dirichlet_extension(eta, mu, x, y)
     assert np.abs(got - _dirichlet_loop(eta, mu, x, y)).max() <= 1e-13 * (1.0 + np.abs(eta).sum())
-    got = neumann_values(prof, mu, x, y)
+    got = neumann_extension(prof, mu, x, y)
     assert np.abs(got - _neumann_loop(prof, mu, x, y)).max() <= 1e-13 * (1.0 + np.abs(prof).sum())
 
 
@@ -281,8 +268,8 @@ def test_matrix_products_match_per_mode_loops(mu, K, nx, ny, L):
 @pytest.mark.parametrize("mu", [1.0, 1e-6])
 def test_off_grid_points_match_per_mode_loops(mu):
     rng = np.random.default_rng(11)
-    g = interior(40, 22)
-    _assert_match_per_mode_loops(mu, g.x, g.y, rng.standard_normal(1025), rng.standard_normal(512))
+    x, y = interior(40, 22)
+    _assert_match_per_mode_loops(mu, x, y, rng.standard_normal(1025), rng.standard_normal(512))
 
 
 @settings(deadline=None)
@@ -305,11 +292,11 @@ def test_regular_grid_fields_match_per_mode_loops(mu, K, L, nx, ny, seed):
 def test_fields_equal_their_broadcast_expressions_bitwise(mu, K, nx, ny):
     # off the regular lattice the fields are matrix products; on it they agree with these only to rounding
     rng = np.random.default_rng(K + nx)
-    g = interior(nx, ny)
+    x, y = interior(nx, ny)
     eta = rng.standard_normal(K + 1)
-    assert dirichlet_values(eta, mu, g.x, g.y).tobytes() == dirichlet_reference(eta, mu, g.x, g.y).tobytes()
+    assert dirichlet_extension(eta, mu, x, y).tobytes() == dirichlet_reference(eta, mu, x, y).tobytes()
     prof = rng.standard_normal(min(K, 512))
-    assert neumann_values(prof, mu, g.x, g.y).tobytes() == neumann_reference(prof, mu, g.x, g.y).tobytes()
+    assert neumann_extension(prof, mu, x, y).tobytes() == neumann_reference(prof, mu, x, y).tobytes()
 
 
 # (K, nx, ny, L) cases of test_matrix_products_match_per_mode_loops, each in blocks of one grid line and of a
@@ -329,10 +316,10 @@ def test_regular_grid_fields_in_blocks_of_grid_lines(monkeypatch, mu, K, nx, ny,
     x, y = np.linspace(0.0, math.pi, nx), np.linspace(-1.0, 0.0, ny)
     eta, prof = rng.standard_normal(K + 1), rng.standard_normal(L)
     monkeypatch.setattr(fields, "block_rows", lambda width: max(nx, ny))  # one block
-    whole = dirichlet_values(eta, mu, x, y), neumann_values(prof, mu, x, y)
+    whole = dirichlet_extension(eta, mu, x, y), neumann_extension(prof, mu, x, y)
     monkeypatch.setattr(fields, "block_rows", lambda width: lines)
-    assert dirichlet_values(eta, mu, x, y).tobytes() == whole[0].tobytes()
-    assert neumann_values(prof, mu, x, y).tobytes() == whole[1].tobytes()
+    assert dirichlet_extension(eta, mu, x, y).tobytes() == whole[0].tobytes()
+    assert neumann_extension(prof, mu, x, y).tobytes() == whole[1].tobytes()
     test_matrix_products_match_per_mode_loops(mu, K, nx, ny, L)
 
 
@@ -346,7 +333,8 @@ def test_regular_grid_fields_need_one_block_of_memory():
     # K = L = 65536 on a 50 x 50 lattice: the whole (ny, K+1) or (nx, L) factor matrix and its temporary took 54 MB
     rng = np.random.default_rng(7)
     x, y = np.linspace(0.0, math.pi, 50), np.linspace(-1.0, 0.0, 50)
-    for values, coef in ((dirichlet_values, rng.standard_normal(65537)), (neumann_values, rng.standard_normal(65536))):
+    for values, coef in ((dirichlet_extension, rng.standard_normal(65537)),
+                         (neumann_extension, rng.standard_normal(65536))):
         tracemalloc.start()
         try:
             values(coef, 1e-2, x, y)

@@ -26,10 +26,10 @@ def test_module_all_names_exist(name):
 
 # every public name of the package, the modules' __all__ together; a change to the public surface shows here
 PUBLIC_NAMES = [
-    "ConfigError", "DEFAULT_MU_GRID", "FieldGrid", "GAP_MU_GRID", "KernelAudit", "KernelAuditRow", "RunConfig",
-    "SweepReport", "audit_kernels", "bmu_rate_table", "comparison_kernels", "dirichlet_extension", "dirichlet_values",
-    "dispatch", "fit_rate", "kernel_H_sum", "main", "neumann_extension", "neumann_values", "parse_config", "run_sweep",
-    "sobolev_weights", "sweep_summary", "water_system", "write_field_csv", "write_sweep_csv",
+    "ConfigError", "DEFAULT_MU_GRID", "GAP_MU_GRID", "KernelAudit", "KernelAuditRow", "RunConfig", "SweepReport",
+    "audit_kernels", "bmu_rate_table", "comparison_kernels", "dirichlet_extension", "dispatch", "fit_rate",
+    "kernel_H_sum", "main", "neumann_extension", "parse_config", "run_sweep", "sobolev_weights", "sweep_summary",
+    "water_system", "write_field_csv", "write_sweep_csv",
 ]
 
 def test_public_names_are_the_pinned_list():
@@ -93,11 +93,9 @@ def _src_functions():
 
 # every def in src that no command runs, with the reason it stays
 NOT_RUN_BY_A_COMMAND = {
-    "basis._phi": "the general-point path of dirichlet_values, which only the field-physics tests drive; field's regular grid takes the FFT",
+    "basis._phi": "the general-point path of dirichlet_extension, which only the field-physics tests drive; field's regular grid takes the FFT",
     "cli.RunConfig.to_text": "the config round trip property proves that a resolved config reproduces the run",
-    "fields.FieldGrid.nx": "perfbench/spans.py counts a traced field's point-modes from it",
-    "fields.FieldGrid.ny": "perfbench/spans.py counts a traced field's point-modes from it",
-    "fields._psi": "the general-point path of neumann_values, which only the field-physics tests drive; field's regular grid takes the FFT",
+    "fields._psi": "the general-point path of neumann_extension, which only the field-physics tests drive; field's regular grid takes the FFT",
 }
 
 
