@@ -46,6 +46,9 @@ _MAX_STEPS = 10**9
 # lateral modes of the series oracle, at most: its table of tail sums takes time linear in l_modes (0.4 s at 10^7
 # on a 2-core VM), its tail is certified only below 10^16 lateral modes, and 2l - 1 is exact only below 2^52
 _MAX_L_MODES = 10**9
+# largest mode index of the kernel audit, at most: its time grows linearly with k_max (0.3 s at 10^6 modes and 1.1 s
+# at 4 * 10^6 on a 2-core VM), so the cap runs for minutes, where 10^12 modes would run for days
+_MAX_K_MAX = 10**9
 
 # key: (default, flag metavar, help); each key is also the flag --key, with '-' for '_'.
 # Order fixes the serialized layout.
@@ -66,7 +69,7 @@ CONFIG_KEYS = {
         "SEED",
         "no effect; accepted because the benchmark's verify workload passes --seed (ROADMAP item 1)",
     ),
-    "k_max": ("10000", "K_MAX", "largest mode index in the kernel audit, >= 1"),
+    "k_max": ("10000", "K_MAX", f"largest mode index in the kernel audit, 1 to {_MAX_K_MAX}"),
 }
 
 _KNOWN_KEYS = "known keys: " + ", ".join(CONFIG_KEYS)
@@ -154,13 +157,15 @@ def _to_float(key: str, raw: str, hi: float, zero: bool = False) -> float:
     return val
 
 
-def _to_int(key: str, raw: str, lo: int) -> int:
+def _to_int(key: str, raw: str, lo: int, hi: Optional[int] = None) -> int:
     try:
         val = int(raw)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
     if val < lo:
         raise ConfigError(f"{key} must be >= {lo}, got {val}")
+    if hi is not None and val > hi:
+        raise ConfigError(f"{key} must be <= {hi}, got {val}")
     return val
 
 
@@ -199,16 +204,13 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
     dt = _to_float("dt", raw["dt"], math.inf) if raw["dt"] else 1e-3 * tau
     if dt == 0.0:
         raise ConfigError(f"the default dt = 1e-3*tau underflows to 0 at tau={tau:g}; give dt")
-    l_modes = _to_int("l_modes", raw["l_modes"], 1)
-    if l_modes > _MAX_L_MODES:
-        raise ConfigError(f"l_modes must be <= {_MAX_L_MODES}, got {l_modes}")
     cfg = RunConfig(
         command=command,
         out=raw["out"],
         mu=mu,
         mu_list=mu_list,
         k_modes=_to_int("k_modes", raw["k_modes"], 1),
-        l_modes=l_modes,
+        l_modes=_to_int("l_modes", raw["l_modes"], 1, _MAX_L_MODES),
         dt=dt,
         tau=tau,
         grid=grid,
@@ -216,7 +218,7 @@ def parse_config(command: str, file_text: str = "", overrides: Optional[dict] = 
         init=raw["init"],
         init1=raw["init1"],
         seed=_to_int("seed", raw["seed"], 0),
-        k_max=_to_int("k_max", raw["k_max"], 1),
+        k_max=_to_int("k_max", raw["k_max"], 1, _MAX_K_MAX),
     )
     # fail early on malformed mini-language specs and on a step grid that misses
     # tau or a pulse; the commands reuse the parsed data

@@ -27,11 +27,12 @@ returns, and an input is dt together with the runs
 [m dt, (m+1) dt), step by step.
 
 Stepping goes through one private generator, `_rotate`, over a batch of
-systems that share the data and the input, with the coefficients computed
-once and the u terms once per run.  It steps the modes with omega > 0 as one
-complex (n_sys, m) array psi = zeta + i zeta_t/omega, whose exact step is a
-rotation plus the input term, psi' = e^(-i omega dt) psi + f u (Q + i S/omega):
-one complex multiply, and an add inside a run of nonzero u.  omega^2 |psi|^2
+systems that share the data and the input, given as (n_sys, m) arrays of
+omega and forcing, with the coefficients computed once and the u terms once
+per run.  It steps the modes with omega > 0 as one complex (n_sys, m) array
+psi = zeta + i zeta_t/omega, whose exact step is a rotation plus the input
+term, psi' = e^(-i omega dt) psi + f u (Q + i S/omega): one complex multiply,
+and an add inside a run of nonzero u.  omega^2 |psi|^2
 is the mode energy.  The sweep steps modes 1..K that way and reduces each
 sample in O(n_sys K); `simulate` reads zeta = Re psi and zeta_t = omega Im psi
 of one system into one reused block of rows through `_rows`, which steps mode
@@ -70,28 +71,27 @@ def water_system(mu: float, K: int):
     return omega, forcing
 
 
-def _rotate(zeta0: np.ndarray, zeta1: np.ndarray, systems, runs, dt):
+def _rotate(zeta0: np.ndarray, zeta1: np.ndarray, omega: np.ndarray, forcing: np.ndarray, runs, dt):
     """The stepping loop: exact steps of a batch of systems' modes with omega > 0, in psi = zeta + i zeta_t/omega.
 
+    The batch is the (n_sys, m) arrays omega and forcing, one system per row.
     Every system starts from zeta = zeta0 and zeta_t = zeta1 and is stepped
     with u held at each run's u for its count of steps.  Yields psi's float
     view at t = 0, dt, ..., n dt, n the total count: the (n_sys, 2m) pairs
     (Re psi_k, Im psi_k) = (zeta_k, zeta_t_k/omega_k), read-only views of two
     buffers that the steps overwrite in turn, so a consumer that keeps a
-    sample copies it.  ValueError unless the data and every system agree on
-    the number m of modes and every omega > 0 (not nan).
+    sample copies it.  ValueError unless the data and the batch agree on the
+    number m of modes and every omega > 0 (not nan).
 
     A step is psi' = r psi, r = e^(-i omega dt), plus u T, T = f (Q + i S/omega)
     formed once per run, inside a run of nonzero u.  |r| = 1, so under u = 0
     |psi| moves by roundoff only.  zeta1/omega can overflow where zeta1 does
     not: psi then starts non-finite, and stays so, under the caller's np.errstate.
     """
-    for w, _ in systems:
-        if not zeta0.shape == zeta1.shape == w.shape:
-            raise ValueError(
-                f"mode count mismatch: zeta0 K={zeta0.size - 1}, zeta1 K={zeta1.size - 1}, system K={w.size - 1}"
-            )
-    omega, forcing = np.stack([w for w, _ in systems]), np.stack([f for _, f in systems])
+    if not (zeta0.shape == zeta1.shape == omega.shape[1:] and omega.shape == forcing.shape):
+        raise ValueError(
+            f"mode count mismatch: zeta0 K={zeta0.size - 1}, zeta1 K={zeta1.size - 1}, system K={omega.shape[-1] - 1}"
+        )
     if not (omega > 0.0).all():
         raise ValueError("the rotation kernel steps modes with omega > 0 only")
     rotation, term, uterm, psi, spare = (_aligned(omega.shape, complex) for _ in range(5))
@@ -135,7 +135,7 @@ def _rows(zeta0: np.ndarray, zeta1: np.ndarray, runs, dt: float, system, rows: i
     (omega, forcing), width = system, system[0].size
     n = sum(count for _, count in runs) + 1
     buf = np.empty((min(rows, n), 2 * width + 1))
-    samples = _rotate(zeta0[1:], zeta1[1:], [(omega[1:], forcing[1:])], runs, dt)
+    samples = _rotate(zeta0[1:], zeta1[1:], omega[None, 1:], forcing[None, 1:], runs, dt)
     f, z, v = float(forcing[0]), float(zeta0[0]), float(zeta1[0])
     # the u terms (f Q) u and (f S) u of mode 0, step by step; the step after the last sample is not used
     terms = chain.from_iterable(repeat((f * (0.5 * dt * dt) * u, f * dt * u), count) for u, count in runs)

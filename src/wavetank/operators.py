@@ -107,27 +107,25 @@ def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
     sums = np.zeros(y2.size)
     np.multiply(powers, table[tail], out=powers).sum(axis=1, out=sums[: tail.size])
     # the heads l < b
-    longest = min((1 << int(split.max(initial=0))) - 1, L)
-    odd2 = (2.0 * np.arange(1, min(longest, _BLOCK_VALUES) + 1) - 1.0) ** 2
     for s in range(1, c.size + 1):
         rows = slice(ends[s - 1], ends[s])
         if rows.stop > rows.start:
-            _add_heads(y2[rows], min((1 << s) - 1, L), odd2, sums[rows])
+            _add_heads(y2[rows], min((1 << s) - 1, L), sums[rows])
     out = np.empty(y2.size)
     out[order] = sums
     return out
 
 
-def _add_heads(y2: np.ndarray, head: int, odd2: np.ndarray, out: np.ndarray):
+def _add_heads(y2: np.ndarray, head: int, out: np.ndarray):
     """Add sum_{l<=head} 1 / ((2l-1)^2 + y2) to out, per y2, summing each run of 2^16 terms of a row pairwise.
 
-    The terms are formed in blocks of at most 2^16 values, by add and in-place
-    reciprocal; odd2 holds (2l-1)^2 for l = 1..min(head, 2^16) at least.
+    The squares (2l-1)^2 are formed per run of at most 2^16 l, and the terms
+    in blocks of at most 2^16 values, by add and in-place reciprocal.
     """
     width = min(head, _BLOCK_VALUES)
     rows = _BLOCK_VALUES // width
     for first in range(1, head + 1, width):
-        cols = odd2[:width] if first == 1 else (2.0 * np.arange(first, min(first + width, head + 1)) - 1.0) ** 2
+        cols = (2.0 * np.arange(first, min(first + width, head + 1)) - 1.0) ** 2
         for i in range(0, y2.size, rows):
             terms = np.add(cols, y2[i : i + rows, None])
             out[i : i + rows] += np.reciprocal(terms, out=terms).sum(axis=1)
@@ -146,11 +144,12 @@ def _fill_powers(pw: np.ndarray):
 def _tail_table(L: int):
     """(c, T), read-only: the splits c_j = (2^(j+1) - 1)^2 and T[j, n] = c_j^n P_n(2^j), for every 2^j <= L.
 
-    P_n(b) = sum_{b<=l<=L} (2l-1)^(-2(n+1)).  The l of each segment
+    P_n(b) = sum_{b<=l<=L} (2l-1)^(-2(n+1)).  Segment by segment, the l of
     2^i <= l < 2^(i+1) enter as powers of c_i / (2l-1)^2 <= 1, so that no
-    power underflows whatever L is, in blocks of 2^11 l (2^16 powers at most);
-    the segments are then combined from the top down.  Built once per L,
-    however many mu share it.
+    power underflows whatever L is, in chunks of at most 2^11 l (2^16 powers);
+    a segment of 2^11 l or more starts on a multiple of 2^11, so its chunks are
+    aligned.  The segments are then combined from the top down.  Built once
+    per L, however many mu share it.
     """
     splits = L.bit_length()
     c = np.array([(2.0 ** (j + 1) - 1.0) ** 2 for j in range(splits)])
@@ -158,20 +157,14 @@ def _tail_table(L: int):
     U = np.zeros((splits, _TAIL_TERMS))
     width = _BLOCK_VALUES // 32  # 2^11 l, whose _TAIL_TERMS powers fit in one block
     powers = np.empty((_TAIL_TERMS, width))
-    for first in range(0, L + 1, width):
-        start, stop = max(first, 1), min(first + width, L + 1)
-        odd2 = (2.0 * np.arange(start, stop) - 1.0) ** 2
-        pw = powers[:, : odd2.size]
-        # the segments in this block, as (i, slice of the block)
-        segments = [
-            (i, slice(max(1 << i, start) - start, min(2 << i, stop) - start))
-            for i in range(start.bit_length() - 1, (stop - 1).bit_length())
-        ]
-        for i, at in segments:
-            np.divide(c[i], odd2[at], out=pw[0, at])
-        _fill_powers(pw)
-        for i, at in segments:
-            U[i] += pw[:, at].sum(axis=1)
+    for i in range(splits):
+        stop = min(2 << i, L + 1)
+        for start in range(1 << i, stop, width):
+            odd2 = (2.0 * np.arange(start, min(start + width, stop)) - 1.0) ** 2
+            pw = powers[:, : odd2.size]
+            np.divide(c[i], odd2, out=pw[0])
+            _fill_powers(pw)
+            U[i] += pw.sum(axis=1)
     ratios = np.empty((_TAIL_TERMS, splits - 1))
     np.divide(c[:-1], c[1:], out=ratios[0])
     _fill_powers(ratios)

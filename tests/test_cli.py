@@ -386,6 +386,20 @@ def test_l_modes_is_capped():
         parse_config("verify", overrides={"l_modes": "1000000001"})
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_k_max_is_capped(tmp_path, capsys, monkeypatch, command):
+    # the cap itself is accepted and one more is a config error, both at parsing, before the audit runs
+    assert parse_config(command, overrides={"k_max": "1000000000"}).k_max == 10**9
+    with pytest.raises(ConfigError, match="^k_max must be <= 1000000000, got 1000000001$"):
+        parse_config(command, overrides={"k_max": "1000000001"})
+    audits = []
+    monkeypatch.setattr(cli, "audit_kernels", lambda **kw: audits.append(kw))
+    assert main([command, "--out", str(tmp_path), "--k-max", "1000000001"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["wavetank: config error: k_max must be <= 1000000000, got 1000000001"]
+    assert audits == [] and not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_initial_elevation_overflow_exits_1_naming_the_mode(tmp_path, capsys, command):
     # the two terms of mode 2 sum past float64; the message quotes the spec that names it

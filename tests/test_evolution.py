@@ -39,13 +39,11 @@ def _moving(system):
 
 
 def test_rotate_shape_errors():
-    moving = _moving(water_system(0.0, 4))
+    omega, forcing = (part[None] for part in _moving(water_system(0.0, 4)))
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_rotate(np.zeros(3), np.zeros(4), [moving], [(0.0, 1)], 0.1))
+        next(_rotate(np.zeros(3), np.zeros(4), omega, forcing, [(0.0, 1)], 0.1))
     with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_rotate(np.zeros(5), np.zeros(5), [moving], [(0.0, 1)], 0.1))
-    with pytest.raises(ValueError, match="mode count mismatch"):
-        next(_rotate(np.zeros(4), np.zeros(4), [moving, _moving(water_system(0.0, 5))], [(0.0, 1)], 0.1))
+        next(_rotate(np.zeros(5), np.zeros(5), omega, forcing, [(0.0, 1)], 0.1))
 
 
 def test_full_period_rotation_returns_to_start():
@@ -255,7 +253,12 @@ def _moving_batches(draw):
 
 def _rotated(zeta0, zeta1, systems, values, dt):
     """Every sample of _rotate under the per-step input values, copied: the (n_sys, 2m) pairs (Re psi, Im psi)."""
-    return [pairs.copy() for pairs in _rotate(zeta0, zeta1, systems, runs_of(values), dt)]
+    return [pairs.copy() for pairs in _rotate(zeta0, zeta1, *_stacked(systems), runs_of(values), dt)]
+
+
+def _stacked(systems):
+    """The (n_sys, m) arrays omega and forcing of a list of (omega, forcing) pairs."""
+    return [np.stack(rows) for rows in zip(*systems)]
 
 
 @settings(deadline=None)
@@ -372,7 +375,7 @@ def test_rotate_agrees_with_the_per_step_reference_and_conserves_its_modulus(bat
     # (1 + max omega) tiny.  Under u = 0 a step moves |psi| by the modulus error of r = e^(-i theta) and the
     # product's rounding, at most 3 eps |psi|, and measuring |psi| twice adds eps |psi|.
     systems, z0, z1, dt, values = batch
-    omega, forcing = (np.stack(rows) for rows in zip(*systems))
+    omega, forcing = _stacked(systems)
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     input_term = 2.0 * np.abs(forcing * np.sin(0.5 * omega * dt)) / omega
     rotated = _rotated(z0, z1, systems, values, dt)
@@ -388,21 +391,21 @@ def test_rotate_agrees_with_the_per_step_reference_and_conserves_its_modulus(bat
             scale = max(scale, (np.abs(zeta_t) + np.abs(omega[i] * zeta) + u * input_term[i]).max())
             reference = omega[i] * zeta + 1j * zeta_t
             assert np.abs(omega[i] * psi - reference).max() <= 16 * (m + 1) * eps * (scale + floor)
-    free = [np.abs(pairs.view(complex)) for pairs in _rotate(z0, z1, systems, runs_of(np.zeros(len(values))), dt)]
+    free = [np.abs(pairs.view(complex)) for pairs in _rotated(z0, z1, systems, np.zeros(len(values)), dt)]
     for m, size in enumerate(free):
         assert np.all(np.abs(size - free[0]) <= 4 * (m + 1) * eps * (free[0] + tiny))
 
 
 def test_rotate_rejects_a_mode_at_rest_and_steps_two_buffers_in_turn():
     zeta0, zeta1 = unit(1, 3)[1:], unit(2, 3)[1:]
-    moving = _moving(water_system(0.0, 3))
+    omega, forcing = _stacked([_moving(water_system(0.0, 3))] * 2)
     with pytest.raises(ValueError, match="omega > 0 only"):
-        next(_rotate(unit(1, 3), unit(2, 3), [water_system(0.0, 3)], [(0.0, 1)], 0.1))
-    samples = _rotate(zeta0, zeta1, [moving, moving], [(1.0, 2)], 0.1)
+        next(_rotate(unit(1, 3), unit(2, 3), *_stacked([water_system(0.0, 3)]), [(0.0, 1)], 0.1))
+    samples = _rotate(zeta0, zeta1, omega, forcing, [(1.0, 2)], 0.1)
     first = next(samples)
     # the pairs (zeta, zeta_t / omega) of each mode, side by side
     assert first.shape == (2, 6) and not first.flags.writeable
-    np.testing.assert_array_equal(first, [np.column_stack([zeta0, zeta1 / moving[0]]).ravel()] * 2)
+    np.testing.assert_array_equal(first, [np.column_stack([zeta0, zeta1 / omega[0]]).ravel()] * 2)
     second, third = samples
     assert not np.shares_memory(first, second) and np.shares_memory(first, third)
     assert not any(np.shares_memory(a, b) for a in (zeta0, zeta1) for b in (first, second))

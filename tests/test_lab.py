@@ -165,10 +165,10 @@ def _kernel_squared_norms(mu_list, zeta0, zeta1, values, dt):
     rotation kernel steps modes 1..K, its float view times the weights gives each system's pairs
     (sqrt(1+k) zeta, zeta_t), and the selector sums the squares of the pairs' differences from the limit's."""
     K = zeta0.size - 1
-    modes = [(w[1:], f[1:]) for w, f in [water_system(mu, K) for mu in (0.0, *mu_list)]]
-    weights, differences, select = _sweep_reduction(modes)
+    omega, forcing = np.stack([water_system(mu, K) for mu in (0.0, *mu_list)], axis=1)[..., 1:]
+    weights, differences, select = _sweep_reduction(omega)
     norms = []
-    for state in _rotate(zeta0[1:], zeta1[1:], modes, runs_of(values), dt):
+    for state in _rotate(zeta0[1:], zeta1[1:], omega, forcing, runs_of(values), dt):
         diff = differences @ (state * weights)
         norms.append(select @ np.square(diff).T)
     return np.array(norms)
