@@ -51,19 +51,19 @@ from .operators import _h
 __all__ = ["water_system"]
 
 
-def water_system(mu: float, K: int):
+def water_system(mu, K: int):
     """(omega, forcing) of the tank at shallowness mu in [0, 1], modes 0..K >= 1.
 
-    omega_k = k sqrt(h(sqrt(mu) k)) and f_k = -phi_k(0) h(sqrt(mu) k), from one
-    evaluation of h.  h(0) = 1, so mu = 0 gives the zero-depth limit exactly: the
-    string with omega_k = k and the boundary point mass f_k = -phi_k(0).
+    omega_k = k sqrt(h(sqrt(mu) k)) and f_k = -phi_k(0) h(sqrt(mu) k), from one evaluation of h; a column mu
+    (n, 1) gives (n, K+1) arrays, row j bitwise the system at mu_j.  h(0) = 1, so mu = 0 gives the zero-depth
+    limit exactly: the string with omega_k = k and the boundary point mass f_k = -phi_k(0).
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     k = np.arange(K + 1, dtype=float)
     h = _h(np.sqrt(mu) * k)
-    forcing = np.full(K + 1, -_SQRT_2_OVER_PI)
-    forcing[0] = -1.0 / _SQRT_PI
+    forcing = np.full(h.shape, -_SQRT_2_OVER_PI)
+    forcing[..., 0] = -1.0 / _SQRT_PI
     forcing *= h
     # omega in h's buffer: no further array of K + 1 values
     omega = np.sqrt(h, out=h)
@@ -90,7 +90,7 @@ def _rotate(zeta0: np.ndarray, zeta1: np.ndarray, omega: np.ndarray, forcing: np
     """
     if not (zeta0.shape == zeta1.shape == omega.shape[1:] and omega.shape == forcing.shape):
         raise ValueError(
-            f"mode count mismatch: zeta0 K={zeta0.size - 1}, zeta1 K={zeta1.size - 1}, system K={omega.shape[-1] - 1}"
+            f"mode count mismatch: zeta0 K={zeta0.shape[-1]}, zeta1 K={zeta1.shape[-1]}, system K={omega.shape[-1]}"
         )
     if not (omega > 0.0).all():
         raise ValueError("the rotation kernel steps modes with omega > 0 only")

@@ -124,17 +124,17 @@ def _sweep_reduction(omega):
 def run_sweep(mu_list: Sequence[float], zeta0: np.ndarray, zeta1: np.ndarray, runs, dt: float) -> SweepReport:
     """Evolve the limit string (mu = 0) and every tank as one batch from identical data, reducing the errors as it goes.
 
-    K comes from the data; the input holds each run's u for its count of
-    steps of dt, in order, so the horizon is the total count times dt.  Mode 0
-    is the same in every system, so its error is 0 and only modes 1..K are
-    stepped, by `evolution._rotate`.  Each step weighs psi's float view into
-    the pairs (sqrt(1+k) zeta, zeta_t), takes every tank's pairs less the
-    limit's with one product by [-1 | I], squares them and sums both squared
-    error norms of every tank with one product by a 0/1 selector, into one row
-    of a fixed block of _SWEEP_BLOCK + 1 rows.  A full block is folded into the
-    running sup and the largest step-to-step change of the norms, and its last
-    row, carried to row 0, starts the next.  No trajectory is kept.  The rates
-    skip the largest mu, as fit_rate does, and are nan below three mu.
+    K comes from the data, and one `water_system` call on the column of 0 and mu_list
+    builds the systems; the input holds each run's u for its count of steps of dt, in
+    order, so the horizon is the total count times dt.  Mode 0 is the same in every
+    system, so its error is 0 and only modes 1..K are stepped, by `evolution._rotate`.
+    Each step weighs psi's float view into the pairs (sqrt(1+k) zeta, zeta_t), takes
+    every tank's pairs less the limit's with one product by [-1 | I], squares them and
+    sums both squared error norms of every tank with one product by a 0/1 selector, into
+    one row of a fixed block of _SWEEP_BLOCK + 1 rows.  A full block is folded into the
+    running sup and the largest step-to-step change of the norms, and its last row,
+    carried to row 0, starts the next.  No trajectory is kept.  The rates skip the
+    largest mu, as fit_rate does, and are nan below three mu.
 
     ValueError names the first tank whose norms are not finite.  A state that
     overflows makes every tank's norms nan through the product (0 * inf), so
@@ -143,7 +143,7 @@ def run_sweep(mu_list: Sequence[float], zeta0: np.ndarray, zeta1: np.ndarray, ru
     mu_list = tuple(float(mu) for mu in mu_list)
     K, n_mu = zeta0.size - 1, len(mu_list)
     # mode 0 is the same in every system (omega_0 = 0, f_0 = -1/sqrt(pi)), so its error is 0: step modes 1..K
-    omega, forcing = np.stack([water_system(mu, K) for mu in (0.0, *mu_list)], axis=1)[..., 1:]
+    omega, forcing = (part[:, 1:] for part in water_system(np.array([0.0, *mu_list])[:, None], K))
     weights, differences, select = _sweep_reduction(omega)
     pairs = _aligned(weights.shape)
     diff = _aligned((n_mu, 2 * K))
@@ -266,9 +266,9 @@ def audit_kernels(
     with its spread across shallowness decades reported and bounded.  The
     lateral sum is the closed form over the whole grid; the series truncated
     at l_modes must match it within its certified tail on up to
-    ORACLE_K_SAMPLES log-spaced k <= k_max per shallowness, where the closed
-    form is evaluated on those modes alone, before the blocks.  The kernels are
-    evaluated over blocks of _AUDIT_BLOCK modes, so the memory is one block's.
+    ORACLE_K_SAMPLES log-spaced k <= k_max per shallowness, checked before the blocks by one call each of
+    `kernel_H_sum` and `comparison_kernels` on the column of mu_grid, so the closed form is evaluated on those
+    modes alone.  The kernels are evaluated over blocks of _AUDIT_BLOCK modes, so the memory is one block's.
 
     The resolvent rows are exact operator-norm gaps, not samples.  The
     shifted resolvents (I + A)^(-1) act coefficient-wise, with A = lambda_k/mu
@@ -280,11 +280,10 @@ def audit_kernels(
     """
     mu_grid = _grid(mu_grid, k_max)
     k_oracle = _oracle_modes(k_max)
-    # the closed form against the truncated series at the oracle modes, per mu, in units of the certified tail
-    ratio_oracle = []
-    for mu in mu_grid:
-        sums, tail = kernel_H_sum(mu, k_oracle, l_modes)
-        ratio_oracle.append(np.max(np.abs(comparison_kernels(mu, k_oracle).H_sum - sums)) / tail)
+    # the closed form against the truncated series at the oracle modes, a row per mu, in units of the certified tail
+    mu_col = np.array(mu_grid)[:, None]
+    sums, tail = kernel_H_sum(mu_col, k_oracle, l_modes)
+    ratio_oracle = np.abs(comparison_kernels(mu_col, k_oracle).H_sum - sums) / tail
     ratio_f, gap_f, gap_g, ratio_i, ratio_h1, ratio_h2, fit_g, ratio_j = [], [], [], [], [], [], [], []
     for first in range(1, k_max + 1, _AUDIT_BLOCK):
         k = np.arange(first, min(first + _AUDIT_BLOCK, k_max + 1), dtype=float)

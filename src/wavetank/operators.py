@@ -30,25 +30,22 @@ the power series
 
     sum_{n<N} (-y^2)^n P_n(b),   P_n(b) = sum_{b<=l<=l_modes} (2l-1)^(-2(n+1)),
 
-whose sums P_n are tabulated once per l_modes and shared by every mu.  With
+whose sums P_n are tabulated once per call and shared by every mu of it.  With
 N = 28 even, the cut series undershoots by at most 4^-N P_0(b), below half an
 ulp.  The comparison kernels F, G, I, J, all built by
 `comparison_kernels` from one evaluation of h, quantify, mode by mode, how
 far the tank's resolvents, square roots and forcing sit from their limits;
 the convergence lab audits their proven envelopes.  Every function takes the
-shallowness mu, and those that build modes 0..K the mode count K, as plain
-numbers.
+shallowness mu as a number or a column (n_mu, 1), whose row j is the call at
+mu_j bit for bit, and those that build modes 0..K the mode count K.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
-
-from .basis import _readonly
 
 __all__ = ["comparison_kernels", "kernel_H_sum"]
 
@@ -69,19 +66,19 @@ _BLOCK_VALUES = 1 << 16
 _TAIL_TERMS = 28
 
 
-def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
-    """sum_{l=1..L} 1 / ((2l-1)^2 + y^2) with y = 2 sqrt(mu) k / pi, for an array of k.
+def _odd_sums(mu, k: np.ndarray, L: int) -> np.ndarray:
+    """sum_{l=1..L} 1 / ((2l-1)^2 + y^2) with y = 2 sqrt(mu) k / pi, for mu and an array of k that broadcast.
 
     Times 4 mu / pi^2 this is sum_{l<=L} H(k, l).  Factoring 4 mu / pi^2 out of
     every term keeps the squared lateral frequencies finite for every mu in (0, 1].
-    Each row splits at b, the smallest power of two with 2b - 1 >= 2y, capped
-    at L + 1.  The head l < b is summed directly, in blocks of at most 2^16
-    terms of rows that share b.  Every tail term has q = y^2 / (2l-1)^2 <= 1/4, so
+    Each row, of any mu, splits at b, the smallest power of two with 2b - 1 >= 2y,
+    capped at L + 1.  The head l < b is summed directly, in blocks of at most 2^16
+    terms of rows that share b, whatever their mu.  Every tail term has q = y^2 / (2l-1)^2 <= 1/4, so
 
         1 / ((2l-1)^2 + y^2) = sum_n (-y^2)^n (2l-1)^(-2(n+1)),
         tail = sum_{n<N} (-y^2)^n P_n(b),   P_n(b) = sum_{b<=l<=L} (2l-1)^(-2(n+1)),
 
-    with P_n read from `_tail_table(L)`, which every mu shares.  The series
+    with P_n read from one `_tail_table(L)`, which every mu shares.  The series
     alternates with decreasing terms and N = 28 is even, so the cut series
     undershoots the tail by at most 4^-N P_0(b) <= 1.4e-17 P_0(b), below half an
     ulp of the sum.  Neither tanh nor any closed form enters: every number is a
@@ -91,9 +88,9 @@ def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
         raise ValueError(f"l_modes must be a positive integer, got {L!r}")
     L = int(L)
     c, table = _tail_table(L)
-    y2 = (2.0 * math.sqrt(mu) / math.pi * np.asarray(k, dtype=float)) ** 2
-    order = np.argsort(y2)
-    y2 = y2[order]
+    y2 = (2.0 * np.sqrt(mu) / math.pi * np.asarray(k, dtype=float)) ** 2
+    out, order = np.empty_like(y2), np.argsort(y2, axis=None)
+    y2 = y2.ravel()[order]
     # each row's split s: b = 2^s with (2b - 1)^2 = c[s] >= 4 y^2, or b = L + 1 (no tail) at s = c.size; sorted, the
     # rows of a split are contiguous, and ends[s] counts the rows whose split is at most s
     split = np.searchsorted(c, 4.0 * y2)
@@ -111,8 +108,7 @@ def _odd_sums(mu: float, k: np.ndarray, L: int) -> np.ndarray:
         rows = slice(ends[s - 1], ends[s])
         if rows.stop > rows.start:
             _add_heads(y2[rows], min((1 << s) - 1, L), sums[rows])
-    out = np.empty(y2.size)
-    out[order] = sums
+    np.put(out, order, sums)
     return out
 
 
@@ -140,16 +136,15 @@ def _fill_powers(pw: np.ndarray):
         done += more
 
 
-@functools.cache
 def _tail_table(L: int):
-    """(c, T), read-only: the splits c_j = (2^(j+1) - 1)^2 and T[j, n] = c_j^n P_n(2^j), for every 2^j <= L.
+    """(c, T): the splits c_j = (2^(j+1) - 1)^2 and T[j, n] = c_j^n P_n(2^j), for every 2^j <= L.
 
     P_n(b) = sum_{b<=l<=L} (2l-1)^(-2(n+1)).  Segment by segment, the l of
     2^i <= l < 2^(i+1) enter as powers of c_i / (2l-1)^2 <= 1, so that no
     power underflows whatever L is, in chunks of at most 2^11 l (2^16 powers);
     a segment of 2^11 l or more starts on a multiple of 2^11, so its chunks are
     aligned.  The segments are then combined from the top down.  Built once
-    per L, however many mu share it.
+    per `_odd_sums` call, however many mu share it.
     """
     splits = L.bit_length()
     c = np.array([(2.0 ** (j + 1) - 1.0) ** 2 for j in range(splits)])
@@ -171,14 +166,16 @@ def _tail_table(L: int):
     for j in range(splits - 2, -1, -1):
         U[j] += ratios[:, j] * U[j + 1]
     U /= c[:, None]
-    return _readonly(c), _readonly(U)
+    return c, U
 
 
-def _check_kernel_args(k):
+def _check_kernel_args(mu, k):
     ka = np.asarray(k, dtype=float)
     # nan fails both comparisons, so it is rejected with inf
     if ka.size and not (ka.min() >= 1.0 and ka.max() < math.inf):
         raise ValueError("comparison kernels are defined for k >= 1")
+    if np.any(np.less(mu, 0.0)):
+        raise ValueError(f"the shallowness mu must be >= 0, got {np.min(mu):g}")
     return ka
 
 
@@ -192,8 +189,8 @@ class _Kernels(NamedTuple):
     H_sum: np.ndarray
 
 
-def comparison_kernels(mu: float, k) -> _Kernels:
-    """Every comparison kernel at modes k >= 1, all from one evaluation of h(sqrt(mu) k).
+def comparison_kernels(mu, k) -> _Kernels:
+    """Every comparison kernel at modes k >= 1, a row per mu for a column mu, from one evaluation of h(sqrt(mu) k).
 
     With s = k^2 h(sqrt(mu) k):
       F = 1/(1+k^2) - 1/(1+s)                  resolvent gap,     |F| <= sqrt(mu)/k
@@ -207,8 +204,8 @@ def comparison_kernels(mu: float, k) -> _Kernels:
     1/h = x coth x = x + 2x/(e^(2x) - 1) <= 1 + x <= (1 + sqrt x)^2, so
     J <= sqrt(x) = mu^1/4 k^1/2.
     """
-    ka = _check_kernel_args(k)
-    h = _h(math.sqrt(mu) * ka)
+    ka = _check_kernel_args(mu, k)
+    h = _h(np.sqrt(mu) * ka)
     k2 = ka**2
     sig = k2 * h
     one_k2, one_sig = 1.0 + k2, 1.0 + sig
@@ -222,7 +219,7 @@ def comparison_kernels(mu: float, k) -> _Kernels:
     )
 
 
-def kernel_H_sum(mu: float, k, l_modes: int):
+def kernel_H_sum(mu, k, l_modes: int):
     """(value, tail_bound): the truncated lateral sums sum_{l<=l_modes} H(k, l) at an array of modes k >= 1.
 
     This is the oracle for the closed form, the H_sum field of
@@ -232,8 +229,9 @@ def kernel_H_sum(mu: float, k, l_modes: int):
     <= 1 / (2 (2L - 1)); the other half covers the power-series cut of
     `_odd_sums`, at most 4^-28 pi^2 / 8 < 1.8e-17 in the same units, for every
     l_modes below 10^16.  The sums are those of `_odd_sums`, so the memory is
-    one block, whatever l_modes is.
+    one block, whatever l_modes is; a column mu (n_mu, 1) gets a row of value
+    and of tail_bound per mu from one table of tail sums.
     """
-    ka = _check_kernel_args(k)
+    ka = _check_kernel_args(mu, k)
     scale = 4.0 * mu / math.pi**2
     return scale * _odd_sums(mu, ka, l_modes), scale / (2.0 * l_modes - 1.0)

@@ -40,9 +40,10 @@ def _moving(system):
 
 def test_rotate_shape_errors():
     omega, forcing = (part[None] for part in _moving(water_system(0.0, 4)))
-    with pytest.raises(ValueError, match="mode count mismatch"):
+    # _rotate gets the moving modes 1..K, so each array's K is its last dimension
+    with pytest.raises(ValueError, match=r"^mode count mismatch: zeta0 K=3, zeta1 K=4, system K=4$"):
         next(_rotate(np.zeros(3), np.zeros(4), omega, forcing, [(0.0, 1)], 0.1))
-    with pytest.raises(ValueError, match="mode count mismatch"):
+    with pytest.raises(ValueError, match=r"^mode count mismatch: zeta0 K=5, zeta1 K=5, system K=4$"):
         next(_rotate(np.zeros(5), np.zeros(5), omega, forcing, [(0.0, 1)], 0.1))
 
 

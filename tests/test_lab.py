@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetank import lab
+from wavetank import lab, operators
 from wavetank.basis import sobolev_weights
 from wavetank.cli import make_signal
 from wavetank.evolution import _rotate, water_system
@@ -198,6 +198,20 @@ def test_run_sweep_matches_the_reference_across_folded_blocks():
         run_sweep(mu, zeta0, zeta1, [(0.0, 2 * B + 10), (1e308, 3)], dt)
 
 
+def test_run_sweep_names_the_k_of_mismatched_data_and_builds_its_systems_in_one_call(monkeypatch):
+    # the systems take K = 4 from zeta0; zeta1 holds modes 0..3, so K = 3
+    calls = []
+
+    def counted(mu, K):
+        calls.append(np.shape(mu))
+        return water_system(mu, K)
+
+    monkeypatch.setattr(lab, "water_system", counted)
+    with pytest.raises(ValueError, match=r"^mode count mismatch: zeta0 K=4, zeta1 K=3, system K=4$"):
+        run_sweep((1e-2, 1e-3, 1e-4), np.zeros(5), np.zeros(4), [(1.0, 3)], 0.1)
+    assert calls == [(4, 1)]
+
+
 def test_an_overflowing_tank_state_is_named_and_spoils_no_other_tank():
     # At mu = 1e-300, h = 1 exactly, so that tank steps bitwise as the string and its errors stay 0.  The tank at
     # mu = 1 is stepped at half its period, omega dt = pi, and the input flips sign every step: its state grows
@@ -273,6 +287,22 @@ def test_audits_over_blocks_of_modes_equal_one_block_bitwise(monkeypatch):
         blocked = rows(k_max)
         monkeypatch.setattr(lab, "_AUDIT_BLOCK", k_max)
         assert rows(k_max) == blocked
+
+
+@pytest.mark.parametrize("n_mu", [1, 3, len(DEFAULT_MU_GRID)])
+def test_one_audit_makes_one_oracle_call_and_builds_one_tail_table(monkeypatch, n_mu):
+    calls = {"kernel_H_sum": [], "_tail_table": []}
+    for module, name in ((lab, "kernel_H_sum"), (operators, "_tail_table")):
+
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name].append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    audit_kernels(DEFAULT_MU_GRID[:n_mu], k_max=100, l_modes=1000)
+    ((mu, k, l_modes),) = calls["kernel_H_sum"]
+    assert mu.shape == (n_mu, 1) and l_modes == 1000
+    assert calls["_tail_table"] == [(1000,)]
 
 
 @given(k_max=st.integers(1, 10**6))

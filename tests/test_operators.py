@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from wavetank.basis import _phi
 from wavetank.evolution import water_system
-from wavetank.lab import PROVEN_TOL, bmu_rate_table
-from wavetank.operators import _h, _odd_sums, _tail_table, comparison_kernels, kernel_H_sum
+from wavetank.lab import DEFAULT_MU_GRID, PROVEN_TOL, bmu_rate_table
+from wavetank.operators import _h, _odd_sums, comparison_kernels, kernel_H_sum
 
 from oracles import KERNEL_FORMULAS, direct_odd_sums, norm, ntn_forcing
 
@@ -276,6 +276,35 @@ def test_J_is_the_proofs_quotient_and_holds_its_proven_envelope(mu, k):
     assert np.max(np.abs(J) / (mu**0.25 * np.sqrt(k))) <= 1.0 + PROVEN_TOL
 
 
+# shallowness values in [0, 1]: the ends and the subnormals drawn on their own
+_MU = st.one_of(st.floats(0.0, 1.0), st.just(0.0), st.just(1.0), st.floats(0.0, 2.0**-1022, exclude_min=True))
+
+
+@settings(deadline=None)
+@given(
+    mu=st.lists(_MU, min_size=1, max_size=8),
+    K=st.integers(1, 300),
+    k=st.lists(st.floats(1.0, 1e6), min_size=1, max_size=20),
+    L=st.integers(1, 3000),
+    negative=st.floats(-1.0, 0.0, exclude_max=True),
+)
+def test_a_column_of_mu_gives_each_row_of_the_scalar_call_bitwise(mu, K, k, L, negative):
+    column, k = np.array(mu)[:, None], np.array(k)
+    systems, kernels, (sums, tails) = water_system(column, K), comparison_kernels(column, k), kernel_H_sum(column, k, L)
+    assert sums.shape == (len(mu), k.size) and tails.shape == (len(mu), 1)
+    for j, m in enumerate(mu):
+        for got, expected in (*zip(systems, water_system(m, K)), *zip(kernels, comparison_kernels(m, k))):
+            assert got[j].tobytes() == expected.tobytes()
+        s, tail = kernel_H_sum(m, k, L)
+        assert (sums[j].tobytes(), tails[j].tobytes()) == (s.tobytes(), np.float64(tail).tobytes())
+    # a negative mu, alone or in a column, raises: np.sqrt alone would give nan
+    for bad in (negative, np.array([*mu, negative])[:, None]):
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            comparison_kernels(bad, k)
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            kernel_H_sum(bad, k, L)
+
+
 # the direct reference's block holds 2^16 values: max(1, 2^16 // L) rows of L terms
 _BLOCK_VALUES = 1 << 16
 _U = 2.0**-53
@@ -348,11 +377,13 @@ def test_odd_sums_agree_with_the_direct_sum_within_roundoff(data, mu, L):
 
 
 def test_odd_sums_agree_with_the_direct_sum_at_a_million_lateral_modes():
-    L = 10**6
-    for mu in (1.0, 1e-3, 1e-300):
-        k = np.array([0.0, 1.0, 7.0, 1e3, 1e6, 3e6, *_modes_at_the_splits(mu, L)[::7]])
-        got, expected = _odd_sums(mu, k, L), direct_odd_sums(mu, k, L)
-        np.testing.assert_array_less(np.abs(got - expected), _odd_sums_roundoff(L) * expected)
+    # the three mu as one column, each with its own row of modes: one call, one table
+    L, mu = 10**6, (1.0, 1e-3, 1e-300)
+    k = np.array([[0.0, 1.0, 7.0, 1e3, 1e6, 3e6, *_modes_at_the_splits(m, L)[::7]] for m in mu])
+    got = _odd_sums(np.array(mu)[:, None], k, L)
+    for m, row, modes in zip(mu, got, k):
+        expected = direct_odd_sums(m, modes, L)
+        np.testing.assert_array_less(np.abs(row - expected), _odd_sums_roundoff(L) * expected)
 
 
 def _peak_bytes(fn):
@@ -365,14 +396,15 @@ def _peak_bytes(fn):
 
 
 def test_series_oracles_need_one_block_not_k_times_l():
-    # O(l_modes) plus one block: a (64, 10^5) or (1025, 10^4) temporary would be 51 or 82 MB
+    # O(l_modes) plus one block: a (64, 10^5) or (1025, 10^4) temporary would be 51 or 82 MB; the audit's
+    # one call, its seven shallowness values at once, needs no more
     k = np.geomspace(1.0, 1e4, 64)
     assert _peak_bytes(lambda: kernel_H_sum(1e-3, k, 100_000)) < 4e6
+    assert _peak_bytes(lambda: kernel_H_sum(np.array(DEFAULT_MU_GRID)[:, None], k, 100_000)) < 4e6
     assert _peak_bytes(lambda: ntn_forcing(1e-3, 1024, 10_000)) < 2e6
 
 
 def test_series_oracle_memory_does_not_grow_with_l_modes():
     # one block whatever l_modes is, the table of the tail sums included: the term-by-term sum needs 16 MB here
     k = np.geomspace(1.0, 1e4, 64)
-    _tail_table.cache_clear()
     assert _peak_bytes(lambda: kernel_H_sum(1e-3, k, 1_000_000)) < 2e6
